@@ -402,6 +402,12 @@ def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
 
 def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiExitNet:
     exit_count = _estimated_exit_count(run_dir)
+    if exit_count < 2:
+        raise ContractError(
+            f"changepoint detection estimated {exit_count} exit: the timing "
+            "channel did not separate any exits, so there are no exit labels "
+            "to train a multi-exit substitute on"
+        )
     blocks = len(net_cfg.widths) if net_cfg.backbone == "dense" else len(net_cfg.channels)
     if exit_count > blocks:
         raise ContractError(
@@ -425,12 +431,12 @@ def _stage_train_substitute(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
-    records = _load_records(run_dir)
-    acfg = _attack_config(cfg)
     base_netcfg = (
         cfg.victim.net if cfg.attack.baseline_arch == "victim" else cfg.attack.net
     )
     net = _fresh_substitute(cfg, run_dir, base_netcfg)
+    records = _load_records(run_dir)
+    acfg = _attack_config(cfg)
     net, trace = train_baseline(net, records, acfg)
     save_checkpoint(net, _path(run_dir, "sub_baseline.ckpt"))
     write_loss_trace(trace, _path(run_dir, "trace_baseline.csv"))

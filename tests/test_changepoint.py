@@ -3,16 +3,20 @@
 The segment marginal is checked against an independent route: the chain rule
 of sequential Student-t posterior predictives under the same conjugate
 Normal model. The DP segmentation is checked against brute-force
-enumeration of all cut placements.
+enumeration of all cut placements, and bit for bit against the full-table
+DP that the column-block evaluation replaced.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
+from exitsteal import changepoint
 from exitsteal.changepoint import (
     ChangepointResult,
     SegmentPrior,
@@ -78,6 +82,82 @@ def enumeration_oracle(x, min_segment, k_max, p=0.5):
                 best_score, best_cuts = score, cuts
     boundaries = tuple((x[c - 1] + x[c]) / 2.0 for c in best_cuts)
     return best_score, boundaries
+
+
+def _segment_table(x, prior: SegmentPrior):
+    """S[i, j] = log marginal of x[i:j] for all 0 <= i < j <= n, vectorized
+    via prefix sums. Data is centered on mu_0 first; the statistics the
+    formula consumes (sse, mean - mu_0) are shift-invariant, and centering
+    keeps the sum-of-squares subtraction well conditioned."""
+    n = x.size
+    xc = x - prior.mu0
+    s1 = np.concatenate([[0.0], np.cumsum(xc)])
+    s2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
+    i = np.arange(n + 1)[:, None]
+    j = np.arange(n + 1)[None, :]
+    cnt = (j - i).astype(np.float64)
+    valid = j > i
+    cnt_safe = np.where(valid, cnt, 1.0)
+    total = s1[None, :] - s1[:, None]
+    ssq = s2[None, :] - s2[:, None]
+    sse = np.maximum(ssq - total * total / cnt_safe, 0.0)
+    centered_prior = SegmentPrior(
+        mu0=0.0, beta0=prior.beta0, kappa0=prior.kappa0, alpha0=prior.alpha0
+    )
+    with np.errstate(invalid="ignore"):
+        table = changepoint._log_marginal_terms(cnt_safe, total, sse, centered_prior)
+    return np.where(valid, table, -np.inf)
+
+
+def full_table_oracle(runtimes, min_segment=5, k_max=8, geometric_p=0.5):
+    """The detection DP over a dense (n+1)x(n+1) segment-score table, one
+    Python loop per segment count: the straightforward form of the same
+    objective, in the same arithmetic order, so its results must match
+    `detect_changepoints` bit for bit."""
+    x = np.sort(np.asarray(runtimes, dtype=np.float64))
+    n = x.size
+    scale = float(x.std(ddof=1))
+    z = (x - x.mean()) / scale if scale > 0.0 else x - x.mean()
+    base = SegmentPrior.from_data(z)
+    prior = SegmentPrior(
+        mu0=base.mu0,
+        beta0=max(base.kappa0 * base.beta0, 1e-12),
+        kappa0=base.kappa0,
+        alpha0=base.alpha0,
+    )
+    counts = np.arange(n + 1, dtype=np.float64)
+    width = np.maximum(counts[None, :] - counts[:, None], 0.0)
+    seg = _segment_table(z, prior) + gammaln(width + 1.0)
+
+    max_segments = min(k_max + 1, n // min_segment)
+    best = np.full((max_segments + 1, n + 1), -np.inf)
+    back = np.zeros((max_segments + 1, n + 1), dtype=np.intp)
+    best[1] = seg[0]
+    for m in range(2, max_segments + 1):
+        lo = (m - 1) * min_segment
+        for j in range(m * min_segment, n + 1):
+            cand = best[m - 1, lo : j - min_segment + 1] + seg[lo : j - min_segment + 1, j]
+            a = int(np.argmax(cand))
+            best[m, j] = cand[a]
+            back[m, j] = lo + a
+
+    log_p = np.log(geometric_p)
+    per_cut = np.log1p(-geometric_p) - np.log(n - 1.0)
+    offset = -float(gammaln(n + 1.0))
+    best_m, best_score = 1, best[1, n] + log_p + offset
+    for m in range(2, max_segments + 1):
+        score = best[m, n] + (m - 1) * per_cut + log_p + offset
+        if score > best_score:
+            best_m, best_score = m, score
+
+    cuts = []
+    j = n
+    for m in range(best_m, 1, -1):
+        j = int(back[m, j])
+        cuts.append(j)
+    cuts.reverse()
+    boundaries = tuple(float(0.5 * (x[c - 1] + x[c])) for c in cuts)
+    return boundaries, float(best_score)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +234,52 @@ def test_dp_equals_enumeration():
         want_score, want_bounds = enumeration_oracle(x, min_segment=3, k_max=3)
         assert got.log_posterior == pytest.approx(want_score, abs=1e-9)
         assert got.boundaries == pytest.approx(want_bounds, abs=0)
+
+
+def test_block_dp_matches_full_table_oracle(monkeypatch):
+    # a small block width makes every input cross several block edges
+    monkeypatch.setattr(changepoint, "_BLOCK", 7)
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(240):
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(1, 5))
+        centers = rng.uniform(0.0, 5.0, k)
+        x = rng.normal(centers[rng.integers(0, k, n)], rng.uniform(0.01, 0.5))
+        if trial % 3 == 1:
+            x = np.round(x, 1)  # tied runtimes
+        if trial % 20 == 0:
+            x = np.full(n, 2.5)  # constant input
+        min_segment = int(rng.integers(1, 8))
+        k_max = int(rng.integers(0, 9))
+        if n < 2 * min_segment:
+            continue
+        got = detect_changepoints(x, min_segment=min_segment, k_max=k_max)
+        want = full_table_oracle(x, min_segment=min_segment, k_max=k_max)
+        assert (got.boundaries, got.log_posterior) == want
+        checked += 1
+    assert checked > 150
+
+
+def test_block_dp_matches_full_table_oracle_at_2000():
+    rng = np.random.default_rng(12)
+    centers = np.array([1.0, 1.4, 1.8, 2.2])
+    x = rng.normal(centers[rng.integers(0, 4, 2000)], 0.08)
+    got = detect_changepoints(x)
+    assert (got.boundaries, got.log_posterior) == full_table_oracle(x)
+
+
+def test_detection_memory_is_linear_in_n():
+    # the full-table DP peaked at 421 MB here; one (n+1)^2 float64 array
+    # alone is 32 MB, so the bound also catches a single reintroduced table
+    x = np.random.default_rng(13).normal(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        detect_changepoints(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_permutation_invariance():
@@ -235,6 +361,17 @@ def test_min_segment_enforced():
 def test_too_few_points_rejected():
     with pytest.raises(ContractError):
         detect_changepoints(np.ones(9), min_segment=5)
+
+
+def test_min_segment_below_one_rejected():
+    for bad in (0, -2):
+        with pytest.raises(ContractError, match="min_segment"):
+            detect_changepoints(np.arange(20.0), min_segment=bad)
+
+
+def test_negative_k_max_rejected():
+    with pytest.raises(ContractError, match="k_max"):
+        detect_changepoints(np.arange(20.0), k_max=-1)
 
 
 def test_non_finite_rejected():
