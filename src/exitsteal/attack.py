@@ -14,20 +14,23 @@ each non-final exit i, samples estimated to exit at i should clear a high
 bar phi1 there, and samples estimated to exit later should stay below a
 lower bar phi2 at exit i. Both margin terms average within their sample
 sets and use confidences evaluated at the earlier exit i.
+
+Answered queries travel as one `RecordBatch` of aligned arrays, from the
+pipeline's saved answers and labels to both losses and both trainers.
+`QueryRecord` is the validated one-row form; `RecordBatch.from_records`
+packs a list of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .changepoint import ChangepointResult, assign_exits, detect_changepoints
 from .errors import ContractError
 from .multiexit import MultiExitNet, forward_all_exits
-from .victimlab import VictimDeployment, query_timed_many
 
 Array = np.ndarray
 
@@ -128,34 +131,10 @@ def build_query_set(
     return QuerySet(inputs=np.concatenate(parts), is_iid=np.concatenate(tags))
 
 
-def estimate_exit_labels(
-    dep: VictimDeployment,
-    calibration_inputs,
-    query_inputs,
-) -> tuple[ChangepointResult, list[QueryRecord]]:
-    """Query the calibration set (timed), fit changepoints on those runtimes
-    only, then query and label every query sample. The calibration queries
-    consume the deployment's noise stream first, in order."""
-    calib = nm.as_array(calibration_inputs)
-    queries = nm.as_array(query_inputs)
-    _, calib_runtimes = query_timed_many(dep, calib)
-    result = detect_changepoints(calib_runtimes)
-    probs, runtimes = query_timed_many(dep, queries)
-    exits = assign_exits(runtimes, result)
-    records = [
-        QueryRecord(
-            input=queries[i].copy(),
-            victim_probs=probs[i].copy(),
-            runtime=float(runtimes[i]),
-            estimated_exit=int(exits[i]),
-        )
-        for i in range(queries.shape[0])
-    ]
-    return result, records
-
-
 class RecordBatch:
-    """Query records packed into arrays for training."""
+    """Answered queries as aligned arrays, the form every loss and trainer
+    takes: inputs, the victim's probability rows and the estimated exit
+    labels (1-based)."""
 
     def __init__(self, inputs: Array, victim_probs: Array, exits: Array):
         if inputs.shape[0] != victim_probs.shape[0] or inputs.shape[0] != exits.shape[0]:
@@ -184,21 +163,22 @@ class RecordBatch:
         return RecordBatch(self.inputs[idx], self.victim_probs[idx], self.exits[idx])
 
 
-def _as_batch(records) -> RecordBatch:
-    return records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
+def _performance_terms(probs, victim_probs: Array):
+    """Shared KL arithmetic for performance_loss; `probs` may be plain
+    arrays or tape nodes."""
+    total = None
+    for p in probs:
+        term = nm.mean_all(nm.kl_div(victim_probs, p))
+        total = term if total is None else total + term
+    return total
 
 
-def performance_loss(net: MultiExitNet, records, params=None):
+def performance_loss(net: MultiExitNet, batch: RecordBatch, params=None):
     """Mean over the batch of the summed KL(victim || exit_i) across all
     exits (the victim's answer is the target at every exit). Differentiable
     when `params` is a bound-node list."""
-    batch = _as_batch(records)
     probs = forward_all_exits(net, batch.inputs, params=params)
-    total = None
-    for p in probs:
-        term = nm.mean_all(nm.kl_div(batch.victim_probs, p))
-        total = term if total is None else total + term
-    return total
+    return _performance_terms(probs, batch.victim_probs)
 
 
 def _strategy_terms(probs, exits: Array, phi1: float, phi2: float, exit_count: int):
@@ -222,7 +202,7 @@ def _strategy_terms(probs, exits: Array, phi1: float, phi2: float, exit_count: i
     return total
 
 
-def strategy_loss(net: MultiExitNet, records, phi1: float, phi2: float, params=None):
+def strategy_loss(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: float, params=None):
     """Confidence-shaping margins over estimated exit groups D_1..D_K:
 
         sum over non-final exits i of
@@ -234,13 +214,16 @@ def strategy_loss(net: MultiExitNet, records, phi1: float, phi2: float, params=N
     """
     if phi1 < phi2:
         raise ContractError("phi1 must be >= phi2")
-    batch = _as_batch(records)
+    _check_labels(net, batch)
+    probs = forward_all_exits(net, batch.inputs, params=params)
+    return _strategy_terms(probs, batch.exits, phi1, phi2, net.exit_count)
+
+
+def _check_labels(net: MultiExitNet, batch: RecordBatch) -> None:
     if int(batch.exits.max()) > net.exit_count:
         raise ContractError(
             f"records labeled up to exit {int(batch.exits.max())}, net has {net.exit_count}"
         )
-    probs = forward_all_exits(net, batch.inputs, params=params)
-    return _strategy_terms(probs, batch.exits, phi1, phi2, net.exit_count)
 
 
 @dataclass(frozen=True)
@@ -253,7 +236,7 @@ class EpochLoss:
 
 def train_substitute(
     net: MultiExitNet,
-    records,
+    batch: RecordBatch,
     cfg: AttackConfig,
 ) -> tuple[MultiExitNet, list[EpochLoss]]:
     """Mini-batch SGD on performance + lambda * strategy loss.
@@ -263,37 +246,25 @@ def train_substitute(
     train_baseline under the same seed: the strategy term is still measured
     for the trace but never contributes a gradient.
     """
-    batch = _as_batch(records)
-    if int(batch.exits.max()) > net.exit_count:
-        raise ContractError(
-            f"records labeled up to exit {int(batch.exits.max())}, net has {net.exit_count}"
-        )
-    rng = np.random.default_rng(cfg.seed)
+    _check_labels(net, batch)
     n = len(batch)
     lam = cfg.lambda_strategy
     trace: list[EpochLoss] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        perf_sum = strat_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            take = order[start : start + cfg.batch_size]
-            sub = batch.subset(take)
-            tape = nm.GradTape()
-            bound = net.bind(tape)
-            probs = forward_all_exits(net, sub.inputs, params=bound)
-            perf = None
-            for p in probs:
-                term = nm.mean_all(nm.kl_div(sub.victim_probs, p))
-                perf = term if perf is None else perf + term
-            strat = _strategy_terms(probs, sub.exits, cfg.phi1, cfg.phi2, net.exit_count)
-            loss = perf if lam == 0.0 else perf + lam * strat
-            grads = nm.grad(loss, tape)
-            for arr, node in zip(net.parameters(), bound):
-                arr -= cfg.lr * grads[node]
-            perf_sum += float(nm.value_of(perf)) * len(take)
-            strat_sum += float(nm.value_of(strat)) * len(take)
-        perf_epoch = perf_sum / n
-        strat_epoch = strat_sum / n
+    perf_sum = strat_sum = 0.0  # row-weighted over the epoch so far
+
+    def batch_loss(bound, take):
+        nonlocal perf_sum, strat_sum
+        sub = batch.subset(take)
+        probs = forward_all_exits(net, sub.inputs, params=bound)
+        perf = _performance_terms(probs, sub.victim_probs)
+        strat = _strategy_terms(probs, sub.exits, cfg.phi1, cfg.phi2, net.exit_count)
+        perf_sum += float(nm.value_of(perf)) * len(take)
+        strat_sum += float(nm.value_of(strat)) * len(take)
+        return perf if lam == 0.0 else perf + lam * strat
+
+    def end_epoch(epoch):
+        nonlocal perf_sum, strat_sum
+        perf_epoch, strat_epoch = perf_sum / n, strat_sum / n
         trace.append(
             EpochLoss(
                 epoch=epoch,
@@ -302,18 +273,22 @@ def train_substitute(
                 total=perf_epoch + lam * strat_epoch,
             )
         )
+        perf_sum = strat_sum = 0.0
+
+    nm.sgd(net.parameters(), n, batch_loss, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed,
+           batch_size=cfg.batch_size, end_epoch=end_epoch)
     return net, trace
 
 
 def train_baseline(
     net: MultiExitNet,
-    records,
+    batch: RecordBatch,
     cfg: AttackConfig,
 ) -> tuple[MultiExitNet, list[EpochLoss]]:
     """Conventional extraction: performance loss only (lambda forced to 0).
     Everything else — batching, shuffling, updates — matches
     train_substitute exactly."""
-    return train_substitute(net, records, dataclasses.replace(cfg, lambda_strategy=0.0))
+    return train_substitute(net, batch, dataclasses.replace(cfg, lambda_strategy=0.0))
 
 
 def write_loss_trace(trace: list[EpochLoss], path) -> None:

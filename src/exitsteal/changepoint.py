@@ -232,6 +232,9 @@ def detect_changepoints(
     and are consumed by the DP as they are made, so memory stays
     O(n * block + k_max * n) instead of the (n + 1)^2 score table.
     """
+    for name, value in (("min_segment", min_segment), ("k_max", k_max)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     if min_segment < 1:
         raise ContractError(f"min_segment must be >= 1, got {min_segment}")
     if k_max < 0:

@@ -34,10 +34,9 @@ import time
 
 import numpy as np
 
-from .. import numerics as nm
 from ..attack import (
     AttackConfig,
-    QueryRecord,
+    RecordBatch,
     build_query_set,
     train_baseline,
     train_substitute,
@@ -335,7 +334,7 @@ def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
         seed=cfg.seed.shuffle + 2,
     )
     # calibration probes first, then the query set: one continuous noise
-    # stream, same order as the one-shot labeling helper
+    # stream, in that order
     calib_probs, calib_runtimes = query_timed_many(dep, data["calib_x"])
     query_probs, query_runtimes = query_timed_many(dep, qs.inputs)
     np.savez(
@@ -371,20 +370,13 @@ def _estimated_exit_count(run_dir) -> int:
     return int(_read_json(_path(run_dir, "changepoints.json"))["exit_count"])
 
 
-def _load_records(run_dir) -> list[QueryRecord]:
-    q = np.load(_path(run_dir, "queries.npz"))
-    exits = np.load(_path(run_dir, "labels.npz"))["query_exits"]
-    # hoist the arrays: NpzFile re-reads the file on every [] access
-    xs, probs, runtimes = q["query_x"], q["query_probs"], q["query_runtimes"]
-    return [
-        QueryRecord(
-            input=xs[i],
-            victim_probs=probs[i],
-            runtime=float(runtimes[i]),
-            estimated_exit=int(exits[i]),
-        )
-        for i in range(xs.shape[0])
-    ]
+def _query_batch(run_dir) -> RecordBatch:
+    """The answered queries with their estimated exit labels."""
+    with np.load(_path(run_dir, "queries.npz")) as q:
+        inputs, probs = q["query_x"], q["query_probs"]
+    with np.load(_path(run_dir, "labels.npz")) as labels:
+        exits = labels["query_exits"]
+    return RecordBatch(inputs, probs, exits)
 
 
 def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
@@ -424,8 +416,7 @@ def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiE
 
 def _stage_train_substitute(cfg: ExperimentConfig, run_dir) -> None:
     net = _fresh_substitute(cfg, run_dir, cfg.attack.net)
-    records = _load_records(run_dir)
-    net, trace = train_substitute(net, records, _attack_config(cfg))
+    net, trace = train_substitute(net, _query_batch(run_dir), _attack_config(cfg))
     save_checkpoint(net, _path(run_dir, "sub_ours.ckpt"))
     write_loss_trace(trace, _path(run_dir, "trace_ours.csv"))
 
@@ -435,9 +426,9 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
         cfg.victim.net if cfg.attack.baseline_arch == "victim" else cfg.attack.net
     )
     net = _fresh_substitute(cfg, run_dir, base_netcfg)
-    records = _load_records(run_dir)
+    batch = _query_batch(run_dir)
     acfg = _attack_config(cfg)
-    net, trace = train_baseline(net, records, acfg)
+    net, trace = train_baseline(net, batch, acfg)
     save_checkpoint(net, _path(run_dir, "sub_baseline.ckpt"))
     write_loss_trace(trace, _path(run_dir, "trace_baseline.csv"))
     if not cfg.ablations:
@@ -453,7 +444,7 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
         )
         return
     net2 = _fresh_substitute(cfg, run_dir, cfg.attack.net)
-    net2, trace2 = train_baseline(net2, records, acfg)
+    net2, trace2 = train_baseline(net2, batch, acfg)
     save_checkpoint(net2, _path(run_dir, "sub_nostrategy.ckpt"))
     write_loss_trace(trace2, _path(run_dir, "trace_nostrategy.csv"))
 

@@ -1,6 +1,8 @@
-"""Evaluation: accuracy, closeness, computation cost, report assembly.
+"""Evaluation: one report per model, computed by `make_report` from the
+batched cascades of the model and the victim on a labeled test set.
 
-Closeness is stricter than class agreement: a sample counts only when the
+Accuracy is class agreement with the true labels. Closeness is stricter
+than class agreement with the victim: a sample counts only when the
 substitute predicts the victim's class *and* stops at the same exit index.
 Computation cost is the summed per-sample FLOPs of the cascade, reported
 both raw and scaled by 1e-9.
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError
-from .multiexit import ExitOutcome, MultiExitNet, OutputStrategy, cascade
+from .multiexit import MultiExitNet, OutputStrategy, cascade
 from .victimlab import VictimDeployment
 
 Array = np.ndarray
@@ -24,52 +26,6 @@ GFLOP = 1e-9
 
 # Column order used by every CSV row of results.
 CSV_COLUMNS = ("acc", "clo", "cc_gflops", "cc_ratio")
-
-
-def accuracy(outcomes, labels) -> float:
-    """Fraction of outcomes whose predicted class matches the true label."""
-    outcomes = list(outcomes)
-    y = np.asarray(labels)
-    if len(outcomes) == 0:
-        raise ContractError("accuracy of an empty evaluation")
-    if y.shape != (len(outcomes),):
-        raise ContractError("labels must align with outcomes")
-    pred = np.asarray([o.predicted_class for o in outcomes])
-    return float((pred == y).mean())
-
-
-def closeness(sub_outcomes, victim_outcomes) -> float:
-    """Fraction of samples where substitute and victim agree on both the
-    predicted class and the exit index."""
-    sub = list(sub_outcomes)
-    vic = list(victim_outcomes)
-    if len(sub) == 0:
-        raise ContractError("closeness of an empty evaluation")
-    if len(sub) != len(vic):
-        raise ContractError(f"outcome lengths differ: {len(sub)} vs {len(vic)}")
-    hits = sum(
-        1
-        for s, v in zip(sub, vic)
-        if s.predicted_class == v.predicted_class and s.exit_index == v.exit_index
-    )
-    return hits / len(sub)
-
-
-@dataclass(frozen=True)
-class ComputationCost:
-    flops: int
-
-    @property
-    def gflops(self) -> float:
-        return self.flops * GFLOP
-
-
-def computation_cost(outcomes) -> ComputationCost:
-    """Total FLOPs spent across all outcomes."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ContractError("computation cost of an empty evaluation")
-    return ComputationCost(flops=int(sum(o.flops for o in outcomes)))
 
 
 @dataclass(frozen=True)
@@ -139,9 +95,7 @@ def make_report(
     s_exit, s_pred, s_flops, _ = cascade(sub_net, x, sub_strategy)
     v_exit, v_pred, v_flops, _ = cascade(victim_dep.net, x, victim_dep.strategy)
     match = (s_pred == v_pred) & (s_exit == v_exit)
-    hist = np.zeros(sub_net.exit_count, dtype=int)
-    for k in range(1, sub_net.exit_count + 1):
-        hist[k - 1] = int((match & (s_exit == k)).sum())
+    hist = np.bincount(s_exit[match] - 1, minlength=sub_net.exit_count)
     sub_cost = int(s_flops.sum())
     victim_cost = int(v_flops.sum())
     return EvalReport(

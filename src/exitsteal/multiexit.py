@@ -4,7 +4,12 @@ A network with K exits evaluates its blocks in order; after the block that
 carries exit i, a lightweight head (global average pool for conv features,
 then a single dense layer) produces class probabilities. Inference under an
 `OutputStrategy` takes the first exit whose top confidence reaches that
-exit's threshold; the last exit is unconditional.
+exit's threshold; the last exit is unconditional. `taken_exits` is the one
+implementation of that rule, called by `cascade`, by the victim's threshold
+scan and by the search's `evaluate_strategy` (the search's exhaustive test
+oracle keeps its own loop on purpose). `cascade` evaluates a batch (a
+single sample is a one-row batch) and returns its outcomes as arrays:
+exits, predicted classes, FLOPs and the taken exit's probabilities.
 
 FLOPs convention, used for every cost number in the package: a dense map
 m -> n costs 2*m*n + n (multiply-adds plus bias), a conv costs
@@ -19,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -165,28 +170,63 @@ class OutputStrategy:
         return cls(thresholds=(SENTINEL,) * (exit_count - 1), fallback=fallback)
 
 
-@dataclass(frozen=True)
-class ExitOutcome:
-    """Result of one cascaded inference: what was predicted, where the
-    cascade stopped (1-based), the taken exit's probability vector, and the
-    FLOPs actually spent getting there."""
-
-    predicted_class: int
-    exit_index: int
-    probs: Array
-    flops: int
-
-
 def _dense_flops(m: int, n: int) -> int:
     return 2 * m * n + n
+
+
+def feature_dims(spec: BackboneSpec, input_hw: tuple[int, int] | None = None) -> list:
+    """Feature description after each block: width for dense backbones,
+    (channels, h, w) for conv ones, which need the input's (h, w)."""
+    if spec.kind == "dense":
+        return [blk.out_width for blk in spec.blocks]
+    if input_hw is None:
+        raise ContractError("conv backbones need input_hw")
+    h, w = input_hw
+    dims = []
+    for blk in spec.blocks:
+        h = (h - blk.kernel) // blk.stride + 1
+        w = (w - blk.kernel) // blk.stride + 1
+        if h < 1 or w < 1:
+            raise ContractError("conv backbone shrinks features below 1x1")
+        dims.append((blk.out_channels, h, w))
+    return dims
+
+
+def _head_width(feature) -> int:
+    """Input width of an exit head reading `feature` (conv features are
+    pooled to their channel count first)."""
+    return feature[0] if isinstance(feature, tuple) else feature
+
+
+def param_shapes(
+    spec: BackboneSpec,
+    exit_indices: Sequence[int],
+    class_count: int,
+    input_hw: tuple[int, int] | None = None,
+) -> list[tuple[int, ...]]:
+    """Parameter array shapes in declaration order: (W, b) per backbone
+    block, then (W, b) per exit head at the given 1-based block indices."""
+    shapes = []
+    for blk in spec.blocks:
+        if isinstance(blk, DenseBlockSpec):
+            shapes.append((blk.in_width, blk.out_width))
+            shapes.append((blk.out_width,))
+        else:
+            shapes.append((blk.out_channels, blk.in_channels, blk.kernel, blk.kernel))
+            shapes.append((blk.out_channels,))
+    dims = feature_dims(spec, input_hw)
+    for bi in exit_indices:
+        shapes.append((_head_width(dims[bi - 1]), class_count))
+        shapes.append((class_count,))
+    return shapes
 
 
 class MultiExitNet:
     """A backbone with K >= 2 exit heads at strictly increasing block indices.
 
     Parameters are float64 numpy arrays owned by the instance, in declaration
-    order: (W, b) per backbone block, then (W, b) per exit head. `bind` wraps
-    them in tape nodes for training.
+    order: (W, b) per backbone block, then (W, b) per exit head (see
+    `param_shapes`).
     """
 
     def __init__(
@@ -210,9 +250,7 @@ class MultiExitNet:
             raise ContractError("exit indices must be strictly increasing")
         if exit_indices[-1] != b:
             raise ContractError("the last exit must sit after the final block")
-        if backbone.kind == "conv":
-            if input_hw is None:
-                raise ContractError("conv backbones need input_hw")
+        if backbone.kind == "conv" and input_hw is not None:
             input_hw = (int(input_hw[0]), int(input_hw[1]))
 
         self.backbone = backbone
@@ -220,8 +258,8 @@ class MultiExitNet:
         self.class_count = class_count
         self.input_hw = input_hw if backbone.kind == "conv" else None
 
-        self._feature_dims = self._trace_features()
-        shapes = self._param_shapes()
+        self._feature_dims = feature_dims(backbone, self.input_hw)
+        shapes = param_shapes(backbone, exit_indices, class_count, self.input_hw)
         params = list(params)
         if len(params) != len(shapes):
             raise ContractError(f"expected {len(shapes)} parameter arrays, got {len(params)}")
@@ -246,42 +284,6 @@ class MultiExitNet:
 
     # -- construction helpers -------------------------------------------------
 
-    def _trace_features(self):
-        """Feature description after each block: width for dense backbones,
-        (channels, h, w) for conv ones."""
-        dims = []
-        if self.backbone.kind == "dense":
-            for blk in self.backbone.blocks:
-                dims.append(blk.out_width)
-        else:
-            h, w = self.input_hw
-            for blk in self.backbone.blocks:
-                h = (h - blk.kernel) // blk.stride + 1
-                w = (w - blk.kernel) // blk.stride + 1
-                if h < 1 or w < 1:
-                    raise ContractError("conv backbone shrinks features below 1x1")
-                dims.append((blk.out_channels, h, w))
-        return dims
-
-    def _param_shapes(self):
-        shapes = []
-        for blk in self.backbone.blocks:
-            if isinstance(blk, DenseBlockSpec):
-                shapes.append((blk.in_width, blk.out_width))
-                shapes.append((blk.out_width,))
-            else:
-                shapes.append((blk.out_channels, blk.in_channels, blk.kernel, blk.kernel))
-                shapes.append((blk.out_channels,))
-        for bi in self.exit_indices:
-            width = self._head_in_width(bi)
-            shapes.append((width, self.class_count))
-            shapes.append((self.class_count,))
-        return shapes
-
-    def _head_in_width(self, block_index: int) -> int:
-        feat = self._feature_dims[block_index - 1]
-        return feat if self.backbone.kind == "dense" else feat[0]
-
     def _compute_block_flops(self):
         flops = []
         if self.backbone.kind == "dense":
@@ -296,10 +298,10 @@ class MultiExitNet:
     def _compute_head_flops(self):
         flops = []
         for bi in self.exit_indices:
-            width = self._head_in_width(bi)
-            cost = _dense_flops(width, self.class_count)
+            feat = self._feature_dims[bi - 1]
+            cost = _dense_flops(_head_width(feat), self.class_count)
             if self.backbone.kind == "conv":
-                c, h, w = self._feature_dims[bi - 1]
+                c, h, w = feat
                 cost += c * h * w  # global average pool
             flops.append(cost)
         return flops
@@ -313,9 +315,6 @@ class MultiExitNet:
     def parameters(self) -> list[Array]:
         """The live parameter arrays, in declaration order."""
         return self._params
-
-    def bind(self, tape: nm.GradTape) -> list[nm.Node]:
-        return [tape.param(p) for p in self._params]
 
     def copy(self, frozen: bool = False) -> "MultiExitNet":
         dup = MultiExitNet(
@@ -353,8 +352,9 @@ class MultiExitNet:
         raise ContractError(f"bad conv input shape {x.shape}, want (*, {want})")
 
     def forward_exit_logits(self, x, params=None):
-        """Logits at every exit. `params` is an optional bound-node list from
-        `bind`; without it the forward pass is plain numpy."""
+        """Logits at every exit. `params` is an optional list of the
+        parameters bound as tape nodes, in `parameters()` order (see
+        `numerics.sgd`); without it the forward pass is plain numpy."""
         squeeze = False
         if not isinstance(x, nm.Node):
             x, squeeze = self._check_input(nm.as_array(x))
@@ -440,24 +440,6 @@ def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
     return exits, predicted, flops, taken
 
 
-def cascade_outcomes(net: MultiExitNet, x, strategy: OutputStrategy) -> list[ExitOutcome]:
-    exits, predicted, flops, taken = cascade(net, x, strategy)
-    return [
-        ExitOutcome(int(predicted[i]), int(exits[i]), taken[i].copy(), int(flops[i]))
-        for i in range(len(exits))
-    ]
-
-
-def infer_with_strategy(net: MultiExitNet, x, strategy: OutputStrategy) -> ExitOutcome:
-    """Cascaded inference for a single sample."""
-    xv = nm.as_array(x)
-    if (net.backbone.kind == "dense" and xv.ndim != 1) or (
-        net.backbone.kind == "conv" and xv.ndim != 3
-    ):
-        raise ContractError("infer_with_strategy takes a single sample")
-    return cascade_outcomes(net, xv[None], strategy)[0]
-
-
 def build_evenly_partitioned(
     backbone: BackboneSpec,
     exit_count: int,
@@ -478,30 +460,19 @@ def build_evenly_partitioned(
     indices = sorted({-(-j * b // exit_count) for j in range(1, exit_count + 1)})
     if len(indices) != exit_count:
         raise ContractError("even partition collapsed two exits onto one block")
+    # He-style scale sqrt(2 / fan_in) on backbone weights, sqrt(1 / width)
+    # on head weights; biases start at zero. Draw order is declaration order.
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(backbone, indices, class_count, input_hw)
+    backbone_arrays = 2 * b
     params: list[Array] = []
-    for blk in backbone.blocks:
-        if isinstance(blk, DenseBlockSpec):
-            fan_in = blk.in_width
-            params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (blk.in_width, blk.out_width)))
-            params.append(np.zeros(blk.out_width))
-        else:
-            fan_in = blk.in_channels * blk.kernel * blk.kernel
-            params.append(
-                rng.normal(0.0, np.sqrt(2.0 / fan_in), (blk.out_channels, blk.in_channels, blk.kernel, blk.kernel))
-            )
-            params.append(np.zeros(blk.out_channels))
-    probe = MultiExitNet.__new__(MultiExitNet)  # only to reuse the feature trace
-    probe.backbone = backbone
-    probe.input_hw = input_hw if backbone.kind == "conv" else None
-    probe.exit_indices = tuple(indices)
-    probe.class_count = class_count
-    feature_dims = MultiExitNet._trace_features(probe)
-    for bi in indices:
-        feat = feature_dims[bi - 1]
-        width = feat if backbone.kind == "dense" else feat[0]
-        params.append(rng.normal(0.0, np.sqrt(1.0 / width), (width, class_count)))
-        params.append(np.zeros(class_count))
+    for i, shape in enumerate(shapes):
+        if len(shape) == 1:
+            params.append(np.zeros(shape))
+            continue
+        fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+        gain = 2.0 if i < backbone_arrays else 1.0
+        params.append(rng.normal(0.0, np.sqrt(gain / fan_in), shape))
     return MultiExitNet(backbone, indices, class_count, params, input_hw=input_hw)
 
 
@@ -587,13 +558,7 @@ def load_checkpoint(path) -> MultiExitNet:
 
     # Reconstruct the expected parameter shapes, then check the payload size
     # before touching the data.
-    shell = MultiExitNet.__new__(MultiExitNet)
-    shell.backbone = backbone
-    shell.input_hw = input_hw if backbone.kind == "conv" else None
-    shell.exit_indices = tuple(desc["exit_indices"])
-    shell.class_count = int(desc["class_count"])
-    shell._feature_dims = MultiExitNet._trace_features(shell)
-    shapes = MultiExitNet._param_shapes(shell)
+    shapes = param_shapes(backbone, desc["exit_indices"], int(desc["class_count"]), input_hw)
     expected = sum(int(np.prod(s)) * 8 for s in shapes)
     actual = len(raw) - off
     if expected != actual:

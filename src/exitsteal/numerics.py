@@ -1,10 +1,11 @@
 """Dense float64 arrays plus a small reverse-mode tape.
 
-Every op in this module is polymorphic: called on plain numpy arrays (or
-Tensor) it just computes the value; called with at least one `Node` argument
-it also appends a gradient-pull record to that node's `GradTape`. Training
-code wraps parameters in nodes via `GradTape.param`, runs the forward pass
-through the same functions used for inference, and calls `grad`.
+Every op in this module is polymorphic: called on plain numpy arrays it just
+computes the value; called with at least one `Node` argument it also appends
+a gradient-pull record to that node's `GradTape`. Training code wraps
+parameters in nodes via `GradTape.param`, runs the forward pass through the
+same functions used for inference, and calls `grad`; `sgd` is the one
+mini-batch loop built on that.
 
 Everything is float64. Gradients are accumulated in reverse record order,
 which makes the accumulation order deterministic for a fixed forward pass.
@@ -12,7 +13,7 @@ which makes the accumulation order deterministic for a fixed forward pass.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,59 +27,6 @@ LOG_CLAMP = 1e-12
 
 # Probability vectors must sum to one within this tolerance.
 PROB_ATOL = 1e-9
-
-
-class Tensor:
-    """Immutable dense float64 value with an explicit shape.
-
-    The backing buffer is row-major, contiguous and write-protected. NaN and
-    Inf are rejected at construction, so a Tensor is always a finite value.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data, shape: Sequence[int] | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        if shape is not None:
-            shape = tuple(int(s) for s in shape)
-            flat = arr.reshape(-1)
-            want = 1
-            for s in shape:
-                want *= s
-            if want != flat.size:
-                raise ContractError(
-                    f"shape {shape} wants {want} elements, data has {flat.size}"
-                )
-            arr = flat.reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("Tensor values must be finite")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        self._data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._data.shape
-
-    @property
-    def data(self) -> Array:
-        """Read-only numpy view of the value."""
-        return self._data
-
-    @property
-    def size(self) -> int:
-        return self._data.size
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None or dtype == self._data.dtype:
-            return self._data
-        return self._data.astype(dtype)
-
-    def tolist(self):
-        return self._data.tolist()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
 
 
 class Node:
@@ -122,16 +70,17 @@ class GradTape:
     """Ordered record of primitive ops plus a parameter registry.
 
     Single-writer: one forward pass per tape. `param` registers an array as
-    a differentiable leaf; `grad` replays the records backward and returns
-    one gradient per registered parameter (zeros if the parameter never
-    reached the loss).
+    a differentiable leaf; `grad` replays the records backward, releasing
+    them as it goes, and returns one gradient per registered parameter
+    (zeros if the parameter never reached the loss). A replayed tape takes
+    no further records and no second `grad`.
     """
 
     def __init__(self):
         # Each record is (out_node, input_nodes, backward) where backward
         # maps the output gradient to one gradient per input node (None for
-        # constant inputs).
-        self._records: list[tuple[Node, tuple, Callable]] = []
+        # constant inputs). None once `grad` has replayed the tape.
+        self._records: list[tuple[Node, tuple, Callable]] | None = []
         self._params: list[Node] = []
 
     def param(self, value) -> Node:
@@ -140,11 +89,9 @@ class GradTape:
         self._params.append(node)
         return node
 
-    @property
-    def params(self) -> list[Node]:
-        return list(self._params)
-
     def _record(self, out: Node, inputs: tuple, backward: Callable) -> None:
+        if self._records is None:
+            raise ContractError("tape was already replayed by grad; record on a new tape")
         self._records.append((out, inputs, backward))
 
 
@@ -153,7 +100,10 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
 
     Replays the tape once, accumulating exactly one contribution per recorded
     use of each node, in reverse record order. Parameters that never fed the
-    loss get a zero gradient of their own shape.
+    loss get a zero gradient of their own shape. Each record is dropped as
+    soon as it has been replayed: records and nodes point at each other, so
+    a tape kept whole would wait for the cyclic garbage collector, holding
+    every activation of the step. A second `grad` on the same tape raises.
     """
     if not isinstance(loss, Node):
         raise ContractError("loss must be a tape Node")
@@ -161,9 +111,14 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
         raise ContractError("loss was recorded on a different tape")
     if loss.value.shape != ():
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
+    records = tape._records
+    if records is None:
+        raise ContractError("tape was already replayed by grad")
+    tape._records = None
     acc: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
-    for out, inputs, backward in reversed(tape._records):
-        g = acc.get(id(out))
+    while records:
+        out, inputs, backward = records.pop()
+        g = acc.pop(id(out), None)
         if g is None:
             continue  # this record never reached the loss
         for node, gin in zip(inputs, backward(g)):
@@ -180,24 +135,49 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
     return out_map
 
 
+def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, end_epoch=None):
+    """Mini-batch SGD on the arrays `params`, updated in place.
+
+    Each epoch draws one permutation of the `n` rows from a generator seeded
+    with `seed` and walks it in slices of `batch_size`. For each slice
+    `take`, `batch_loss(bound, take)` builds the loss on a fresh tape from
+    the parameters bound as nodes (in `params` order); the update is
+    p -= lr * g, with g replaced by the velocity momentum * v + g only when
+    momentum > 0. `end_epoch(epoch)` runs after each epoch's last update.
+    """
+    rng = np.random.default_rng(seed)
+    velocity = [np.zeros_like(p) for p in params] if momentum > 0.0 else None
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            take = order[start : start + batch_size]
+            tape = GradTape()
+            bound = [tape.param(p) for p in params]
+            grads = grad(batch_loss(bound, take), tape)
+            for i, (arr, node) in enumerate(zip(params, bound)):
+                g = grads[node]
+                if velocity is not None:
+                    velocity[i] = momentum * velocity[i] + g
+                    g = velocity[i]
+                arr -= lr * g
+        if end_epoch is not None:
+            end_epoch(epoch)
+
+
 # ---------------------------------------------------------------------------
 # op plumbing
 
 
 def as_array(x) -> Array:
-    """Coerce a Tensor / array-like constant to a float64 ndarray."""
+    """Coerce an array-like constant to a float64 ndarray."""
     if isinstance(x, Node):
         raise ContractError("expected a constant value, got a tape Node")
-    if isinstance(x, Tensor):
-        return x.data
     return np.asarray(x, dtype=np.float64)
 
 
 def _split(x) -> tuple[Node | None, Array]:
     if isinstance(x, Node):
         return x, x.value
-    if isinstance(x, Tensor):
-        return None, x.data
     return None, np.asarray(x, dtype=np.float64)
 
 
@@ -532,9 +512,7 @@ def global_avg_pool(x):
 
 
 def value_of(x) -> Array:
-    """The plain array behind a Node / Tensor / array-like."""
+    """The plain array behind a Node / array-like."""
     if isinstance(x, Node):
         return x.value
-    if isinstance(x, Tensor):
-        return x.data
     return np.asarray(x, dtype=np.float64)

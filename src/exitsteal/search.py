@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import BudgetError, ContractError
-from .multiexit import SENTINEL, MultiExitNet, OutputStrategy, forward_all_exits
+from .multiexit import SENTINEL, MultiExitNet, OutputStrategy, forward_all_exits, taken_exits
 
 Array = np.ndarray
 
@@ -109,25 +109,14 @@ def candidate_thresholds(points, exit_index: int) -> list[float]:
     return inside
 
 
-def _simulated_exits(conf: Array, thresholds) -> Array:
-    thr = np.asarray(thresholds, dtype=np.float64)
-    hits = conf[:, : thr.shape[0]] >= thr[None, :]
-    full = np.concatenate([hits, np.ones((conf.shape[0], 1), dtype=bool)], axis=1)
-    return full.argmax(axis=1) + 1
-
-
 def evaluate_strategy(points, strategy) -> float:
     """Fraction of calibration points whose simulated cascade exit equals
     the estimated victim exit. `strategy` may be an OutputStrategy or a raw
     threshold sequence of length K-1."""
     conf, target = _point_arrays(points)
-    thresholds = strategy.thresholds if isinstance(strategy, OutputStrategy) else tuple(strategy)
-    if len(thresholds) != conf.shape[1] - 1:
-        raise ContractError(
-            f"strategy has {len(thresholds)} thresholds, points have {conf.shape[1]} exits"
-        )
-    exits = _simulated_exits(conf, thresholds)
-    return float((exits == target).mean())
+    if not isinstance(strategy, OutputStrategy):
+        strategy = OutputStrategy(tuple(strategy))
+    return float((taken_exits(conf, strategy) == target).mean())
 
 
 def search_strategy(

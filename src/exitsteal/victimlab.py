@@ -22,6 +22,7 @@ from .multiexit import (
     OutputStrategy,
     cascade,
     forward_all_exits,
+    taken_exits,
 )
 
 Array = np.ndarray
@@ -177,26 +178,16 @@ def train_victim(
         raise ContractError("lr must be positive")
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = x.shape[0]
-    velocity = [np.zeros_like(p) for p in net.parameters()] if momentum > 0.0 else None
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            take = order[start : start + batch_size]
-            tape = nm.GradTape()
-            bound = net.bind(tape)
-            logits = net.forward_exit_logits(x[take], params=bound)
-            loss = nm.cross_entropy(logits[0], y[take])
-            for lg in logits[1:]:
-                loss = loss + nm.cross_entropy(lg, y[take])
-            grads = nm.grad(loss, tape)
-            for i, (arr, node) in enumerate(zip(net.parameters(), bound)):
-                g = grads[node]
-                if velocity is not None:
-                    velocity[i] = momentum * velocity[i] + g
-                    g = velocity[i]
-                arr -= lr * g
+
+    def batch_loss(bound, take):
+        logits = net.forward_exit_logits(x[take], params=bound)
+        loss = nm.cross_entropy(logits[0], y[take])
+        for lg in logits[1:]:
+            loss = loss + nm.cross_entropy(lg, y[take])
+        return loss
+
+    nm.sgd(net.parameters(), x.shape[0], batch_loss, epochs=epochs, lr=lr, seed=seed,
+           batch_size=batch_size, momentum=momentum)
     return net
 
 
@@ -223,17 +214,13 @@ def select_traditional_strategy(
     stacked = np.stack(probs, axis=1)  # (B, K, C)
     conf = stacked.max(axis=2)
     classes = stacked.argmax(axis=2)
-    flop_table = np.asarray([net._flops_to_exit[k] for k in range(net.exit_count)])
+    flop_table = np.asarray(net._flops_to_exit)
     final_acc = float((classes[:, -1] == y).mean())
 
     best_tau = None
     best_cost = None
     for tau in grid:
-        strat = OutputStrategy.uniform(tau, net.exit_count)
-        thr = np.asarray(strat.thresholds)
-        hits = conf[:, :-1] >= thr[None, :]
-        full = np.concatenate([hits, np.ones((conf.shape[0], 1), dtype=bool)], axis=1)
-        exits = full.argmax(axis=1)
+        exits = taken_exits(conf, OutputStrategy.uniform(tau, net.exit_count)) - 1
         acc = float((classes[np.arange(len(y)), exits] == y).mean())
         if acc < final_acc - accuracy_slack:
             continue

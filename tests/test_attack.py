@@ -12,13 +12,13 @@ from exitsteal.attack import (
     QueryRecord,
     RecordBatch,
     build_query_set,
-    estimate_exit_labels,
     performance_loss,
     strategy_loss,
     train_baseline,
     train_substitute,
     write_loss_trace,
 )
+from exitsteal.changepoint import assign_exits, detect_changepoints
 from exitsteal.errors import ContractError
 from exitsteal.multiexit import (
     BackboneSpec,
@@ -27,36 +27,32 @@ from exitsteal.multiexit import (
     cascade,
     forward_all_exits,
 )
-from exitsteal.victimlab import TimingModel, VictimDeployment, query_many
+from exitsteal.victimlab import TimingModel, VictimDeployment, query_many, query_timed_many
 
 from _utils import bias_only_net, binary_conf_logit, dense_net
 
 
-def conf_driven_net() -> MultiExitNet:
+def conf_driven_net(predicted_class: int = 0) -> MultiExitNet:
     """Two-exit, two-class net on 1-d inputs whose exit-1 (and exit-2)
-    logits are [x, 0] for x > 0: feeding binary_conf_logit(p) makes the
-    head's confidence exactly p."""
+    logits are [x, 0] for x > 0 ([0, x] with predicted_class=1): feeding
+    binary_conf_logit(p) makes the head's confidence exactly p, always on
+    `predicted_class`."""
     spec = BackboneSpec.dense((1, 1, 1))
+    head = np.array([[1.0, 0.0]]) if predicted_class == 0 else np.array([[0.0, 1.0]])
     params = [
         np.array([[1.0]]), np.zeros(1),   # block 1
         np.array([[1.0]]), np.zeros(1),   # block 2
-        np.array([[1.0, 0.0]]), np.zeros(2),  # head 1
-        np.array([[1.0, 0.0]]), np.zeros(2),  # head 2
+        head, np.zeros(2),  # head 1
+        head.copy(), np.zeros(2),  # head 2
     ]
     return MultiExitNet(spec, (1, 2), 2, params)
 
 
 def records_for(xs, exits, probs=None):
     xs = np.asarray(xs, dtype=float)
-    return [
-        QueryRecord(
-            input=xs[i],
-            victim_probs=np.array([0.5, 0.5]) if probs is None else probs[i],
-            runtime=1.0,
-            estimated_exit=int(exits[i]),
-        )
-        for i in range(xs.shape[0])
-    ]
+    if probs is None:
+        probs = np.full((xs.shape[0], 2), 0.5)
+    return RecordBatch(xs, probs, np.asarray(exits))
 
 
 # -- configuration and record plumbing --------------------------------------
@@ -133,7 +129,11 @@ def test_build_query_set_rejects_bad_requests():
 
 
 def test_record_batch_roundtrip():
-    recs = records_for(np.arange(6.0).reshape(3, 2) + 1.0, [1, 2, 1])
+    xs = np.arange(6.0).reshape(3, 2) + 1.0
+    recs = [
+        QueryRecord(input=x, victim_probs=np.array([0.5, 0.5]), runtime=1.0, estimated_exit=e)
+        for x, e in zip(xs, [1, 2, 1])
+    ]
     batch = RecordBatch.from_records(recs)
     assert batch.inputs.shape == (3, 2)
     assert batch.victim_probs.shape == (3, 2)
@@ -321,6 +321,17 @@ def noiseless_deployment(strategy=None):
     )
 
 
+def label_queries(dep, calib, queries):
+    """The pipeline's query -> estimate_exits -> training-batch composition:
+    time the calibration probes, then the queries (one noise stream, in
+    that order), segment the calibration runtimes, label every query."""
+    _, calib_runtimes = query_timed_many(dep, calib)
+    result = detect_changepoints(calib_runtimes)
+    probs, runtimes = query_timed_many(dep, queries)
+    batch = RecordBatch(queries, probs, assign_exits(runtimes, result))
+    return result, batch, runtimes
+
+
 def test_estimate_exit_labels_noiseless_exact():
     dep = noiseless_deployment()
     # calibration covers both exits: conf 0.99 stops at exit 1, 0.60 falls
@@ -332,17 +343,17 @@ def test_estimate_exit_labels_noiseless_exact():
     queries = rng.choice(
         [binary_conf_logit(0.99), binary_conf_logit(0.60)], size=(30, 1)
     )
-    result, records = estimate_exit_labels(dep, calib, queries)
+    result, batch, runtimes = label_queries(dep, calib, queries)
     assert result.exit_count == 2
 
     true_exits, _, _, true_probs = cascade(dep.net, queries, dep.strategy)
     base = dep.exit_base_times
-    assert len(records) == 30
-    for i, rec in enumerate(records):
-        assert rec.estimated_exit == int(true_exits[i])
-        assert np.allclose(rec.victim_probs, true_probs[i], atol=1e-12)
-        assert rec.runtime == base[true_exits[i] - 1]
-        assert np.array_equal(rec.input, queries[i])
+    assert len(batch) == 30
+    for i in range(30):
+        assert batch.exits[i] == int(true_exits[i])
+        assert np.allclose(batch.victim_probs[i], true_probs[i], atol=1e-12)
+        assert runtimes[i] == base[true_exits[i] - 1]
+        assert np.array_equal(batch.inputs[i], queries[i])
 
 
 def test_estimate_exit_labels_single_cluster():
@@ -351,19 +362,20 @@ def test_estimate_exit_labels_single_cluster():
     dep = noiseless_deployment(OutputStrategy.never_early(2))
     calib = np.linspace(0.5, 2.0, 25)[:, None]
     queries = np.linspace(0.7, 1.8, 10)[:, None]
-    result, records = estimate_exit_labels(dep, calib, queries)
+    result, batch, _ = label_queries(dep, calib, queries)
     assert result.exit_count == 1
-    assert all(r.estimated_exit == 1 for r in records)
+    assert np.all(batch.exits == 1)
 
 
 def test_estimated_labels_match_victim_probs_stream():
-    # records carry exactly what query_many would return for the same inputs
+    # the batch carries exactly what query_many would return for the same
+    # inputs
     dep = noiseless_deployment()
     calib = np.array(
         [[binary_conf_logit(0.99)]] * 15 + [[binary_conf_logit(0.60)]] * 15
     )
     queries = np.array([[binary_conf_logit(p)] for p in (0.95, 0.7, 0.99, 0.55)])
-    _, records = estimate_exit_labels(dep, calib, queries)
+    _, batch, _ = label_queries(dep, calib, queries)
     probs = query_many(dep, queries)
-    for rec, p in zip(records, probs):
-        assert np.allclose(rec.victim_probs, p, atol=1e-12)
+    for row, p in zip(batch.victim_probs, probs):
+        assert np.allclose(row, p, atol=1e-12)

@@ -374,6 +374,17 @@ def test_negative_k_max_rejected():
         detect_changepoints(np.arange(20.0), k_max=-1)
 
 
+def test_non_integer_arguments_rejected():
+    x = np.arange(30.0)
+    for name in ("min_segment", "k_max"):
+        for bad in (2.5, 1.5, 2.0, True, False, "3"):
+            with pytest.raises(ContractError, match=f"{name} must be an integer"):
+                detect_changepoints(x, **{name: bad})
+    # numpy integers are integers
+    res = detect_changepoints(x, min_segment=np.int64(3), k_max=np.int32(2))
+    assert res == detect_changepoints(x, min_segment=3, k_max=2)
+
+
 def test_non_finite_rejected():
     with pytest.raises(ContractError):
         detect_changepoints(np.array([1.0, np.nan] + [2.0] * 10))

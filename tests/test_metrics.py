@@ -1,87 +1,93 @@
 """Metric tests: hand-counted closeness/accuracy fixtures, cost additivity,
-self-comparison exactness, and report serialization."""
+self-comparison exactness, and report serialization. Every count goes
+through `make_report`, the one metrics path."""
 
 import numpy as np
 import pytest
 
 from exitsteal.errors import ContractError
-from exitsteal.metrics import (
-    CSV_COLUMNS,
-    EvalReport,
-    accuracy,
-    closeness,
-    computation_cost,
-    make_report,
-)
-from exitsteal.multiexit import (
-    ExitOutcome,
-    OutputStrategy,
-    cascade_outcomes,
-    flops_to_exit,
-)
+from exitsteal.metrics import CSV_COLUMNS, EvalReport, make_report
+from exitsteal.multiexit import OutputStrategy, cascade, flops_to_exit
 from exitsteal.victimlab import TimingModel, VictimDeployment
 
 from _utils import binary_conf_logit
 from test_attack import conf_driven_net
 
 
-def out(pred, exit_index, flops=10):
-    return ExitOutcome(
-        predicted_class=pred, exit_index=exit_index, probs=np.array([0.5, 0.5]), flops=flops
-    )
+def confs(*ps):
+    """Inputs to conf_driven_net whose confidence at both exits is p."""
+    return np.array([[binary_conf_logit(p)] for p in ps])
 
 
 def test_closeness_hand_count():
-    sub = [out(0, 1), out(1, 2), out(0, 2)]
-    vic = [out(0, 1), out(1, 1), out(0, 2)]
-    # middle sample agrees on the class but not the exit: 2 of 3 count
-    assert closeness(sub, vic) == pytest.approx(2.0 / 3.0)
-    assert closeness(vic, vic) == 1.0
+    # victim thresholds at 0.9: confidences 0.99 / 0.95 / 0.60 stop at
+    # exits 1 / 1 / 2; a substitute at 0.97 stops at 1 / 2 / 2. The middle
+    # sample agrees on the class but not the exit: 2 of 3 count
+    dep = fixture_deployment()
+    xs = confs(0.99, 0.95, 0.60)
+    rep = make_report(dep.net, dep, OutputStrategy.uniform(0.97, 2), xs, np.zeros(3, int))
+    assert rep.clo == pytest.approx(2.0 / 3.0)
+    assert rep.per_exit_agreement == (1, 1)
+    assert make_report(dep.net, dep, dep.strategy, xs, np.zeros(3, int)).clo == 1.0
 
 
 def test_closeness_requires_both_class_and_exit():
-    vic = [out(0, 1)]
-    assert closeness([out(0, 2)], vic) == 0.0
-    assert closeness([out(1, 1)], vic) == 0.0
-    assert closeness([out(0, 1)], vic) == 1.0
+    # the victim answers class 0 at exit 1 for this sample
+    dep = fixture_deployment()
+    x = confs(0.99)
+    y = np.zeros(1, int)
+    same_class_later_exit = make_report(dep.net, dep, OutputStrategy.uniform(0.995, 2), x, y)
+    assert same_class_later_exit.clo == 0.0
+    other_class_same_exit = make_report(conf_driven_net(predicted_class=1), dep, dep.strategy, x, y)
+    assert other_class_same_exit.clo == 0.0
+    assert make_report(dep.net, dep, dep.strategy, x, y).clo == 1.0
 
 
 def test_closeness_validation():
+    # closeness is defined per test sample, so an empty set has none; the
+    # victim and the substitute always answer the same inputs, so their
+    # outcome counts cannot differ
+    dep = fixture_deployment()
     with pytest.raises(ContractError):
-        closeness([], [])
-    with pytest.raises(ContractError):
-        closeness([out(0, 1)], [out(0, 1), out(0, 1)])
+        make_report(dep.net, dep, dep.strategy, np.zeros((0, 1)), np.zeros(0, int))
 
 
 def test_accuracy_hand_count():
-    outs = [out(0, 1), out(1, 1), out(2, 2), out(1, 2), out(0, 1)]
-    assert accuracy(outs, [0, 1, 0, 1, 1]) == pytest.approx(0.6)
+    # the substitute always predicts class 1; 3 of the 5 labels are 1
+    dep = fixture_deployment()
+    sub = conf_driven_net(predicted_class=1)
+    xs = confs(0.99, 0.95, 0.6, 0.7, 0.92)
+    rep = make_report(sub, dep, dep.strategy, xs, np.array([0, 1, 0, 1, 1]))
+    assert rep.acc == pytest.approx(0.6)
     with pytest.raises(ContractError):
-        accuracy([], [])
+        make_report(sub, dep, dep.strategy, np.zeros((0, 1)), np.zeros(0, int))
     with pytest.raises(ContractError):
-        accuracy(outs, [0, 1])
+        make_report(sub, dep, dep.strategy, xs, np.array([0, 1]))
 
 
 def test_computation_cost_additivity():
-    outs = [out(0, 1, flops=5), out(0, 2, flops=7), out(0, 1, flops=5), out(0, 2, flops=9)]
-    total = computation_cost(outs)
-    assert total.flops == 26
-    assert total.gflops == pytest.approx(26e-9)
-    a, b = computation_cost(outs[:2]), computation_cost(outs[2:])
-    assert a.flops + b.flops == total.flops
+    # exits 1 / 2 / 1 / 2 under the 0.9 bar
+    dep = fixture_deployment()
+    xs = confs(0.99, 0.6, 0.95, 0.7)
+    y = np.zeros(4, int)
+    f1, f2 = flops_to_exit(dep.net, 1), flops_to_exit(dep.net, 2)
+    total = make_report(dep.net, dep, dep.strategy, xs, y)
+    assert total.cc_flops == 2 * f1 + 2 * f2
+    assert total.cc_gflops == pytest.approx(total.cc_flops * 1e-9)
+    a = make_report(dep.net, dep, dep.strategy, xs[:2], y[:2])
+    b = make_report(dep.net, dep, dep.strategy, xs[2:], y[2:])
+    assert a.cc_flops + b.cc_flops == total.cc_flops
     with pytest.raises(ContractError):
-        computation_cost([])
+        make_report(dep.net, dep, dep.strategy, xs[:0], y[:0])
 
 
 def test_cascade_cost_equals_exit_histogram_dot_product():
     net = conf_driven_net()
-    xs = np.array(
-        [[binary_conf_logit(p)] for p in (0.99, 0.95, 0.6, 0.7, 0.92, 0.55)]
-    )
-    outs = cascade_outcomes(net, xs, OutputStrategy.uniform(0.9, 2))
+    xs = confs(0.99, 0.95, 0.6, 0.7, 0.92, 0.55)
+    exits, _, flops, _ = cascade(net, xs, OutputStrategy.uniform(0.9, 2))
     per_exit = np.array([flops_to_exit(net, 1), flops_to_exit(net, 2)])
-    hist = np.bincount([o.exit_index for o in outs], minlength=3)[1:]
-    assert computation_cost(outs).flops == int(hist @ per_exit)
+    hist = np.bincount(exits, minlength=3)[1:]
+    assert int(flops.sum()) == int(hist @ per_exit)
 
 
 def fixture_deployment():

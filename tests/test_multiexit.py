@@ -14,7 +14,6 @@ from exitsteal.multiexit import (
     cascade,
     flops_to_exit,
     forward_all_exits,
-    infer_with_strategy,
     load_checkpoint,
     save_checkpoint,
     taken_exits,
@@ -119,9 +118,9 @@ def test_cascade_trace_hand_example():
 
 def test_last_exit_is_unconditional():
     net = bias_only_net([[0.0, 0.0], [0.0, 0.0]])  # uniform everywhere
-    out = infer_with_strategy(net, np.ones(3), OutputStrategy((0.9,)))
-    assert out.exit_index == 2
-    assert np.allclose(out.probs, [0.5, 0.5])
+    exits, _, _, probs = cascade(net, np.ones(3), OutputStrategy((0.9,)))
+    assert exits[0] == 2
+    assert np.allclose(probs[0], [0.5, 0.5])
 
 
 def test_zero_heads_give_uniform_probs():
@@ -158,13 +157,15 @@ def test_single_sample_matches_batch():
     strategy = OutputStrategy((0.5, 0.6))
     exits, preds, flops, probs = cascade(net, x, strategy)
     for i in range(7):
-        out = infer_with_strategy(net, x[i], strategy)
-        assert out.exit_index == exits[i]
-        assert out.predicted_class == preds[i]
-        assert out.flops == flops[i]
+        # a single (d,) sample is evaluated as a one-row batch
+        one_exit, one_pred, one_flops, one_probs = cascade(net, x[i], strategy)
+        assert one_exit.shape == (1,)
+        assert one_exit[0] == exits[i]
+        assert one_pred[0] == preds[i]
+        assert one_flops[0] == flops[i]
         # BLAS kernels vary with operand shape, so single-row and batched
         # matmuls may differ in the last ulp
-        assert np.allclose(out.probs, probs[i], rtol=0, atol=1e-12)
+        assert np.allclose(one_probs[0], probs[i], rtol=0, atol=1e-12)
 
 
 def test_outcome_consistent_with_forward_all_exits():
