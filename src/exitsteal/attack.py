@@ -134,13 +134,16 @@ def build_query_set(
 class RecordBatch:
     """Answered queries as aligned arrays, the form every loss and trainer
     takes: inputs, the victim's probability rows and the estimated exit
-    labels (1-based)."""
+    labels (1-based). The probability rows are checked once, here; the
+    losses take them as checked."""
 
     def __init__(self, inputs: Array, victim_probs: Array, exits: Array):
+        victim_probs = nm.as_array(victim_probs)
         if inputs.shape[0] != victim_probs.shape[0] or inputs.shape[0] != exits.shape[0]:
             raise ContractError("record arrays must align")
         if inputs.shape[0] == 0:
             raise ContractError("record batch must be non-empty")
+        nm.check_prob(victim_probs, "victim_probs")
         self.inputs = inputs
         self.victim_probs = victim_probs
         self.exits = exits.astype(int)
@@ -160,15 +163,21 @@ class RecordBatch:
         return self.inputs.shape[0]
 
     def subset(self, idx) -> "RecordBatch":
-        return RecordBatch(self.inputs[idx], self.victim_probs[idx], self.exits[idx])
+        """The rows `idx` (non-empty), not checked again: they were checked
+        with this batch."""
+        sub = object.__new__(RecordBatch)
+        sub.inputs = self.inputs[idx]
+        sub.victim_probs = self.victim_probs[idx]
+        sub.exits = self.exits[idx]
+        return sub
 
 
 def _performance_terms(probs, victim_probs: Array):
     """Shared KL arithmetic for performance_loss; `probs` may be plain
-    arrays or tape nodes."""
+    arrays or tape nodes, `victim_probs` are a RecordBatch's checked rows."""
     total = None
     for p in probs:
-        term = nm.mean_all(nm.kl_div(victim_probs, p))
+        term = nm.mean_kl(victim_probs, p)
         total = term if total is None else total + term
     return total
 
@@ -179,27 +188,6 @@ def performance_loss(net: MultiExitNet, batch: RecordBatch, params=None):
     when `params` is a bound-node list."""
     probs = forward_all_exits(net, batch.inputs, params=params)
     return _performance_terms(probs, batch.victim_probs)
-
-
-def _strategy_terms(probs, exits: Array, phi1: float, phi2: float, exit_count: int):
-    """Shared margin arithmetic for strategy_loss; `probs` may be plain
-    arrays or tape nodes. Empty sample sets contribute nothing."""
-    conf = [nm.max_last(p) for p in probs]
-    groups = [np.flatnonzero(exits == i) for i in range(1, exit_count + 1)]
-    total = None
-    for i in range(exit_count - 1):  # exit i+1, 1-based
-        own = groups[i]
-        if own.size:
-            term = nm.mean_all(nm.hinge(phi1, nm.take_rows(conf[i], own)))
-            total = term if total is None else total + term
-        for j in range(i + 1, exit_count):
-            later = groups[j]
-            if later.size:
-                term = nm.mean_all(nm.hinge_excess(nm.take_rows(conf[i], later), phi2))
-                total = term if total is None else total + term
-    if total is None:
-        total = np.float64(0.0)
-    return total
 
 
 def strategy_loss(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: float, params=None):
@@ -216,7 +204,7 @@ def strategy_loss(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: floa
         raise ContractError("phi1 must be >= phi2")
     _check_labels(net, batch)
     probs = forward_all_exits(net, batch.inputs, params=params)
-    return _strategy_terms(probs, batch.exits, phi1, phi2, net.exit_count)
+    return nm.exit_margins(probs, batch.exits, phi1, phi2)
 
 
 def _check_labels(net: MultiExitNet, batch: RecordBatch) -> None:
@@ -257,7 +245,7 @@ def train_substitute(
         sub = batch.subset(take)
         probs = forward_all_exits(net, sub.inputs, params=bound)
         perf = _performance_terms(probs, sub.victim_probs)
-        strat = _strategy_terms(probs, sub.exits, cfg.phi1, cfg.phi2, net.exit_count)
+        strat = nm.exit_margins(probs, sub.exits, cfg.phi1, cfg.phi2)
         perf_sum += float(nm.value_of(perf)) * len(take)
         strat_sum += float(nm.value_of(strat)) * len(take)
         return perf if lam == 0.0 else perf + lam * strat

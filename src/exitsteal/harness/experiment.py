@@ -464,8 +464,9 @@ def _write_strategy(run_dir, name: str, strategy: OutputStrategy, agreement: flo
 
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
     calib_x, calib_exits = _calibration_targets(run_dir)
-    # the exhaustive search is exponential in the candidate grid, so it runs
-    # on a prefix of the calibration probes; 0 means use them all
+    # the search's candidate product grows with the probe count and is
+    # capped (search.PRODUCT_CAP), so it runs on a prefix of the calibration
+    # probes; 0 means use them all
     n = cfg.attack.n_search or len(calib_x)
     calib_x, calib_exits = calib_x[:n], calib_exits[:n]
     net = load_checkpoint(_path(run_dir, "sub_ours.ckpt"))

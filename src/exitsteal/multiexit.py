@@ -221,6 +221,19 @@ def param_shapes(
     return shapes
 
 
+def _check_exit_indices(exit_indices: Sequence[int], block_count: int) -> None:
+    """At least 2 exit heads sit at strictly increasing 1-based block
+    indices, the last one after the final block."""
+    if len(exit_indices) < 2:
+        raise ContractError("a multi-exit net needs at least 2 exits")
+    if any(i < 1 or i > block_count for i in exit_indices):
+        raise ContractError(f"exit indices must lie in [1, {block_count}]")
+    if any(j <= i for i, j in zip(exit_indices, exit_indices[1:])):
+        raise ContractError("exit indices must be strictly increasing")
+    if exit_indices[-1] != block_count:
+        raise ContractError("the last exit must sit after the final block")
+
+
 class MultiExitNet:
     """A backbone with K >= 2 exit heads at strictly increasing block indices.
 
@@ -241,15 +254,7 @@ class MultiExitNet:
         class_count = int(class_count)
         if class_count < 2:
             raise ContractError("class_count must be >= 2")
-        if len(exit_indices) < 2:
-            raise ContractError("a multi-exit net needs at least 2 exits")
-        b = len(backbone.blocks)
-        if any(i < 1 or i > b for i in exit_indices):
-            raise ContractError(f"exit indices must lie in [1, {b}]")
-        if any(j <= i for i, j in zip(exit_indices, exit_indices[1:])):
-            raise ContractError("exit indices must be strictly increasing")
-        if exit_indices[-1] != b:
-            raise ContractError("the last exit must sit after the final block")
+        _check_exit_indices(exit_indices, len(backbone.blocks))
         if backbone.kind == "conv" and input_hw is not None:
             input_hw = (int(input_hw[0]), int(input_hw[1]))
 
@@ -359,7 +364,7 @@ class MultiExitNet:
         if not isinstance(x, nm.Node):
             x, squeeze = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
-        act = _ACTIVATIONS[self.backbone.activation]
+        activation = self.backbone.activation
         nblocks = len(self.backbone.blocks)
         exit_at = {bi: k for k, bi in enumerate(self.exit_indices)}
         logits: list = [None] * self.exit_count
@@ -367,14 +372,14 @@ class MultiExitNet:
         for i, blk in enumerate(self.backbone.blocks):
             w, b = p[2 * i], p[2 * i + 1]
             if isinstance(blk, DenseBlockSpec):
-                h = act(nm.add(nm.matmul(h, w), b))
+                h = nm.dense(h, w, b, activation)
             else:
-                h = act(nm.conv2d(h, w, b, stride=blk.stride))
+                h = _ACTIVATIONS[activation](nm.conv2d(h, w, b, stride=blk.stride))
             k = exit_at.get(i + 1)
             if k is not None:
                 hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]
                 feat = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
-                logits[k] = nm.add(nm.matmul(feat, hw), hb)
+                logits[k] = nm.dense(feat, hw, hb)
         if squeeze:
             logits = [l[0] if isinstance(l, np.ndarray) else l for l in logits]
         return logits
@@ -498,16 +503,61 @@ def _backbone_to_json(spec: BackboneSpec):
     return {"activation": spec.activation, "blocks": blocks}
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key] of type `kind` (an int is never a bool), else FormatError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"checkpoint descriptor lacks {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FormatError(
+            f"checkpoint descriptor {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _ints(obj, key: str) -> list[int]:
+    values = _field(obj, key, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise FormatError(f"checkpoint descriptor {key!r} must hold integers, got {values!r}")
+    return values
+
+
 def _backbone_from_json(obj) -> BackboneSpec:
     blocks = []
-    for b in obj["blocks"]:
-        if b["kind"] == "dense":
-            blocks.append(DenseBlockSpec(b["in"], b["out"]))
-        elif b["kind"] == "conv":
-            blocks.append(ConvBlockSpec(b["in"], b["out"], b["kernel"], b["stride"]))
+    for b in _field(obj, "blocks", list):
+        kind = _field(b, "kind", str)
+        if kind == "dense":
+            blocks.append(DenseBlockSpec(_field(b, "in", int), _field(b, "out", int)))
+        elif kind == "conv":
+            blocks.append(
+                ConvBlockSpec(*(_field(b, key, int) for key in ("in", "out", "kernel", "stride")))
+            )
         else:
-            raise FormatError(f"unknown block kind {b['kind']!r}")
-    return BackboneSpec(blocks=tuple(blocks), activation=obj["activation"])
+            raise FormatError(f"unknown block kind {kind!r}")
+    return BackboneSpec(blocks=tuple(blocks), activation=_field(obj, "activation", str))
+
+
+def _descriptor_fields(desc):
+    """Backbone, exit indices, class count, input (h, w) and parameter
+    shapes of a checkpoint descriptor; FormatError unless they describe a
+    net."""
+    backbone_obj = _field(desc, "backbone", dict)
+    exit_indices = _ints(desc, "exit_indices")
+    class_count = _field(desc, "class_count", int)
+    if class_count < 2:
+        raise FormatError(f"checkpoint descriptor 'class_count' must be >= 2, got {class_count}")
+    input_hw = desc.get("input_hw")
+    if input_hw is not None:
+        input_hw = tuple(_ints(desc, "input_hw"))
+        if len(input_hw) != 2:
+            raise FormatError(f"checkpoint descriptor 'input_hw' must hold 2 integers, got {input_hw}")
+    try:
+        backbone = _backbone_from_json(backbone_obj)
+        _check_exit_indices(exit_indices, len(backbone.blocks))
+        shapes = param_shapes(backbone, exit_indices, class_count, input_hw)
+    except ContractError as exc:
+        raise FormatError(f"bad checkpoint descriptor: {exc}") from exc
+    return backbone, exit_indices, class_count, input_hw, shapes
 
 
 def save_checkpoint(net: MultiExitNet, path) -> None:
@@ -551,14 +601,12 @@ def load_checkpoint(path) -> MultiExitNet:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint descriptor: {exc}") from exc
     off += hlen
-    if desc.get("format_version") != 1:
-        raise FormatError(f"unsupported checkpoint version {desc.get('format_version')!r}")
-    backbone = _backbone_from_json(desc["backbone"])
-    input_hw = tuple(desc["input_hw"]) if desc.get("input_hw") else None
-
+    version = desc.get("format_version") if isinstance(desc, dict) else None
+    if version != 1:
+        raise FormatError(f"unsupported checkpoint version {version!r}")
     # Reconstruct the expected parameter shapes, then check the payload size
     # before touching the data.
-    shapes = param_shapes(backbone, desc["exit_indices"], int(desc["class_count"]), input_hw)
+    backbone, exit_indices, class_count, input_hw, shapes = _descriptor_fields(desc)
     expected = sum(int(np.prod(s)) * 8 for s in shapes)
     actual = len(raw) - off
     if expected != actual:
@@ -569,6 +617,7 @@ def load_checkpoint(path) -> MultiExitNet:
         arr = np.frombuffer(raw[off : off + n], dtype="<f8").reshape(shape)
         params.append(arr.astype(np.float64))
         off += n
-    return MultiExitNet(
-        backbone, desc["exit_indices"], desc["class_count"], params, input_hw=input_hw
-    )
+    try:
+        return MultiExitNet(backbone, exit_indices, class_count, params, input_hw=input_hw)
+    except ContractError as exc:
+        raise FormatError(f"checkpoint does not hold a valid net: {exc}") from exc

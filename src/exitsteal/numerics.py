@@ -9,6 +9,22 @@ mini-batch loop built on that.
 
 Everything is float64. Gradients are accumulated in reverse record order,
 which makes the accumulation order deterministic for a fixed forward pass.
+
+A tape step costs mostly per-record Python overhead, so the training hot
+chains each have one fused record:
+
+- `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none);
+- `mean_kl(target, pred)` for mean_all(kl_div(target, pred));
+- `cross_entropy_sum(logits, labels)` for the sum of cross_entropy over a
+  list of exit logits;
+- `exit_margins(probs, exits, phi1, phi2)` for the strategy loss's
+  max_last -> take_rows -> hinge/hinge_excess -> mean_all -> add chain.
+
+A fused record does the same arithmetic, in the same order, as the chain it
+replaces, forward and backward, and hands each input the gradient the chain
+would have accumulated for it (none where the chain gives none). Values and
+gradients are therefore bit-identical to the primitive chain, which the
+tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -280,6 +296,40 @@ def tanh(x):
     return _emit(_tape_of(xn), out, (xn,), backward)
 
 
+def dense(x, w, b, activation=None):
+    """act(x @ w + b) as one record; `activation` is "relu", "tanh" or None.
+
+    Same arithmetic as `relu`/`tanh` of `add(matmul(x, w), b)`.
+    """
+    xn, xv = _split(x)
+    wn, wv = _split(w)
+    bn, bv = _split(b)
+    if xv.ndim != 2 or wv.ndim != 2:
+        raise ContractError("dense expects 2-D input and weight")
+    if activation not in (None, "relu", "tanh"):
+        raise ContractError(f"unknown activation {activation!r}")
+    z = xv @ wv + bv
+    if activation == "relu":
+        out = np.maximum(z, 0.0)
+    elif activation == "tanh":
+        out = np.tanh(z)
+    else:
+        out = z
+
+    def backward(g):
+        if activation == "relu":
+            g = g * (z > 0.0)
+        elif activation == "tanh":
+            g = g * (1.0 - out * out)
+        return (
+            g @ wv.T if xn is not None else None,
+            xv.T @ g if wn is not None else None,
+            _unbroadcast(g, bv.shape) if bn is not None else None,
+        )
+
+    return _emit(_tape_of(xn, wn, bn), out, (xn, wn, bn), backward)
+
+
 def sum_all(x):
     xn, xv = _split(x)
     out = xv.sum()
@@ -358,7 +408,9 @@ def softmax(x):
     return _emit(_tape_of(xn), out, (xn,), backward)
 
 
-def _check_prob(v: Array, who: str) -> None:
+def check_prob(v: Array, who: str) -> None:
+    """Raise ContractError unless the rows of `v` are probability vectors:
+    at least 2 classes, nonnegative, summing to 1 within PROB_ATOL."""
     if v.shape[-1] < 2:
         raise ContractError(f"{who} needs at least 2 classes")
     if np.any(v < 0.0):
@@ -366,6 +418,19 @@ def _check_prob(v: Array, who: str) -> None:
     sums = v.sum(axis=-1)
     if not np.all(np.abs(sums - 1.0) <= PROB_ATOL):
         raise ContractError(f"{who} rows must sum to 1 within {PROB_ATOL}")
+
+
+def _kl_rows(tv: Array, pv: Array) -> tuple[Array, Array]:
+    """KL(target || pred) over the last axis, and pred clamped at LOG_CLAMP."""
+    clamped = np.maximum(pv, LOG_CLAMP)
+    safe_t = np.where(tv > 0.0, tv, 1.0)
+    terms = np.where(tv > 0.0, tv * (np.log(safe_t) - np.log(clamped)), 0.0)
+    return terms.sum(axis=-1), clamped
+
+
+def _kl_local_grad(tv: Array, pv: Array, clamped: Array) -> Array:
+    # d/dp_j = -t_j / p_j where the clamp is inactive, else 0.
+    return np.where(pv > LOG_CLAMP, -tv / clamped, 0.0)
 
 
 def kl_div(target, pred):
@@ -379,19 +444,40 @@ def kl_div(target, pred):
     """
     tv = target.value if isinstance(target, Node) else as_array(target)
     pn, pv = _split(pred)
-    _check_prob(tv, "kl_div target")
-    _check_prob(pv, "kl_div pred")
+    check_prob(tv, "kl_div target")
+    check_prob(pv, "kl_div pred")
     if tv.shape != pv.shape:
         raise ContractError(f"kl_div shapes differ: {tv.shape} vs {pv.shape}")
-    clamped = np.maximum(pv, LOG_CLAMP)
-    safe_t = np.where(tv > 0.0, tv, 1.0)
-    terms = np.where(tv > 0.0, tv * (np.log(safe_t) - np.log(clamped)), 0.0)
-    out = terms.sum(axis=-1)
+    out, clamped = _kl_rows(tv, pv)
 
     def backward(g):
-        # d/dp_j = -t_j / p_j where the clamp is inactive, else 0.
-        local = np.where(pv > LOG_CLAMP, -tv / clamped, 0.0)
+        local = _kl_local_grad(tv, pv, clamped)
         return (local * np.expand_dims(g, -1) if out.ndim else local * g,)
+
+    return _emit(_tape_of(pn), out, (pn,), backward)
+
+
+def mean_kl(target, pred):
+    """mean_all(kl_div(target, pred)) as one record.
+
+    `target` is constant data that is not checked again here: callers pass
+    targets already checked with `check_prob` (`attack.RecordBatch` checks
+    its victim probabilities once, when it is built). `pred` is checked as
+    in `kl_div`.
+    """
+    tv = as_array(target)
+    pn, pv = _split(pred)
+    check_prob(pv, "mean_kl pred")
+    if tv.shape != pv.shape:
+        raise ContractError(f"mean_kl shapes differ: {tv.shape} vs {pv.shape}")
+    rows, clamped = _kl_rows(tv, pv)
+    if rows.size == 0:
+        raise ContractError("mean of an empty value")
+    out = rows.mean()
+    inv = 1.0 / rows.size
+
+    def backward(g):
+        return (_kl_local_grad(tv, pv, clamped) * (g * inv),)
 
     return _emit(_tape_of(pn), out, (pn,), backward)
 
@@ -426,14 +512,68 @@ def hinge_excess(value, threshold):
     return _emit(_tape_of(vn), out, (vn,), backward)
 
 
-def cross_entropy(logits, labels):
-    """Mean cross-entropy of integer labels under softmax(logits).
+def exit_margins(probs, exits, phi1, phi2):
+    """The strategy loss's margin terms over exit groups, as one record.
 
-    Fused log-softmax formulation, so large logits do not overflow. Returns
-    a scalar (mean over the batch).
+    `probs` holds one (batch, classes) probability array or node per exit;
+    `exits` labels each row with its 1-based exit. With conf_i the row max
+    of probs[i-1] and D_j the rows labeled j, the result adds up, for i = 1
+    .. K-1 and in this order,
+
+        mean over D_i of max(0, phi1 - conf_i)
+        and, for each j > i, mean over D_j of max(0, conf_i - phi2).
+
+    Empty groups add nothing; with no term at all the result is the
+    constant 0.0. Same arithmetic as max_last -> take_rows -> hinge /
+    hinge_excess -> mean_all -> add; since the groups are disjoint, one
+    scatter per exit equals the chain's sum of per-term scatters.
     """
-    ln, lv = _split(logits)
-    y = np.asarray(labels)
+    split = [_split(p) for p in probs]
+    k = len(split)
+    t1, t2 = as_array(phi1), as_array(phi2)
+    labels = np.asarray(exits)
+    groups = [np.flatnonzero(labels == i) for i in range(1, k + 1)]
+    terms = []  # (exit index, rows, conf at those rows, 1 / row count, own group?)
+    total = None
+    for i in range(k - 1):
+        conf = None
+        for j in range(i, k):
+            rows = groups[j]
+            if not rows.size:
+                continue
+            if conf is None:
+                conf = split[i][1].max(axis=-1)
+            vv = conf[rows]
+            hinged = np.maximum(0.0, t1 - vv) if j == i else np.maximum(0.0, vv - t2)
+            term = hinged.mean()
+            total = term if total is None else total + term
+            terms.append((i, rows, vv, 1.0 / vv.size, j == i))
+    if total is None:
+        return np.float64(0.0)
+
+    def backward(g):
+        conf_grads: dict[int, Array] = {}
+        for i, rows, vv, inv, own in terms:
+            gm = g * inv
+            z = conf_grads.get(i)
+            if z is None:
+                z = conf_grads[i] = np.zeros(split[i][1].shape[:-1])
+            z[rows] += -gm * (vv < t1) if own else gm * (vv > t2)
+        grads = [None] * k
+        for i, z in conf_grads.items():
+            pv = split[i][1]
+            dp = np.zeros_like(pv)
+            idx = np.expand_dims(pv.argmax(axis=-1), -1)
+            np.put_along_axis(dp, idx, np.expand_dims(z, -1), axis=-1)
+            grads[i] = dp
+        return grads
+
+    nodes = tuple(n for n, _ in split)
+    return _emit(_tape_of(*nodes), total, nodes, backward)
+
+
+def _log_softmax_rows(lv: Array, y: Array) -> Array:
+    """Checked log-softmax of (batch, classes) logits for integer labels."""
     if lv.ndim != 2:
         raise ContractError("cross_entropy expects (batch, classes) logits")
     if y.ndim != 1 or y.shape[0] != lv.shape[0]:
@@ -445,16 +585,54 @@ def cross_entropy(logits, labels):
         raise ContractError(f"labels must lie in [0, {c})")
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    b = lv.shape[0]
-    out = np.float64(-logp[np.arange(b), y].mean())
+    return shifted - lse
+
+
+def _cross_entropy_grad(logp: Array, y: Array, g) -> Array:
+    b = logp.shape[0]
+    p = np.exp(logp)
+    p[np.arange(b), y] -= 1.0
+    return p * (g / b)
+
+
+def cross_entropy(logits, labels):
+    """Mean cross-entropy of integer labels under softmax(logits).
+
+    Fused log-softmax formulation, so large logits do not overflow. Returns
+    a scalar (mean over the batch).
+    """
+    ln, lv = _split(logits)
+    y = np.asarray(labels)
+    logp = _log_softmax_rows(lv, y)
+    out = np.float64(-logp[np.arange(lv.shape[0]), y].mean())
 
     def backward(g):
-        p = np.exp(logp)
-        p[np.arange(b), y] -= 1.0
-        return (p * (g / b),)
+        return (_cross_entropy_grad(logp, y, g),)
 
     return _emit(_tape_of(ln), np.asarray(out), (ln,), backward)
+
+
+def cross_entropy_sum(logits, labels):
+    """cross_entropy(logits[0], labels) + cross_entropy(logits[1], labels)
+    + ... as one record, added left to right like a chain of `add`s."""
+    split = [_split(l) for l in logits]
+    if not split:
+        raise ContractError("cross_entropy_sum needs at least one logits array")
+    y = np.asarray(labels)
+    logps = [_log_softmax_rows(lv, y) for _, lv in split]
+    total = None
+    for logp in logps:
+        out = np.float64(-logp[np.arange(logp.shape[0]), y].mean())
+        total = out if total is None else total + out
+
+    def backward(g):
+        return tuple(
+            _cross_entropy_grad(logp, y, g) if n is not None else None
+            for (n, _), logp in zip(split, logps)
+        )
+
+    nodes = tuple(n for n, _ in split)
+    return _emit(_tape_of(*nodes), np.asarray(total), nodes, backward)
 
 
 # ---------------------------------------------------------------------------

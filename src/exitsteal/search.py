@@ -10,7 +10,10 @@ max(B) so "admit all of A, none of B" is representable. Samples targeted
 *earlier* than i are ignored: whatever exit they take at or after i is
 already wrong. The search walks the Cartesian product of candidate lists in
 ascending (lexicographic) order, keeps the first maximizer of simulated
-exit agreement, and refuses products larger than PRODUCT_CAP.
+exit agreement, and refuses products larger than PRODUCT_CAP. It is exact
+but not exhaustive: it skips a branch that could not beat the best score
+found so far even if every point still able to agree did (see
+`search_strategy`).
 """
 
 from __future__ import annotations
@@ -122,13 +125,24 @@ def evaluate_strategy(points, strategy) -> float:
 def search_strategy(
     points, product_cap: int = PRODUCT_CAP
 ) -> tuple[OutputStrategy, float]:
-    """Exhaustive traversal of the candidate product, in lexicographic
-    order, keeping the first strategy that maximizes exit agreement.
+    """Branch-and-bound traversal of the candidate product, in
+    lexicographic order, returning the first strategy that maximizes exit
+    agreement.
 
-    The bottom level of the recursion is swept vectorized (a sorted prefix
-    count per candidate), the upper levels maintain the set of points that
-    have not exited yet. Products larger than `product_cap` raise
-    BudgetError listing the per-exit candidate counts.
+    The upper levels of the recursion maintain the set of points that have
+    not exited yet; the bottom level is swept vectorized (a sorted prefix
+    count per candidate). Before each level and before the bottom sweep,
+    the branch is pruned when
+
+        gained + (alive points targeted at this exit or a later one) <= best
+
+    where `gained` counts the points that already exited at their target.
+    An alive point targeted earlier has passed its exit and cannot agree,
+    so the left side bounds every score below the branch. A later strategy
+    replaces the best only with a strictly higher score, so a branch that
+    can at most tie could not change the result: pruning on `<=` keeps the
+    first lexicographic maximizer of the full walk. Products larger than
+    `product_cap` raise BudgetError listing the per-exit candidate counts.
     """
     conf, target = _point_arrays(points)
     k = conf.shape[1]
@@ -165,12 +179,17 @@ def search_strategy(
                 best_thresholds = prefix + (t,)
 
     def descend(level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
+        tg = target[alive]
+        bound = gained + int((tg > level).sum())  # targets at exit level + 1 or later
+        if bound <= best_score:
+            return
         if level == k - 2:
             sweep_last(level, alive, gained, prefix)
             return
         col = conf[alive, level]
-        tg = target[alive]
         for t in cands[level]:
+            if bound <= best_score:  # an earlier sibling raised the best
+                return
             exited = col >= t
             descend(
                 level + 1,

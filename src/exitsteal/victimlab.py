@@ -180,11 +180,7 @@ def train_victim(
         raise ContractError("batch_size must be >= 1")
 
     def batch_loss(bound, take):
-        logits = net.forward_exit_logits(x[take], params=bound)
-        loss = nm.cross_entropy(logits[0], y[take])
-        for lg in logits[1:]:
-            loss = loss + nm.cross_entropy(lg, y[take])
-        return loss
+        return nm.cross_entropy_sum(net.forward_exit_logits(x[take], params=bound), y[take])
 
     nm.sgd(net.parameters(), x.shape[0], batch_loss, epochs=epochs, lr=lr, seed=seed,
            batch_size=batch_size, momentum=momentum)

@@ -91,3 +91,87 @@ def bias_only_net(head_logits, in_dim=3) -> MultiExitNet:
 def binary_conf_logit(p):
     """Logit a with softmax([a, 0]) = [p, 1-p]; conf of the 2-class head."""
     return float(np.log(p / (1.0 - p)))
+
+
+# ---------------------------------------------------------------------------
+# unfused primitive chains: the references the fused records must equal bit
+# for bit (same signatures as the fused records they stand for)
+
+_CHAIN_ACTIVATIONS = {None: lambda h: h, "relu": nm.relu, "tanh": nm.tanh}
+
+
+def chain_dense(x, w, b, activation=None):
+    return _CHAIN_ACTIVATIONS[activation](nm.add(nm.matmul(x, w), b))
+
+
+def chain_mean_kl(target, pred):
+    return nm.mean_all(nm.kl_div(target, pred))
+
+
+def chain_cross_entropy_sum(logits, labels):
+    loss = nm.cross_entropy(logits[0], labels)
+    for lg in logits[1:]:
+        loss = loss + nm.cross_entropy(lg, labels)
+    return loss
+
+
+def chain_exit_margins(probs, exits, phi1, phi2):
+    """The strategy loss's margin terms built from primitive records."""
+    exit_count = len(probs)
+    conf = [nm.max_last(p) for p in probs]
+    groups = [np.flatnonzero(exits == i) for i in range(1, exit_count + 1)]
+    total = None
+    for i in range(exit_count - 1):  # exit i+1, 1-based
+        own = groups[i]
+        if own.size:
+            term = nm.mean_all(nm.hinge(phi1, nm.take_rows(conf[i], own)))
+            total = term if total is None else total + term
+        for j in range(i + 1, exit_count):
+            later = groups[j]
+            if later.size:
+                term = nm.mean_all(nm.hinge_excess(nm.take_rows(conf[i], later), phi2))
+                total = term if total is None else total + term
+    if total is None:
+        total = np.float64(0.0)
+    return total
+
+
+def use_unfused_chains(monkeypatch) -> None:
+    """Route every fused record through its primitive chain."""
+    for name, chain in (
+        ("dense", chain_dense),
+        ("mean_kl", chain_mean_kl),
+        ("cross_entropy_sum", chain_cross_entropy_sum),
+        ("exit_margins", chain_exit_margins),
+    ):
+        monkeypatch.setattr(nm, name, chain)
+
+
+def assert_bitwise(a, b) -> None:
+    """Same dtype, shape and bytes (so also the same signed zeros)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def fused_vs_chain(fused, chain, make_args, scale=1.0):
+    """Build the loss `fused(*args) * scale` and `chain(*args) * scale` on
+    fresh tapes, where `make_args(tape)` returns (args, parameter nodes).
+    Asserts equal values and equal parameter gradients, bit for bit, and
+    returns the fused value."""
+    results = []
+    for fn in (fused, chain):
+        tape = nm.GradTape()
+        args, params = make_args(tape)
+        out = fn(*args)
+        grads = None
+        if isinstance(out, nm.Node):
+            g = nm.grad(nm.sum_all(nm.mul(out, scale)), tape)
+            grads = [g[p] for p in params]
+        results.append((nm.value_of(out), grads))
+    (fused_value, fused_grads), (chain_value, chain_grads) = results
+    assert_bitwise(fused_value, chain_value)
+    assert (fused_grads is None) == (chain_grads is None)
+    for a, b in zip(fused_grads or [], chain_grads or []):
+        assert_bitwise(a, b)
+    return fused_value

@@ -27,9 +27,24 @@ from exitsteal.multiexit import (
     cascade,
     forward_all_exits,
 )
-from exitsteal.victimlab import TimingModel, VictimDeployment, query_many, query_timed_many
+from exitsteal.victimlab import (
+    TimingModel,
+    VictimDeployment,
+    query_many,
+    query_timed_many,
+    train_victim,
+)
 
-from _utils import bias_only_net, binary_conf_logit, dense_net
+from _utils import (
+    assert_bitwise,
+    bias_only_net,
+    binary_conf_logit,
+    chain_exit_margins,
+    conv_net,
+    dense_net,
+    fused_vs_chain,
+    use_unfused_chains,
+)
 
 
 def conf_driven_net(predicted_class: int = 0) -> MultiExitNet:
@@ -145,6 +160,23 @@ def test_record_batch_roundtrip():
         RecordBatch.from_records([])
     with pytest.raises(ContractError):
         RecordBatch(np.zeros((3, 2)), np.full((2, 2), 0.5), np.array([1, 1, 1]))
+
+
+def test_record_batch_checks_victim_probs_once(monkeypatch):
+    x = np.zeros((3, 2))
+    with pytest.raises(ContractError, match="victim_probs"):
+        RecordBatch(x, np.array([[0.5, 0.6], [0.5, 0.5], [1.0, 0.0]]), np.array([1, 1, 2]))
+    with pytest.raises(ContractError, match="victim_probs"):
+        RecordBatch(x, np.array([[1.5, -0.5]] * 3), np.array([1, 1, 2]))
+    batch = RecordBatch(x, np.full((3, 2), 0.5), np.array([1, 1, 2]))
+    net = dense_net(widths=(2, 4, 4), exits=2, classes=2, seed=0)
+    checked = []
+    monkeypatch.setattr(nm, "check_prob", lambda v, who: checked.append(who))
+    sub = batch.subset([2, 0])
+    assert np.array_equal(sub.exits, [2, 1])
+    performance_loss(net, sub)
+    # the substitute's predictions at both exits, never the victim rows again
+    assert checked == ["mean_kl pred", "mean_kl pred"]
 
 
 # -- loss terms against hand-worked values ----------------------------------
@@ -308,6 +340,79 @@ def test_write_loss_trace_format(tmp_path):
         assert line == f"{row.epoch},{row.performance!r},{row.strategy!r},{row.total!r}"
         # full repr round-trips the float exactly
         assert float(line.split(",")[3]) == row.total
+
+
+# -- fused records against the primitive chains ------------------------------
+
+
+def margin_probs(rng, n, exit_count):
+    """Per-exit 3-class probability rows rounded to 2 decimals: many exact
+    ties (also of the row max) and maxima sitting on phi1/phi2."""
+    probs = []
+    for _ in range(exit_count):
+        p = np.round(rng.dirichlet(np.full(3, 0.5), size=n), 2)
+        p[0] = [0.95, 0.05, 0.0]
+        p[1] = [0.05, 0.9, 0.05]
+        p[2] = [0.4, 0.4, 0.2]
+        probs.append(p)
+    return probs
+
+
+@pytest.mark.parametrize("exit_count", [2, 3, 4, 5])
+@pytest.mark.parametrize("groups", ["all", "gaps", "single_first", "single_last", "none"])
+def test_exit_margins_is_bitwise_the_margin_chain(exit_count, groups):
+    rng = np.random.default_rng(exit_count)
+    n = 12
+    probs = margin_probs(rng, n, exit_count)
+    exits = {
+        "all": np.arange(n) % exit_count + 1,
+        "gaps": np.where(np.arange(n) % 2 == 0, 1, exit_count),  # middle groups empty
+        "single_first": np.ones(n, dtype=int),
+        "single_last": np.full(n, exit_count),
+        "none": np.full(n, exit_count + 1),  # no group: the constant 0.0
+    }[groups]
+
+    def make_args(tape):
+        nodes = [tape.param(p) for p in probs]
+        return (nodes, exits, 0.95, 0.90), nodes
+
+    for scale in (0.5, -1.0):
+        value = fused_vs_chain(nm.exit_margins, chain_exit_margins, make_args, scale)
+    assert (value == 0.0) if groups == "none" else (value > 0.0)
+    assert_bitwise(
+        nm.exit_margins(probs, exits, 0.95, 0.90), chain_exit_margins(probs, exits, 0.95, 0.90)
+    )
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_training_is_bitwise_the_unfused_path(kind, monkeypatch):
+    rng = np.random.default_rng(21)
+    n, classes = 40, 3
+    if kind == "dense":
+        make = lambda seed: dense_net(widths=(5, 8, 8, 8), exits=3, classes=classes, seed=seed)
+        x = rng.normal(size=(n, 5))
+    else:
+        make = lambda seed: conv_net(classes=classes, seed=seed)
+        x = rng.normal(size=(n, 2, 6, 6))
+    labels = rng.integers(0, classes, size=n)
+    exit_count = make(0).exit_count
+    batch = RecordBatch(x, rng.dirichlet(np.ones(classes), size=n),
+                        rng.integers(1, exit_count + 1, size=n))
+    cfg = AttackConfig(epochs=1, lr=0.1, batch_size=16, seed=5, lambda_strategy=0.5)
+
+    def one_epoch_each():
+        victim = train_victim(make(1), x, labels, epochs=1, lr=0.1, seed=4, batch_size=16)
+        ours, trace_ours = train_substitute(make(2), batch, cfg)
+        base, trace_base = train_baseline(make(2), batch, cfg)
+        nets = [victim, ours, base]
+        return [p.copy() for net in nets for p in net.parameters()], trace_ours + trace_base
+
+    fused_params, fused_trace = one_epoch_each()
+    use_unfused_chains(monkeypatch)
+    chain_params, chain_trace = one_epoch_each()
+    for a, b in zip(fused_params, chain_params):
+        assert_bitwise(a, b)
+    assert fused_trace == chain_trace
 
 
 # -- exit-label estimation against a live deployment -------------------------

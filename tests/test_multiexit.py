@@ -1,5 +1,8 @@
 """Network construction, cascade semantics, FLOPs accounting, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -280,6 +283,41 @@ def test_checkpoint_truncated_payload(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(FormatError, match="expected"):
+        load_checkpoint(path)
+
+
+def _rewrite_descriptor(path, edit):
+    """Apply `edit` to the JSON descriptor of a saved checkpoint in place."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    desc = json.loads(raw[12 : 12 + hlen])
+    edit(desc)
+    blob = json.dumps(desc).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+
+
+def _set_exits(indices):
+    return lambda desc: desc.__setitem__("exit_indices", indices)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_exits([2, 9]), r"exit indices must lie in \[1, 3\]"),
+        (_set_exits([0, 3]), r"exit indices must lie in \[1, 3\]"),
+        (_set_exits([3, 2]), "strictly increasing"),
+        (_set_exits(["a", 3]), "'exit_indices' must hold integers"),
+        (lambda desc: desc.pop("backbone"), "lacks 'backbone'"),
+        (lambda desc: desc["backbone"]["blocks"][1].pop("in"), "lacks 'in'"),
+    ],
+    ids=["index_past_last_block", "index_zero", "decreasing", "non_integer", "no_backbone",
+         "block_without_in"],
+)
+def test_checkpoint_malformed_descriptor_is_a_format_error(tmp_path, edit, message):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(dense_net(widths=(6, 8, 8, 8), exits=3, classes=4, seed=1), path)
+    _rewrite_descriptor(path, edit)
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(path)
 
 

@@ -10,7 +10,13 @@ import pytest
 from exitsteal import numerics as nm
 from exitsteal.errors import ContractError
 
-from _utils import check_grads
+from _utils import (
+    chain_cross_entropy_sum,
+    chain_dense,
+    chain_mean_kl,
+    check_grads,
+    fused_vs_chain,
+)
 
 # hand values: ln 2 = 0.6931471805599453, ln 3 = 1.0986122886681098
 LN2 = 0.6931471805599453
@@ -340,3 +346,84 @@ def test_grad_broadcast_add_bias():
         return nm.sum_all(nm.tanh(nm.add(x, nodes[0])))
 
     check_grads(build, [b])
+
+
+# ---------------------------------------------------------------------------
+# fused records against the primitive chains they replace, bit for bit
+
+
+@pytest.mark.parametrize("input_is_node", [False, True])
+@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_node):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(6, 4))
+    x[0] = 0.0  # with a zero bias entry below, relu sits exactly on its kink
+    w = rng.normal(size=(4, 3))
+    b = np.array([0.0, 0.3, -0.2])
+    # a downstream weight with zeros and negatives makes the incoming
+    # gradient uneven and produces signed zeros
+    scale = rng.normal(size=(6, 3))
+    scale[1] = 0.0
+
+    def make_args(tape):
+        params = [tape.param(w), tape.param(b)]
+        if input_is_node:
+            params.insert(0, tape.param(x))
+            return (params[0], params[1], params[2], activation), params
+        return (x, params[0], params[1], activation), params
+
+    fused_vs_chain(nm.dense, chain_dense, make_args, scale)
+    # plain arrays: the value alone
+    assert np.array_equal(nm.dense(x, w, b, activation), chain_dense(x, w, b, activation))
+    with pytest.raises(ContractError):
+        nm.dense(x[0], w, b)
+    with pytest.raises(ContractError):
+        nm.dense(x, w, b, "sigmoid")
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7, -1.3])
+def test_mean_kl_is_bitwise_mean_all_of_kl_div(scale):
+    rng = np.random.default_rng(12)
+    target = rng.dirichlet(np.ones(4), size=5)
+    target[0] = [0.0, 0.5, 0.5, 0.0]  # zero targets contribute no term
+    target[1] = [1.0, 0.0, 0.0, 0.0]
+    pred = rng.dirichlet(np.ones(4), size=5)
+    # predictions under LOG_CLAMP (and exact zeros) are clamped, with a zero
+    # gradient there
+    pred[2] = [1.0 - 3e-13, 1e-13, 2e-13, 0.0]
+    pred[3] = [0.0, 0.0, 1.0, 0.0]
+
+    def make_args(tape):
+        p = tape.param(pred)
+        return (target, p), [p]
+
+    fused_vs_chain(nm.mean_kl, chain_mean_kl, make_args, scale)
+
+    def make_row_args(tape):  # one probability vector: a scalar KL
+        p = tape.param(pred[2])
+        return (target[0], p), [p]
+
+    fused_vs_chain(nm.mean_kl, chain_mean_kl, make_row_args, scale)
+    with pytest.raises(ContractError):
+        nm.mean_kl(target, pred[:, :3] / pred[:, :3].sum(axis=1, keepdims=True))
+    with pytest.raises(ContractError):
+        nm.mean_kl(target, pred * 2.0)
+
+
+@pytest.mark.parametrize("exits", [1, 2, 4])
+def test_cross_entropy_sum_is_bitwise_the_added_cross_entropies(exits):
+    rng = np.random.default_rng(13)
+    logits = [rng.normal(size=(7, 3)) * 4.0 for _ in range(exits)]
+    labels = rng.integers(0, 3, size=7)
+
+    def make_args(tape):
+        # the second exit's logits stay constant: they get no gradient
+        nodes = [l if k == 1 else tape.param(l) for k, l in enumerate(logits)]
+        return (nodes, labels), [n for n in nodes if isinstance(n, nm.Node)]
+
+    fused_vs_chain(nm.cross_entropy_sum, chain_cross_entropy_sum, make_args, 0.5)
+    with pytest.raises(ContractError):
+        nm.cross_entropy_sum(logits, labels + 3)
+    with pytest.raises(ContractError):
+        nm.cross_entropy_sum([], labels)
+

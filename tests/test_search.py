@@ -1,5 +1,6 @@
 """Strategy-search tests: candidate construction, the exact product walk
-against a brute-force oracle, tie-breaking, and the budget guard."""
+against a brute-force oracle and against the unpruned walk, tie-breaking,
+and the budget guard."""
 
 import numpy as np
 import pytest
@@ -143,6 +144,69 @@ def test_search_matches_exhaustive_oracle():
         strategy, agreement = search_strategy(points)
         assert agreement == evaluate_strategy(points, strategy)
         assert agreement == pytest.approx(exhaustive_oracle(points), abs=1e-12)
+
+
+def unpruned_oracle(points):
+    """The full lexicographic walk of the candidate product with no bound:
+    (thresholds of the first maximizer, its agreement)."""
+    conf = np.asarray([p.conf for p in points])
+    target = np.asarray([p.target_exit for p in points])
+    k = conf.shape[1]
+    cands = [candidate_thresholds(points, i) for i in range(1, k)]
+    best = [-1, None]
+
+    def sweep_last(level, alive, gained, prefix):
+        c = conf[alive, level]
+        tg = target[alive]
+        order = np.argsort(c, kind="stable")
+        c_sorted = c[order]
+        here = np.concatenate([np.cumsum((tg[order] == level + 1)[::-1])[::-1], [0]])
+        later = np.concatenate([[0], np.cumsum(tg[order] == level + 2)])
+        for t in cands[level]:
+            pos = int(np.searchsorted(c_sorted, t, side="left"))
+            score = gained + int(here[pos]) + int(later[pos])
+            if score > best[0]:
+                best[:] = [score, prefix + (t,)]
+
+    def descend(level, alive, gained, prefix):
+        if level == k - 2:
+            sweep_last(level, alive, gained, prefix)
+            return
+        col = conf[alive, level]
+        tg = target[alive]
+        for t in cands[level]:
+            exited = col >= t
+            descend(
+                level + 1,
+                alive[~exited],
+                gained + int((tg[exited] == level + 1).sum()),
+                prefix + (t,),
+            )
+
+    descend(0, np.arange(conf.shape[0]), 0, ())
+    return best[1], best[0] / conf.shape[0]
+
+
+def test_pruned_search_matches_unpruned_walk():
+    # the bound prunes only branches that cannot beat the best score, so
+    # thresholds (the first maximizer, ties included) and score are those
+    # of the full walk
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        n = int(rng.integers(4, 24))
+        k = int(rng.integers(3, 6))
+        # confidences on a coarse grid: many exact ties within and across
+        # exits, so several strategies often share the best score
+        conf = np.round(rng.uniform(0.3, 1.0, size=(n, k)), 2)
+        target = rng.integers(1, k + 1, size=n)
+        points = [
+            CalibrationPoint(conf=tuple(conf[i]), target_exit=int(target[i]))
+            for i in range(n)
+        ]
+        strategy, agreement = search_strategy(points)
+        want_thresholds, want_agreement = unpruned_oracle(points)
+        assert strategy.thresholds == want_thresholds, trial
+        assert agreement == want_agreement, trial
 
 
 def test_exhaustive_oracle_guards():
