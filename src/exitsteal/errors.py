@@ -10,6 +10,6 @@ class FormatError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An explicit compute budget was exceeded (e.g. the strategy-search
-    candidate product cap). Deliberately not a ContractError: the inputs are
+    """An explicit compute budget was exceeded (e.g. the strategy search's
+    cap on visited branches). Deliberately not a ContractError: the inputs are
     legal, they are just too big to traverse."""

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
 missing artifact, which the message names), 2 when the strategy search
-overruns its candidate budget.
+overruns its branch budget.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ from ..errors import BudgetError, ContractError, FormatError
 from . import experiment
 from .config import ExperimentConfig, load_config, seed_overrides
 
-_MODE_STAGE = {
-    "ours": "train_substitute",
-    "baseline": "train_baseline",
-    "no-strategy-loss": "train_baseline",
-    "search": "search_searched",
-    "traditional": "search_traditional",
-}
+# the soft-label ablation net is trained by the baseline stage
+_MODE_ALIAS = {"no-strategy-loss": "baseline"}
 
 
 def _add_common(sub: argparse.ArgumentParser, *, config_required: bool = True) -> None:
@@ -125,17 +120,12 @@ def _dispatch(args) -> int:
         experiment.run_experiment(cfg, args.out)
         _print_report(args.out)
         return 0
-    if args.command == "train-victim":
-        _print_stage("dataset", experiment.run_stage("dataset", cfg, args.out))
-        _print_stage("train_victim", experiment.run_stage("train_victim", cfg, args.out))
-        return 0
-    stage = {
-        "deploy": "deploy",
-        "query": "query",
-        "estimate-exits": "estimate_exits",
-        "evaluate": "evaluate",
-    }.get(args.command) or _MODE_STAGE[args.mode]
-    _print_stage(stage, experiment.run_stage(stage, cfg, args.out))
+    command = args.command
+    if hasattr(args, "mode"):
+        command += f" --mode {_MODE_ALIAS.get(args.mode, args.mode)}"
+    for name, stage in experiment.STAGES.items():
+        if stage.command == command:
+            _print_stage(name, experiment.run_stage(name, cfg, args.out))
     if args.command == "evaluate":
         _print_report(args.out)
     return 0

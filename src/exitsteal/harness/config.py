@@ -1,6 +1,7 @@
 """Experiment configuration: a flat `key = value` file with dotted sections.
 
-Every key is declared in _SCHEMA with a type and a default; unknown keys are
+Every key is declared once, as a field of the section dataclasses below: the
+field's annotation gives its type and `_key` its raw default. Unknown keys are
 rejected so typos fail loudly, and all cross-field contracts (phi1 >= phi2,
 exit counts, increasing tier noise, referenced files existing) are checked
 at load time, before any compute starts.
@@ -15,76 +16,220 @@ N, N+1, N+2, N+3, N+4.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from ..errors import ContractError, FormatError
 
-_SCHEMA: dict[str, tuple[str, str]] = {
-    # key: (type, default) — types: int, float, bool, str, ints, floats
-    "dataset.kind": ("str", "tiered"),
-    "dataset.dim": ("int", "16"),
-    "dataset.classes": ("int", "4"),
-    "dataset.tiers": ("int", "4"),
-    "dataset.noise": ("floats", "0.1,0.35,0.7,1.1"),
-    "dataset.center_scale": ("float", "3.0"),
-    "dataset.n_train": ("int", "6000"),
-    "dataset.n_calibration": ("int", "1000"),
-    "dataset.n_test": ("int", "2000"),
-    "dataset.n_iid_pool": ("int", "2000"),
-    "dataset.idx_train_images": ("str", ""),
-    "dataset.idx_train_labels": ("str", ""),
-    "dataset.idx_test_images": ("str", ""),
-    "dataset.idx_test_labels": ("str", ""),
-    "dataset.idx_duplicate_channels": ("bool", "false"),
-    "unrelated.kind": ("str", "blobs"),
-    "unrelated.classes": ("int", "6"),
-    "unrelated.noise": ("float", "0.8"),
-    "unrelated.n": ("int", "9000"),
-    "unrelated.low": ("float", "-4.5"),
-    "unrelated.high": ("float", "4.5"),
-    "victim.backbone": ("str", "dense"),
-    "victim.widths": ("ints", "48,48,48,48,48,48,48,48"),
-    "victim.channels": ("ints", "8,16,16,32"),
-    "victim.kernel": ("int", "3"),
-    "victim.stride": ("int", "1"),
-    "victim.activation": ("str", "relu"),
-    "victim.exits": ("int", "4"),
-    "victim.tau": ("str", "0.9"),
-    "victim.tau_slack": ("float", "0.01"),
-    "victim.epochs": ("int", "40"),
-    "victim.lr": ("float", "0.05"),
-    "victim.batch_size": ("int", "128"),
-    "victim.momentum": ("float", "0.0"),
-    "timing.per_flop": ("float", "1e-6"),
-    "timing.noise_over_gap": ("float", "0.1"),
-    "timing.noise_sigma": ("float", "-1"),
-    "attack.n_iid": ("int", "1000"),
-    "attack.n_unrelated": ("int", "7000"),
-    "attack.phi1": ("float", "0.95"),
-    "attack.phi2": ("float", "0.90"),
-    "attack.lambda": ("float", "0.5"),
-    "attack.epochs": ("int", "40"),
-    "attack.lr": ("float", "0.05"),
-    "attack.batch_size": ("int", "128"),
-    "attack.backbone": ("str", "dense"),
-    "attack.widths": ("ints", "64,64,64,64,64,64"),
-    "attack.channels": ("ints", "8,16,16,32"),
-    "attack.kernel": ("int", "3"),
-    "attack.stride": ("int", "1"),
-    "attack.activation": ("str", "relu"),
-    "attack.delta": ("float", "0.02"),
-    "attack.n_search": ("int", "0"),
-    "attack.warm_start": ("str", ""),
-    "attack.baseline_arch": ("str", "attacker"),
-    "experiment.ablations": ("bool", "true"),
-    "seed.dataset": ("int", "101"),
-    "seed.victim": ("int", "202"),
-    "seed.noise": ("int", "303"),
-    "seed.attacker": ("int", "404"),
-    "seed.shuffle": ("int", "505"),
+
+def _key(default: str, *, key: str = "", parse=None):
+    """A field read from one config key. `default` is the raw text recorded
+    in `resolved` when the file omits the key; `key` names the key when it is
+    not `<section>.<field>`; `parse` is a (kind, parser) pair replacing the
+    one the field's type selects."""
+    return field(metadata={"default": default, "key": key, "parse": parse})
+
+
+def _net(**defaults: str):
+    """A NetCfg read from the enclosing section's six backbone keys
+    (`<section>.backbone`, ...), with these raw defaults."""
+    return field(metadata={"net": defaults})
+
+
+def _tau(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+def _sigma(raw: str) -> float | None:
+    sigma = float(raw)
+    return None if sigma < 0 else sigma
+
+
+@dataclass(frozen=True)
+class DatasetCfg:
+    kind: str = _key("tiered")
+    dim: int = _key("16")
+    classes: int = _key("4")
+    tiers: int = _key("4")
+    noise: tuple[float, ...] = _key("0.1,0.35,0.7,1.1")
+    center_scale: float = _key("3.0")
+    n_train: int = _key("6000")
+    n_calibration: int = _key("1000")
+    n_test: int = _key("2000")
+    n_iid_pool: int = _key("2000")
+    idx_train_images: str = _key("")
+    idx_train_labels: str = _key("")
+    idx_test_images: str = _key("")
+    idx_test_labels: str = _key("")
+    idx_duplicate_channels: bool = _key("false")
+
+
+@dataclass(frozen=True)
+class UnrelatedCfg:
+    kind: str = _key("blobs")
+    classes: int = _key("6")
+    noise: float = _key("0.8")
+    n: int = _key("9000")
+    low: float = _key("-4.5")
+    high: float = _key("4.5")
+
+
+@dataclass(frozen=True)
+class NetCfg:
+    backbone: str
+    widths: tuple[int, ...]
+    channels: tuple[int, ...]
+    kernel: int
+    stride: int
+    activation: str
+
+
+@dataclass(frozen=True)
+class VictimCfg:
+    net: NetCfg = _net(
+        backbone="dense",
+        widths="48,48,48,48,48,48,48,48",
+        channels="8,16,16,32",
+        kernel="3",
+        stride="1",
+        activation="relu",
+    )
+    exits: int = _key("4")
+    # None means "auto": pick with select_traditional_strategy
+    tau: float | None = _key("0.9", parse=("float", _tau))
+    tau_slack: float = _key("0.01")
+    epochs: int = _key("40")
+    lr: float = _key("0.05")
+    batch_size: int = _key("128")
+    momentum: float = _key("0.0")
+
+
+@dataclass(frozen=True)
+class TimingCfg:
+    per_flop: float = _key("1e-6")
+    noise_over_gap: float = _key("0.1")
+    # explicit sigma when set (>= 0), else derived from the exit gap
+    noise_sigma: float | None = _key("-1", parse=("float", _sigma))
+
+
+@dataclass(frozen=True)
+class AttackStageCfg:
+    n_iid: int = _key("1000")
+    n_unrelated: int = _key("7000")
+    phi1: float = _key("0.95")
+    phi2: float = _key("0.90")
+    lam: float = _key("0.5", key="attack.lambda")
+    epochs: int = _key("40")
+    lr: float = _key("0.05")
+    batch_size: int = _key("128")
+    net: NetCfg = _net(
+        backbone="dense",
+        widths="64,64,64,64,64,64",
+        channels="8,16,16,32",
+        kernel="3",
+        stride="1",
+        activation="relu",
+    )
+    delta: float = _key("0.02")
+    # calibration points fed to the threshold search; 0 = all
+    n_search: int = _key("0")
+    warm_start: str = _key("")
+    baseline_arch: str = _key("attacker")
+
+
+@dataclass(frozen=True)
+class SeedCfg:
+    dataset: int = _key("101")
+    victim: int = _key("202")
+    noise: int = _key("303")
+    attacker: int = _key("404")
+    shuffle: int = _key("505")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    dataset: DatasetCfg
+    unrelated: UnrelatedCfg
+    victim: VictimCfg
+    timing: TimingCfg
+    attack: AttackStageCfg
+    ablations: bool = _key("true", key="experiment.ablations")
+    seed: SeedCfg
+    resolved: dict[str, str]  # every config key with its effective raw value
+
+    @property
+    def canonical_text(self) -> str:
+        lines = [f"{k} = {self.resolved[k]}" for k in sorted(self.resolved)]
+        return "\n".join(lines) + "\n"
+
+    @property
+    def sha256(self) -> str:
+        return hashlib.sha256(self.canonical_text.encode("utf-8")).hexdigest()
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_tuple(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+
+
+# field type -> (kind named in parse errors, parser of the raw text)
+_PARSERS = {
+    int: ("int", int),
+    float: ("float", float),
+    str: ("str", str),
+    bool: ("bool", _parse_bool),
+    tuple[int, ...]: ("ints", _parse_tuple(int)),
+    tuple[float, ...]: ("floats", _parse_tuple(float)),
 }
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """The field types of a config dataclass, resolved once."""
+    return get_type_hints(cls)
+
+
+def _declared(cls, path: tuple[str, ...] = (), net: dict[str, str] | None = None):
+    """(key, field path, raw default, (kind, parser)) for every config key
+    read into `cls`; the path names the fields from ExperimentConfig down."""
+    hints = _hints(cls)
+    for f in fields(cls):
+        where = path + (f.name,)
+        if is_dataclass(hints[f.name]):  # a section, or a NetCfg inside one
+            yield from _declared(hints[f.name], where, f.metadata.get("net"))
+        elif f.name != "resolved":
+            key = f.metadata.get("key") or f"{path[0]}.{f.name}"
+            default = net[f.name] if net else f.metadata["default"]
+            yield key, where, default, f.metadata.get("parse") or _PARSERS[hints[f.name]]
+
+
+# config key -> (field path, raw default, (kind, parser))
+_KEYS = {key: rest for key, *rest in _declared(ExperimentConfig)}
+
+
+def _assemble(cls, path: tuple[str, ...], typed: dict):
+    """An instance of `cls` whose fields are the values `typed` holds at
+    their paths, nested dataclasses built the same way."""
+    hints = _hints(cls)
+    return cls(
+        **{
+            f.name: _assemble(hints[f.name], path + (f.name,), typed)
+            if is_dataclass(hints[f.name])
+            else typed[path + (f.name,)]
+            for f in fields(cls)
+        }
+    )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -104,133 +249,6 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
-
-
-def _coerce(key: str, kind: str, raw: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "ints":
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if kind == "floats":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        return raw
-    except ValueError as exc:
-        raise ContractError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
-
-
-@dataclass(frozen=True)
-class DatasetCfg:
-    kind: str
-    dim: int
-    classes: int
-    tiers: int
-    noise: tuple[float, ...]
-    center_scale: float
-    n_train: int
-    n_calibration: int
-    n_test: int
-    n_iid_pool: int
-    idx_train_images: str
-    idx_train_labels: str
-    idx_test_images: str
-    idx_test_labels: str
-    idx_duplicate_channels: bool
-
-
-@dataclass(frozen=True)
-class UnrelatedCfg:
-    kind: str
-    classes: int
-    noise: float
-    n: int
-    low: float
-    high: float
-
-
-@dataclass(frozen=True)
-class NetCfg:
-    backbone: str
-    widths: tuple[int, ...]
-    channels: tuple[int, ...]
-    kernel: int
-    stride: int
-    activation: str
-
-
-@dataclass(frozen=True)
-class VictimCfg:
-    net: NetCfg
-    exits: int
-    tau: float | None  # None means "auto": pick with select_traditional_strategy
-    tau_slack: float
-    epochs: int
-    lr: float
-    batch_size: int
-    momentum: float
-
-
-@dataclass(frozen=True)
-class TimingCfg:
-    per_flop: float
-    noise_over_gap: float
-    noise_sigma: float | None  # explicit sigma when set, else derived from gap
-
-
-@dataclass(frozen=True)
-class AttackStageCfg:
-    n_iid: int
-    n_unrelated: int
-    phi1: float
-    phi2: float
-    lam: float
-    epochs: int
-    lr: float
-    batch_size: int
-    net: NetCfg
-    delta: float
-    n_search: int  # calibration points fed to the threshold search; 0 = all
-    warm_start: str
-    baseline_arch: str
-
-
-@dataclass(frozen=True)
-class SeedCfg:
-    dataset: int
-    victim: int
-    noise: int
-    attacker: int
-    shuffle: int
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: DatasetCfg
-    unrelated: UnrelatedCfg
-    victim: VictimCfg
-    timing: TimingCfg
-    attack: AttackStageCfg
-    ablations: bool
-    seed: SeedCfg
-    resolved: dict[str, str]  # every schema key with its effective raw value
-
-    @property
-    def canonical_text(self) -> str:
-        lines = [f"{k} = {self.resolved[k]}" for k in sorted(self.resolved)]
-        return "\n".join(lines) + "\n"
-
-    @property
-    def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_text.encode("utf-8")).hexdigest()
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -320,99 +338,19 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    unknown = sorted(set(values) - set(_SCHEMA))
+    unknown = sorted(set(values) - set(_KEYS))
     if unknown:
         raise ContractError(f"unknown config keys: {', '.join(unknown)}")
-    resolved = {k: values.get(k, default) for k, (_, default) in _SCHEMA.items()}
-    typed = {k: _coerce(k, kind, resolved[k]) for k, (kind, _) in _SCHEMA.items()}
-
-    tau_raw = typed["victim.tau"]
-    if tau_raw == "auto":
-        tau = None
-    else:
-        tau = _coerce("victim.tau", "float", tau_raw)
-
-    sigma = typed["timing.noise_sigma"]
-    cfg = ExperimentConfig(
-        dataset=DatasetCfg(
-            kind=typed["dataset.kind"],
-            dim=typed["dataset.dim"],
-            classes=typed["dataset.classes"],
-            tiers=typed["dataset.tiers"],
-            noise=typed["dataset.noise"],
-            center_scale=typed["dataset.center_scale"],
-            n_train=typed["dataset.n_train"],
-            n_calibration=typed["dataset.n_calibration"],
-            n_test=typed["dataset.n_test"],
-            n_iid_pool=typed["dataset.n_iid_pool"],
-            idx_train_images=typed["dataset.idx_train_images"],
-            idx_train_labels=typed["dataset.idx_train_labels"],
-            idx_test_images=typed["dataset.idx_test_images"],
-            idx_test_labels=typed["dataset.idx_test_labels"],
-            idx_duplicate_channels=typed["dataset.idx_duplicate_channels"],
-        ),
-        unrelated=UnrelatedCfg(
-            kind=typed["unrelated.kind"],
-            classes=typed["unrelated.classes"],
-            noise=typed["unrelated.noise"],
-            n=typed["unrelated.n"],
-            low=typed["unrelated.low"],
-            high=typed["unrelated.high"],
-        ),
-        victim=VictimCfg(
-            net=NetCfg(
-                backbone=typed["victim.backbone"],
-                widths=typed["victim.widths"],
-                channels=typed["victim.channels"],
-                kernel=typed["victim.kernel"],
-                stride=typed["victim.stride"],
-                activation=typed["victim.activation"],
-            ),
-            exits=typed["victim.exits"],
-            tau=tau,
-            tau_slack=typed["victim.tau_slack"],
-            epochs=typed["victim.epochs"],
-            lr=typed["victim.lr"],
-            batch_size=typed["victim.batch_size"],
-            momentum=typed["victim.momentum"],
-        ),
-        timing=TimingCfg(
-            per_flop=typed["timing.per_flop"],
-            noise_over_gap=typed["timing.noise_over_gap"],
-            noise_sigma=None if sigma < 0 else sigma,
-        ),
-        attack=AttackStageCfg(
-            n_iid=typed["attack.n_iid"],
-            n_unrelated=typed["attack.n_unrelated"],
-            phi1=typed["attack.phi1"],
-            phi2=typed["attack.phi2"],
-            lam=typed["attack.lambda"],
-            epochs=typed["attack.epochs"],
-            lr=typed["attack.lr"],
-            batch_size=typed["attack.batch_size"],
-            net=NetCfg(
-                backbone=typed["attack.backbone"],
-                widths=typed["attack.widths"],
-                channels=typed["attack.channels"],
-                kernel=typed["attack.kernel"],
-                stride=typed["attack.stride"],
-                activation=typed["attack.activation"],
-            ),
-            delta=typed["attack.delta"],
-            n_search=typed["attack.n_search"],
-            warm_start=typed["attack.warm_start"],
-            baseline_arch=typed["attack.baseline_arch"],
-        ),
-        ablations=typed["experiment.ablations"],
-        seed=SeedCfg(
-            dataset=typed["seed.dataset"],
-            victim=typed["seed.victim"],
-            noise=typed["seed.noise"],
-            attacker=typed["seed.attacker"],
-            shuffle=typed["seed.shuffle"],
-        ),
-        resolved=resolved,
-    )
+    resolved = {k: values.get(k, default) for k, (_, default, _) in _KEYS.items()}
+    typed: dict = {("resolved",): resolved}
+    for key, (path, _, (kind, parse)) in _KEYS.items():
+        try:
+            typed[path] = parse(resolved[key])
+        except ValueError as exc:
+            raise ContractError(
+                f"config key {key!r}: cannot parse {resolved[key]!r} as {kind}"
+            ) from exc
+    cfg = _assemble(ExperimentConfig, (), typed)
     _validate(cfg)
     return cfg
 
@@ -427,11 +365,6 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
 
 
 def seed_overrides(master_seed: int) -> dict[str, str]:
-    """The CLI --seed expansion: five consecutive stream seeds."""
-    return {
-        "seed.dataset": str(master_seed),
-        "seed.victim": str(master_seed + 1),
-        "seed.noise": str(master_seed + 2),
-        "seed.attacker": str(master_seed + 3),
-        "seed.shuffle": str(master_seed + 4),
-    }
+    """The CLI --seed expansion: consecutive seeds for the streams, in
+    SeedCfg order."""
+    return {f"seed.{f.name}": str(master_seed + i) for i, f in enumerate(fields(SeedCfg))}

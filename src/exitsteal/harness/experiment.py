@@ -31,6 +31,7 @@ import json
 import os
 import shutil
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from ..victimlab import (
     select_traditional_strategy,
     train_victim,
 )
-from .config import ExperimentConfig, NetCfg
+from .config import ExperimentConfig, NetCfg, build_config
 from .datasets import (
     generate_tiered_dataset,
     generate_unrelated_blobs,
@@ -78,9 +79,45 @@ from .datasets import (
 STATUS_FILE = "status.json"
 CONFIG_FILE = "config.resolved.cfg"
 
-# variant name -> (checkpoint, strategy file, report file); ablation rows
-# exist only when experiment.ablations is on.
-VARIANTS = ("victim", "baseline", "ours", "no_strategy_loss", "no_search")
+_REPORT_COLUMNS = "acc,clo,cc_gflops,cc_ratio"
+
+
+class Variant(NamedTuple):
+    checkpoint: str  # the network scored
+    # how its thresholds are picked: "deployed" (the victim's own, in
+    # deployment.json), "searched" or "traditional" (strategy_<name>.json)
+    strategy: str
+    ablation: bool  # scored only when experiment.ablations is on
+
+
+# the scored models, in the row order of reports.csv; each writes
+# report_<name>.json
+VARIANTS = {
+    "victim": Variant("victim.ckpt", "deployed", False),
+    "baseline": Variant("sub_baseline.ckpt", "traditional", False),
+    "ours": Variant("sub_ours.ckpt", "searched", False),
+    "no_strategy_loss": Variant("sub_nostrategy.ckpt", "searched", True),
+    "no_search": Variant("sub_ours.ckpt", "traditional", True),
+}
+
+
+def _variant_names(cfg: ExperimentConfig, strategy: str | None = None) -> list[str]:
+    """The variants scored under `cfg`; with `strategy`, those whose
+    thresholds it picks."""
+    return [
+        name
+        for name, v in VARIANTS.items()
+        if (cfg.ablations or not v.ablation) and strategy in (None, v.strategy)
+    ]
+
+
+def _strategy_file(name: str) -> str:
+    return "deployment.json" if VARIANTS[name].strategy == "deployed" else f"strategy_{name}.json"
+
+
+def _strategy(spec: dict) -> OutputStrategy:
+    """The strategy recorded in deployment.json or a strategy_<name>.json."""
+    return OutputStrategy(tuple(spec["thresholds"]), fallback=spec["fallback"])
 
 
 def _path(run_dir, name: str) -> str:
@@ -313,14 +350,13 @@ def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
 def _load_deployment(run_dir) -> VictimDeployment:
     net = load_checkpoint(_path(run_dir, "victim.ckpt"))
     spec = _read_json(_path(run_dir, "deployment.json"))
-    strategy = OutputStrategy(tuple(spec["thresholds"]), fallback=spec["fallback"])
     timing = TimingModel(
         tuple(spec["block_costs"]),
         tuple(spec["head_costs"]),
         spec["noise_sigma"],
         spec["timing_seed"],
     )
-    return VictimDeployment(net, strategy, timing)
+    return VictimDeployment(net, _strategy(spec), timing)
 
 
 def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
@@ -455,29 +491,22 @@ def _calibration_targets(run_dir):
     return data["calib_x"], exits
 
 
-def _write_strategy(run_dir, name: str, strategy: OutputStrategy, agreement: float):
-    _write_json(
-        _path(run_dir, f"strategy_{name}.json"),
-        strategy_report_fragment(strategy, agreement),
-    )
-
-
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
     calib_x, calib_exits = _calibration_targets(run_dir)
-    # the search's candidate product grows with the probe count and is
-    # capped (search.PRODUCT_CAP), so it runs on a prefix of the calibration
+    # the branch-and-bound walk visits far fewer branches than the candidate
+    # product, but both grow with the probe count and the walk is capped
+    # (search.BRANCH_CAP), so it can be run on a prefix of the calibration
     # probes; 0 means use them all
     n = cfg.attack.n_search or len(calib_x)
     calib_x, calib_exits = calib_x[:n], calib_exits[:n]
-    net = load_checkpoint(_path(run_dir, "sub_ours.ckpt"))
-    points = build_calibration_points(net, calib_x, calib_exits)
-    strategy, agreement = search_strategy(points)
-    _write_strategy(run_dir, "ours", strategy, agreement)
-    if cfg.ablations:
-        net2 = load_checkpoint(_path(run_dir, "sub_nostrategy.ckpt"))
-        points2 = build_calibration_points(net2, calib_x, calib_exits)
-        strategy2, agreement2 = search_strategy(points2)
-        _write_strategy(run_dir, "no_strategy_loss", strategy2, agreement2)
+    for name in _variant_names(cfg, "searched"):
+        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
+        strategy, agreement = search_strategy(
+            build_calibration_points(net, calib_x, calib_exits)
+        )
+        _write_json(
+            _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
+        )
 
 
 def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
@@ -486,26 +515,17 @@ def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
     calib_x, calib_exits = _calibration_targets(run_dir)
     q = np.load(_path(run_dir, "queries.npz"))
     pseudo = q["calib_probs"].argmax(axis=1)
-    net = load_checkpoint(_path(run_dir, "sub_baseline.ckpt"))
-    strategy = select_traditional_strategy(
-        net, calib_x, pseudo, accuracy_slack=cfg.attack.delta
-    )
-    points = build_calibration_points(net, calib_x, calib_exits)
-    _write_strategy(run_dir, "baseline", strategy, evaluate_strategy(points, strategy))
-    if cfg.ablations:
-        net2 = load_checkpoint(_path(run_dir, "sub_ours.ckpt"))
-        strategy2 = select_traditional_strategy(
-            net2, calib_x, pseudo, accuracy_slack=cfg.attack.delta
+    for name in _variant_names(cfg, "traditional"):
+        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
+        strategy = select_traditional_strategy(
+            net, calib_x, pseudo, accuracy_slack=cfg.attack.delta
         )
-        points2 = build_calibration_points(net2, calib_x, calib_exits)
-        _write_strategy(
-            run_dir, "no_search", strategy2, evaluate_strategy(points2, strategy2)
+        agreement = evaluate_strategy(
+            build_calibration_points(net, calib_x, calib_exits), strategy
         )
-
-
-def _load_strategy(run_dir, name: str) -> OutputStrategy:
-    spec = _read_json(_path(run_dir, f"strategy_{name}.json"))
-    return OutputStrategy(tuple(spec["thresholds"]), fallback=spec["fallback"])
+        _write_json(
+            _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
+        )
 
 
 def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
@@ -514,21 +534,17 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
     test_x, test_y = data["test_x"], data["test_y"]
 
     rows: list[tuple[str, EvalReport]] = []
-    rows.append(("victim", make_report(dep.net, dep, dep.strategy, test_x, test_y)))
-    pairs = [("baseline", "sub_baseline.ckpt", "baseline"), ("ours", "sub_ours.ckpt", "ours")]
-    if cfg.ablations:
-        pairs.append(("no_strategy_loss", "sub_nostrategy.ckpt", "no_strategy_loss"))
-        pairs.append(("no_search", "sub_ours.ckpt", "no_search"))
-    for name, ckpt, strat in pairs:
-        net = load_checkpoint(_path(run_dir, ckpt))
-        report = make_report(net, dep, _load_strategy(run_dir, strat), test_x, test_y)
+    for name in _variant_names(cfg):
+        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
+        strategy = _strategy(_read_json(_path(run_dir, _strategy_file(name))))
+        report = make_report(net, dep, strategy, test_x, test_y)
         rows.append((name, report))
 
     for name, report in rows:
         with open(_path(run_dir, f"report_{name}.json"), "w") as fh:
             fh.write(report.to_json())
     with open(_path(run_dir, "reports.csv"), "w") as fh:
-        fh.write("model,acc,clo,cc_gflops,cc_ratio\n")
+        fh.write(f"model,{_REPORT_COLUMNS}\n")
         for name, report in rows:
             fh.write(",".join([name] + report.csv_row()) + "\n")
 
@@ -537,90 +553,96 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
 # stage registry and drivers
 
 
-def _stage_outputs(name: str, cfg: ExperimentConfig) -> list[str]:
-    outputs = {
-        "dataset": ["dataset.npz"],
-        "train_victim": ["victim.ckpt"],
-        "deploy": ["deployment.json"],
-        "query": ["queries.npz"],
-        "estimate_exits": ["changepoints.json", "labels.npz"],
-        "train_substitute": ["sub_ours.ckpt", "trace_ours.csv"],
-        "train_baseline": ["sub_baseline.ckpt", "trace_baseline.csv"],
-        "search_searched": ["strategy_ours.json"],
-        "search_traditional": ["strategy_baseline.json"],
-        "evaluate": [
-            "report_victim.json",
-            "report_baseline.json",
-            "report_ours.json",
-            "reports.csv",
-        ],
-    }[name]
-    if cfg.ablations:
-        extra = {
-            "train_baseline": ["sub_nostrategy.ckpt", "trace_nostrategy.csv"],
-            "search_searched": ["strategy_no_strategy_loss.json"],
-            "search_traditional": ["strategy_no_search.json"],
-            "evaluate": ["report_no_strategy_loss.json", "report_no_search.json"],
-        }.get(name, [])
-        outputs = outputs + extra
-    return outputs
+class Stage(NamedTuple):
+    run: Callable[[ExperimentConfig, str], None]
+    needs: tuple[str, ...]  # artifacts that must exist before it runs
+    outputs: tuple[str, ...]
+    command: str  # the CLI command that runs it
+    ablation_outputs: tuple[str, ...] = ()  # written only when experiment.ablations is on
 
 
-_STAGE_NEEDS = {
-    "dataset": [],
-    "train_victim": ["dataset.npz"],
-    "deploy": ["victim.ckpt", "dataset.npz"],
-    "query": ["deployment.json", "victim.ckpt", "dataset.npz"],
-    "estimate_exits": ["queries.npz"],
-    "train_substitute": ["queries.npz", "labels.npz", "changepoints.json"],
-    "train_baseline": ["queries.npz", "labels.npz", "changepoints.json"],
-    "search_searched": ["sub_ours.ckpt", "dataset.npz", "labels.npz"],
-    "search_traditional": [
-        "sub_baseline.ckpt",
-        "dataset.npz",
-        "labels.npz",
-        "queries.npz",
-    ],
-    "evaluate": [
-        "victim.ckpt",
-        "deployment.json",
-        "dataset.npz",
-        "sub_ours.ckpt",
-        "sub_baseline.ckpt",
-        "strategy_ours.json",
-        "strategy_baseline.json",
-    ],
+def _variant_files(pattern: str, ablation: bool, strategy: str | None = None) -> tuple[str, ...]:
+    """`pattern` filled in with the name of each variant that is (or is not)
+    an ablation and whose thresholds `strategy` picks, if given."""
+    return tuple(
+        pattern.format(name)
+        for name, v in VARIANTS.items()
+        if v.ablation == ablation and strategy in (None, v.strategy)
+    )
+
+
+# the pipeline, in run order
+STAGES = {
+    "dataset": Stage(_stage_dataset, (), ("dataset.npz",), "train-victim"),
+    "train_victim": Stage(_stage_train_victim, ("dataset.npz",), ("victim.ckpt",), "train-victim"),
+    "deploy": Stage(_stage_deploy, ("victim.ckpt", "dataset.npz"), ("deployment.json",), "deploy"),
+    "query": Stage(
+        _stage_query, ("deployment.json", "victim.ckpt", "dataset.npz"), ("queries.npz",), "query"
+    ),
+    "estimate_exits": Stage(
+        _stage_estimate_exits,
+        ("queries.npz",),
+        ("changepoints.json", "labels.npz"),
+        "estimate-exits",
+    ),
+    "train_substitute": Stage(
+        _stage_train_substitute,
+        ("queries.npz", "labels.npz", "changepoints.json"),
+        ("sub_ours.ckpt", "trace_ours.csv"),
+        "train-substitute --mode ours",
+    ),
+    "train_baseline": Stage(
+        _stage_train_baseline,
+        ("queries.npz", "labels.npz", "changepoints.json"),
+        ("sub_baseline.ckpt", "trace_baseline.csv"),
+        "train-substitute --mode baseline",
+        ("sub_nostrategy.ckpt", "trace_nostrategy.csv"),
+    ),
+    "search_searched": Stage(
+        _stage_search_searched,
+        ("sub_ours.ckpt", "dataset.npz", "labels.npz"),
+        _variant_files("strategy_{}.json", False, "searched"),
+        "search-strategy --mode search",
+        _variant_files("strategy_{}.json", True, "searched"),
+    ),
+    "search_traditional": Stage(
+        _stage_search_traditional,
+        ("sub_baseline.ckpt", "dataset.npz", "labels.npz", "queries.npz"),
+        _variant_files("strategy_{}.json", False, "traditional"),
+        "search-strategy --mode traditional",
+        _variant_files("strategy_{}.json", True, "traditional"),
+    ),
+    "evaluate": Stage(
+        _stage_evaluate,
+        (
+            "victim.ckpt",
+            "deployment.json",
+            "dataset.npz",
+            "sub_ours.ckpt",
+            "sub_baseline.ckpt",
+            "strategy_ours.json",
+            "strategy_baseline.json",
+        ),
+        _variant_files("report_{}.json", False) + ("reports.csv",),
+        "evaluate",
+        _variant_files("report_{}.json", True),
+    ),
 }
 
-_STAGE_FNS = {
-    "dataset": _stage_dataset,
-    "train_victim": _stage_train_victim,
-    "deploy": _stage_deploy,
-    "query": _stage_query,
-    "estimate_exits": _stage_estimate_exits,
-    "train_substitute": _stage_train_substitute,
-    "train_baseline": _stage_train_baseline,
-    "search_searched": _stage_search_searched,
-    "search_traditional": _stage_search_traditional,
-    "evaluate": _stage_evaluate,
-}
+STAGE_ORDER = tuple(STAGES)
 
-STAGE_ORDER = tuple(_STAGE_FNS)
-
-# which CLI command recreates an artifact, for error messages
+# artifact -> the CLI command that makes it, for missing-artifact errors
 _ARTIFACT_COMMAND = {
-    "dataset.npz": "train-victim",
-    "victim.ckpt": "train-victim",
-    "deployment.json": "deploy",
-    "queries.npz": "query",
-    "changepoints.json": "estimate-exits",
-    "labels.npz": "estimate-exits",
-    "sub_ours.ckpt": "train-substitute --mode ours",
-    "sub_baseline.ckpt": "train-substitute --mode baseline",
-    "sub_nostrategy.ckpt": "train-substitute --mode baseline",
-    "strategy_ours.json": "search-strategy --mode search",
-    "strategy_baseline.json": "search-strategy --mode traditional",
+    out: stage.command
+    for stage in STAGES.values()
+    for out in stage.outputs + stage.ablation_outputs
 }
+
+
+def _missing(path: str, artifact: str) -> ContractError:
+    return ContractError(
+        f"missing artifact {path}; run 'exitsteal {_ARTIFACT_COMMAND[artifact]}' first"
+    )
 
 
 def _prepare_run_dir(cfg: ExperimentConfig, run_dir) -> dict:
@@ -637,27 +659,26 @@ def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool
     entry = status["stages"].get(name)
     if not entry or entry.get("state") != "done":
         return False
-    return all(os.path.exists(_path(run_dir, out)) for out in _stage_outputs(name, cfg))
+    stage = STAGES[name]
+    outputs = stage.outputs + (stage.ablation_outputs if cfg.ablations else ())
+    return all(os.path.exists(_path(run_dir, out)) for out in outputs)
 
 
 def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False) -> bool:
     """Run one stage if its outputs are missing. Inputs must already exist;
     a missing artifact raises ContractError naming the command that makes
     it. Returns True when the stage ran, False when it was skipped."""
-    if name not in _STAGE_FNS:
+    if name not in STAGES:
         raise ContractError(f"unknown stage {name!r}")
     status = _prepare_run_dir(cfg, run_dir)
     if not force and _stage_done(name, cfg, run_dir, status):
         return False
-    for need in _STAGE_NEEDS[name]:
+    for need in STAGES[name].needs:
         if not os.path.exists(_path(run_dir, need)):
-            cmd = _ARTIFACT_COMMAND.get(need, "run-experiment")
-            raise ContractError(
-                f"missing artifact {_path(run_dir, need)}; run 'exitsteal {cmd}' first"
-            )
+            raise _missing(_path(run_dir, need), need)
     t0 = time.perf_counter()
     try:
-        _STAGE_FNS[name](cfg, run_dir)
+        STAGES[name].run(cfg, run_dir)
     except Exception as exc:
         status["stages"][name] = {"state": "failed", "error": str(exc)}
         _write_status(run_dir, status)
@@ -683,14 +704,11 @@ def run_experiment(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
 
 
 def load_reports(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
-    names = ["victim", "baseline", "ours"]
-    if cfg.ablations:
-        names += ["no_strategy_loss", "no_search"]
     reports = {}
-    for name in names:
+    for name in _variant_names(cfg):
         path = _path(run_dir, f"report_{name}.json")
         if not os.path.exists(path):
-            raise ContractError(f"missing artifact {path}; run 'exitsteal evaluate' first")
+            raise _missing(path, f"report_{name}.json")
         with open(path) as fh:
             reports[name] = EvalReport.from_json(fh.read())
     return reports
@@ -700,45 +718,35 @@ def load_reports(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
 # sweep recipes
 
 
+def _sweep(base_values, key: str, cast, settings, root_dir, column: str, csv_name: str):
+    """One full experiment per setting of config `key`, each in the
+    subdirectory <column>_<setting>; returns (setting, 'ours' report) pairs
+    and writes them to `csv_name` at the root."""
+    rows = []
+    for setting in settings:
+        cfg = build_config({**base_values, key: repr(cast(setting))})
+        reports = run_experiment(cfg, os.path.join(root_dir, f"{column}_{setting}"))
+        rows.append((cast(setting), reports["ours"]))
+    with open(os.path.join(root_dir, csv_name), "w") as fh:
+        fh.write(f"{column},{_REPORT_COLUMNS}\n")
+        for value, report in rows:
+            fh.write(",".join([repr(value)] + report.csv_row()) + "\n")
+    return rows
+
+
 def run_lambda_sweep(
     base_values: dict[str, str], lambdas, root_dir
 ) -> list[tuple[float, EvalReport]]:
-    """One full experiment per strategy-loss weight, each in its own
-    subdirectory; returns the 'ours' report per weight and writes
-    lambda_sweep.csv at the root."""
-    from .config import build_config
-
-    rows = []
-    for lam in lambdas:
-        values = dict(base_values)
-        values["attack.lambda"] = repr(float(lam))
-        cfg = build_config(values)
-        run_dir = os.path.join(root_dir, f"lambda_{lam}")
-        reports = run_experiment(cfg, run_dir)
-        rows.append((float(lam), reports["ours"]))
-    with open(os.path.join(root_dir, "lambda_sweep.csv"), "w") as fh:
-        fh.write("lambda,acc,clo,cc_gflops,cc_ratio\n")
-        for lam, report in rows:
-            fh.write(",".join([repr(lam)] + report.csv_row()) + "\n")
-    return rows
+    """One full experiment per strategy-loss weight; writes lambda_sweep.csv."""
+    return _sweep(
+        base_values, "attack.lambda", float, lambdas, root_dir, "lambda", "lambda_sweep.csv"
+    )
 
 
 def run_exit_sweep(
     base_values: dict[str, str], exit_counts, root_dir
 ) -> list[tuple[int, EvalReport]]:
     """One full experiment per victim exit count; writes exit_sweep.csv."""
-    from .config import build_config
-
-    rows = []
-    for k in exit_counts:
-        values = dict(base_values)
-        values["victim.exits"] = str(int(k))
-        cfg = build_config(values)
-        run_dir = os.path.join(root_dir, f"exits_{k}")
-        reports = run_experiment(cfg, run_dir)
-        rows.append((int(k), reports["ours"]))
-    with open(os.path.join(root_dir, "exit_sweep.csv"), "w") as fh:
-        fh.write("exits,acc,clo,cc_gflops,cc_ratio\n")
-        for k, report in rows:
-            fh.write(",".join([str(k)] + report.csv_row()) + "\n")
-    return rows
+    return _sweep(
+        base_values, "victim.exits", int, exit_counts, root_dir, "exits", "exit_sweep.csv"
+    )

@@ -65,7 +65,8 @@ class ConvBlockSpec:
 
 BlockSpec = Union[DenseBlockSpec, ConvBlockSpec]
 
-_ACTIVATIONS = {"relu": nm.relu, "tanh": nm.tanh}
+# activation names; the function is looked up in numerics at call time
+_ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,7 @@ class MultiExitNet:
             if isinstance(blk, DenseBlockSpec):
                 h = nm.dense(h, w, b, activation)
             else:
-                h = _ACTIVATIONS[activation](nm.conv2d(h, w, b, stride=blk.stride))
+                h = getattr(nm, activation)(nm.conv2d(h, w, b, stride=blk.stride))
             k = exit_at.get(i + 1)
             if k is not None:
                 hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]

@@ -9,11 +9,11 @@ value inside [min(A), max(B)], plus the smallest value strictly above
 max(B) so "admit all of A, none of B" is representable. Samples targeted
 *earlier* than i are ignored: whatever exit they take at or after i is
 already wrong. The search walks the Cartesian product of candidate lists in
-ascending (lexicographic) order, keeps the first maximizer of simulated
-exit agreement, and refuses products larger than PRODUCT_CAP. It is exact
-but not exhaustive: it skips a branch that could not beat the best score
-found so far even if every point still able to agree did (see
-`search_strategy`).
+ascending (lexicographic) order and keeps the first maximizer of simulated
+exit agreement. It is exact but not exhaustive: it skips a branch that could
+not beat the best score found so far even if every point still able to agree
+did (see `search_strategy`), and it stops with BudgetError once it has
+visited more than BRANCH_CAP branches.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .multiexit import SENTINEL, MultiExitNet, OutputStrategy, forward_all_exits
 
 Array = np.ndarray
 
-PRODUCT_CAP = 10**6
+BRANCH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,16 @@ def evaluate_strategy(points, strategy) -> float:
 
 
 def search_strategy(
-    points, product_cap: int = PRODUCT_CAP
+    points, branch_cap: int = BRANCH_CAP
 ) -> tuple[OutputStrategy, float]:
     """Branch-and-bound traversal of the candidate product, in
     lexicographic order, returning the first strategy that maximizes exit
     agreement.
 
     The upper levels of the recursion maintain the set of points that have
-    not exited yet; the bottom level is swept vectorized (a sorted prefix
-    count per candidate). Before each level and before the bottom sweep,
-    the branch is pruned when
+    not exited yet; the bottom level scores all its candidates at once (a
+    sorted prefix count per candidate, then the first maximum). Before each
+    level and before the bottom sweep, the branch is pruned when
 
         gained + (alive points targeted at this exit or a later one) <= best
 
@@ -141,44 +141,46 @@ def search_strategy(
     so the left side bounds every score below the branch. A later strategy
     replaces the best only with a strictly higher score, so a branch that
     can at most tie could not change the result: pruning on `<=` keeps the
-    first lexicographic maximizer of the full walk. Products larger than
-    `product_cap` raise BudgetError listing the per-exit candidate counts.
+    first lexicographic maximizer of the full walk. A walk that visits more
+    than `branch_cap` branches (pruned ones included) raises BudgetError
+    listing the per-exit candidate counts.
     """
     conf, target = _point_arrays(points)
     k = conf.shape[1]
     cands = [candidate_thresholds(points, i) for i in range(1, k)]
-    product = 1
-    for c in cands:
-        product *= len(c)
-    if product > product_cap:
-        counts = " x ".join(str(len(c)) for c in cands)
-        raise BudgetError(
-            f"candidate product {counts} = {product} exceeds the cap of {product_cap}"
-        )
+    bottom = np.asarray(cands[-1])
 
     n = conf.shape[0]
     best_score = -1
     best_thresholds: tuple[float, ...] | None = None
+    visited = 0
 
     def sweep_last(level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
         nonlocal best_score, best_thresholds
         c = conf[alive, level]
         tg = target[alive]
         order = np.argsort(c, kind="stable")
-        c_sorted = c[order]
         # here[p] counts targets == this exit among points with c >= the
         # p-th sorted value; later[p] counts targets == the final exit among
         # the p smallest.
         here = np.concatenate([np.cumsum((tg[order] == level + 1)[::-1])[::-1], [0]])
         later = np.concatenate([[0], np.cumsum(tg[order] == level + 2)])
-        for t in cands[level]:
-            pos = int(np.searchsorted(c_sorted, t, side="left"))
-            score = gained + int(here[pos]) + int(later[pos])
-            if score > best_score:
-                best_score = score
-                best_thresholds = prefix + (t,)
+        pos = np.searchsorted(c[order], bottom, side="left")
+        scores = here[pos] + later[pos]
+        first = int(np.argmax(scores))  # the first candidate reaching the max
+        if gained + int(scores[first]) > best_score:
+            best_score = gained + int(scores[first])
+            best_thresholds = prefix + (cands[level][first],)
 
     def descend(level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
+        nonlocal visited
+        visited += 1
+        if visited > branch_cap:
+            counts = " x ".join(str(len(c)) for c in cands)
+            raise BudgetError(
+                f"the walk of the {counts} candidate product visited {visited} "
+                f"branches, which exceeds the cap of {branch_cap}"
+            )
         tg = target[alive]
         bound = gained + int((tg > level).sum())  # targets at exit level + 1 or later
         if bound <= best_score:

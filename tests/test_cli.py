@@ -1,5 +1,5 @@
 """CLI exit codes: 0 on a finished run, 1 on an invalid config, 2 when the
-strategy search overruns its candidate budget."""
+strategy search overruns its branch budget."""
 
 from exitsteal import search
 from exitsteal.harness.cli import main
@@ -32,8 +32,9 @@ def test_invalid_config_exits_1(tmp_path, capsys):
 
 
 def test_search_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # a candidate cap of 1 makes the tiny run's search refuse its product
-    monkeypatch.setattr(search.search_strategy, "__defaults__", (1,))
+    # the tiny run's 2-exit search visits a single branch, so a branch cap
+    # of 0 makes it stop
+    monkeypatch.setattr(search.search_strategy, "__defaults__", (0,))
     cfg = write_config(tmp_path / "tiny.cfg", TINY)
     assert main(["run-experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
-    assert "exceeds the cap of 1" in capsys.readouterr().err
+    assert "exceeds the cap of 0" in capsys.readouterr().err

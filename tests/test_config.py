@@ -1,10 +1,11 @@
 """Config validation: every `_validate` branch reachable by editing a key of
-configs/toy.cfg raises ContractError with its own message."""
+configs/toy.cfg raises ContractError with its own message, and the config
+hashes that existing run directories pin stay as they are."""
 
 import pytest
 
 from exitsteal.errors import ContractError
-from exitsteal.harness import load_config
+from exitsteal.harness import build_config, load_config
 
 from test_experiment import TOY_CFG
 
@@ -44,6 +45,17 @@ BROKEN = {
         "unrelated.low must be < unrelated.high",
     ),
 }
+
+
+def test_config_hashes_are_pinned():
+    # run directories pin these hashes (status.json), so the resolved raw
+    # values may not change
+    assert load_config(TOY_CFG).sha256 == (
+        "e3d83b5317940a83441db67b14b75021320540878087635a4e7b6d34f8b57b6f"
+    )
+    assert build_config({}).sha256 == (
+        "1ca051aaa2ca6404eae687ae55c9ca19a20829a206229d86c75878b783bf2934"
+    )
 
 
 def test_toy_config_is_valid():

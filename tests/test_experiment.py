@@ -1,5 +1,5 @@
 """Staged-pipeline checks: a tiny end-to-end run pinned byte for byte,
-resume and config pinning, and loud failures."""
+resume and config pinning, loud failures, and the sweep recipes."""
 
 import json
 import os
@@ -7,7 +7,16 @@ import os
 import pytest
 
 from exitsteal.errors import ContractError
-from exitsteal.harness import experiment, load_config, run_experiment, run_stage
+from exitsteal.harness import (
+    experiment,
+    load_config,
+    run_exit_sweep,
+    run_experiment,
+    run_lambda_sweep,
+    run_stage,
+)
+from exitsteal.harness.config import parse_config_text
+from exitsteal.metrics import EvalReport
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
 PINNED_REPORTS = os.path.join(os.path.dirname(__file__), "data", "tiny_reports.csv")
@@ -73,3 +82,58 @@ def test_single_estimated_exit_fails_loudly(tmp_path, stage):
     assert "estimated 1 exit" in str(err.value)
     status = json.loads((tmp_path / "status.json").read_text())
     assert status["stages"][stage]["state"] == "failed"
+
+
+# the first missing input of each stage run on an empty directory, and the
+# command the error names for it; dataset has no inputs and runs
+MISSING = {
+    "dataset": None,
+    "train_victim": ("dataset.npz", "train-victim"),
+    "deploy": ("victim.ckpt", "train-victim"),
+    "query": ("deployment.json", "deploy"),
+    "estimate_exits": ("queries.npz", "query"),
+    "train_substitute": ("queries.npz", "query"),
+    "train_baseline": ("queries.npz", "query"),
+    "search_searched": ("sub_ours.ckpt", "train-substitute --mode ours"),
+    "search_traditional": ("sub_baseline.ckpt", "train-substitute --mode baseline"),
+    "evaluate": ("victim.ckpt", "train-victim"),
+}
+
+
+def test_every_stage_has_a_missing_input_case():
+    assert tuple(MISSING) == experiment.STAGE_ORDER
+
+
+@pytest.mark.parametrize("stage", list(MISSING))
+def test_stage_on_empty_dir_names_the_command_to_run(tmp_path, stage):
+    cfg = load_config(TOY_CFG, TINY)
+    if MISSING[stage] is None:
+        assert run_stage(stage, cfg, tmp_path) is True
+        return
+    artifact, command = MISSING[stage]
+    with pytest.raises(ContractError) as err:
+        run_stage(stage, cfg, tmp_path)
+    assert str(err.value) == (
+        f"missing artifact {tmp_path / artifact}; run 'exitsteal {command}' first"
+    )
+
+
+@pytest.mark.parametrize(
+    "sweep, settings, column, csv_name",
+    [
+        (run_lambda_sweep, [0.0, 0.5], "lambda", "lambda_sweep.csv"),
+        (run_exit_sweep, [2, 3], "exits", "exit_sweep.csv"),
+    ],
+)
+def test_sweep_runs_one_experiment_per_setting(tmp_path, sweep, settings, column, csv_name):
+    with open(TOY_CFG) as fh:
+        values = dict(parse_config_text(fh.read()), **TINY)
+    rows = sweep(values, settings, tmp_path)
+    assert [value for value, _ in rows] == settings
+    subdirs = [f"{column}_{setting}" for setting in settings]
+    assert sorted(os.listdir(tmp_path)) == sorted(subdirs + [csv_name])
+    lines = (tmp_path / csv_name).read_text().splitlines()
+    assert lines[0] == f"{column},acc,clo,cc_gflops,cc_ratio"
+    assert len(lines) == 1 + len(settings)
+    for subdir, (_, report) in zip(subdirs, rows):
+        assert report == EvalReport.from_json((tmp_path / subdir / "report_ours.json").read_text())

@@ -240,6 +240,21 @@ def test_conv_forward_shapes_and_cascade():
     assert np.allclose(taken.sum(axis=1), 1.0)
 
 
+def test_conv_activation_is_looked_up_at_call_time(monkeypatch):
+    # a wrapped numerics.relu (a tracer, say) must see every conv block
+    calls = []
+    real_relu = nm.relu
+
+    def counting_relu(x):
+        calls.append(1)
+        return real_relu(x)
+
+    monkeypatch.setattr(nm, "relu", counting_relu)
+    net = conv_net(channels=(2, 4, 4, 4), exits=2, classes=3, hw=(8, 8))
+    forward_all_exits(net, np.random.default_rng(1).normal(size=(3, 2, 8, 8)))
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -115,8 +115,10 @@ def test_search_budget_error_lists_counts():
     ]
     counts = [len(candidate_thresholds(points, i)) for i in (1, 2)]
     assert counts[0] * counts[1] > 10
+    # the walk visits the root and then one branch per exit-1 candidate
+    # before any of them can be pruned
     with pytest.raises(BudgetError) as exc:
-        search_strategy(points, product_cap=10)
+        search_strategy(points, branch_cap=10)
     msg = str(exc.value)
     assert f"{counts[0]} x {counts[1]}" in msg and "cap of 10" in msg
 
@@ -207,6 +209,22 @@ def test_pruned_search_matches_unpruned_walk():
         want_thresholds, want_agreement = unpruned_oracle(points)
         assert strategy.thresholds == want_thresholds, trial
         assert agreement == want_agreement, trial
+
+
+def test_budget_counts_visited_branches_not_the_product():
+    # the candidate product is far above the cap, but the bound prunes the
+    # walk to fewer branches than the cap, so the search finishes with the
+    # unpruned walk's answer
+    rng = np.random.default_rng(3)
+    conf = np.round(rng.uniform(0.3, 1.0, size=(60, 4)), 2)
+    target = rng.integers(1, 5, size=60)
+    points = [
+        CalibrationPoint(conf=tuple(conf[i]), target_exit=int(target[i])) for i in range(60)
+    ]
+    counts = [len(candidate_thresholds(points, i)) for i in (1, 2, 3)]
+    assert np.prod(counts) > 10 * 2000
+    strategy, agreement = search_strategy(points, branch_cap=2000)
+    assert (strategy.thresholds, agreement) == unpruned_oracle(points)
 
 
 def test_exhaustive_oracle_guards():
