@@ -98,47 +98,6 @@ class SegmentPrior:
         return cls(mu0=mu0, beta0=max(var, 1e-12))
 
 
-def _log_marginal_terms(n, total, sse, prior: SegmentPrior):
-    """Closed-form segment log marginal from sufficient statistics. Works
-    elementwise on arrays of (n, total, sse)."""
-    mean = total / n
-    kap_n = prior.kappa0 + n
-    alpha_n = prior.alpha0 + 0.5 * n
-    beta_n = (
-        prior.beta0
-        + 0.5 * sse
-        + prior.kappa0 * n * (mean - prior.mu0) ** 2 / (2.0 * kap_n)
-    )
-    return (
-        gammaln(alpha_n)
-        - gammaln(prior.alpha0)
-        + prior.alpha0 * np.log(prior.beta0)
-        - alpha_n * np.log(beta_n)
-        + 0.5 * (np.log(prior.kappa0) - np.log(kap_n))
-        - 0.5 * n * _LOG_2PI
-    )
-
-
-def segment_log_marginal(values, prior: SegmentPrior | None = None) -> float:
-    """Log marginal likelihood of one segment of runtimes.
-
-    With no explicit prior the slice itself sets mu_0/beta_0 (i.e. it is
-    treated as the full dataset). Finite for any non-empty finite input,
-    single points included.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ContractError("segment must be non-empty")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("segment values must be finite")
-    if prior is None:
-        prior = SegmentPrior.from_data(x)
-    n = x.size
-    mean = x.mean()
-    sse = float(((x - mean) ** 2).sum())
-    return float(_log_marginal_terms(n, x.sum(), sse, prior))
-
-
 @dataclass(frozen=True)
 class ChangepointResult:
     """MAP segmentation of the sorted runtimes.
@@ -168,10 +127,10 @@ class ChangepointResult:
 
 def _length_terms(n: int, prior: SegmentPrior):
     """The parts of a segment's score that depend only on its length, as
-    vectors indexed by length 0..n. Each is the value `_log_marginal_terms`
-    computes for that length (plus the lgamma(length + 1) contiguity
-    factor), so a score assembled from them in the same order is bitwise
-    the closed form."""
+    vectors indexed by length 0..n: the length-only terms of the closed form
+    in the module docstring, plus the lgamma(length + 1) contiguity factor.
+    A score assembled from them in the closed form's order is bitwise the
+    closed form."""
     length = np.arange(n + 1, dtype=np.float64)
     kap_n = prior.kappa0 + length
     alpha_n = prior.alpha0 + 0.5 * length
@@ -307,13 +266,8 @@ def detect_changepoints(
     return ChangepointResult(boundaries=boundaries, log_posterior=float(best_score))
 
 
-def assign_exit(runtime: float, result: ChangepointResult) -> int:
-    """1-based exit label for one runtime under the fitted boundaries.
-    Boundary values belong to the right-hand interval."""
-    return int(np.searchsorted(result.boundaries, float(runtime), side="right")) + 1
-
-
 def assign_exits(runtimes, result: ChangepointResult) -> Array:
-    """Vectorized `assign_exit`."""
+    """1-based exit labels for runtimes under the fitted boundaries.
+    Boundary values belong to the right-hand interval."""
     r = np.asarray(runtimes, dtype=np.float64)
     return np.searchsorted(np.asarray(result.boundaries), r, side="right").astype(int) + 1

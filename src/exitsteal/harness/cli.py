@@ -120,6 +120,10 @@ def _dispatch(args) -> int:
         experiment.run_experiment(cfg, args.out)
         _print_report(args.out)
         return 0
+    if getattr(args, "mode", None) == "no-strategy-loss" and not cfg.ablations:
+        raise ContractError(
+            "--mode no-strategy-loss trains the ablation net; set experiment.ablations = true"
+        )
     command = args.command
     if hasattr(args, "mode"):
         command += f" --mode {_MODE_ALIAS.get(args.mode, args.mode)}"

@@ -45,7 +45,7 @@ from ..attack import (
 )
 from ..changepoint import ChangepointResult, assign_exits, detect_changepoints
 from ..errors import ContractError
-from ..metrics import EvalReport, make_report
+from ..metrics import CSV_COLUMNS, EvalReport, make_report
 from ..multiexit import (
     BackboneSpec,
     MultiExitNet,
@@ -78,8 +78,6 @@ from .datasets import (
 
 STATUS_FILE = "status.json"
 CONFIG_FILE = "config.resolved.cfg"
-
-_REPORT_COLUMNS = "acc,clo,cc_gflops,cc_ratio"
 
 
 class Variant(NamedTuple):
@@ -502,7 +500,7 @@ def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
     for name in _variant_names(cfg, "searched"):
         net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
         strategy, agreement = search_strategy(
-            build_calibration_points(net, calib_x, calib_exits)
+            *build_calibration_points(net, calib_x, calib_exits)
         )
         _write_json(
             _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
@@ -521,7 +519,7 @@ def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
             net, calib_x, pseudo, accuracy_slack=cfg.attack.delta
         )
         agreement = evaluate_strategy(
-            build_calibration_points(net, calib_x, calib_exits), strategy
+            *build_calibration_points(net, calib_x, calib_exits), strategy
         )
         _write_json(
             _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
@@ -544,7 +542,7 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
         with open(_path(run_dir, f"report_{name}.json"), "w") as fh:
             fh.write(report.to_json())
     with open(_path(run_dir, "reports.csv"), "w") as fh:
-        fh.write(f"model,{_REPORT_COLUMNS}\n")
+        fh.write(",".join(("model",) + CSV_COLUMNS) + "\n")
         for name, report in rows:
             fh.write(",".join([name] + report.csv_row()) + "\n")
 
@@ -728,7 +726,7 @@ def _sweep(base_values, key: str, cast, settings, root_dir, column: str, csv_nam
         reports = run_experiment(cfg, os.path.join(root_dir, f"{column}_{setting}"))
         rows.append((cast(setting), reports["ours"]))
     with open(os.path.join(root_dir, csv_name), "w") as fh:
-        fh.write(f"{column},{_REPORT_COLUMNS}\n")
+        fh.write(",".join((column,) + CSV_COLUMNS) + "\n")
         for value, report in rows:
             fh.write(",".join([repr(value)] + report.csv_row()) + "\n")
     return rows

@@ -6,10 +6,11 @@ then a single dense layer) produces class probabilities. Inference under an
 `OutputStrategy` takes the first exit whose top confidence reaches that
 exit's threshold; the last exit is unconditional. `taken_exits` is the one
 implementation of that rule, called by `cascade`, by the victim's threshold
-scan and by the search's `evaluate_strategy` (the search's exhaustive test
-oracle keeps its own loop on purpose). `cascade` evaluates a batch (a
-single sample is a one-row batch) and returns its outcomes as arrays:
-exits, predicted classes, FLOPs and the taken exit's probabilities.
+scan and by the search's `evaluate_strategy` (the exhaustive search oracle
+in the tests keeps its own loop on purpose). The forward pass works on
+batches only; a single sample is taken as a one-row batch. `cascade`
+returns a batch's outcomes as arrays: exits, predicted classes, FLOPs and
+the taken exit's probabilities.
 
 FLOPs convention, used for every cost number in the package: a dense map
 m -> n costs 2*m*n + n (multiply-adds plus bias), a conv costs
@@ -337,33 +338,33 @@ class MultiExitNet:
 
     # -- forward ---------------------------------------------------------------
 
-    def _check_input(self, x: Array) -> tuple[Array, bool]:
+    def _check_input(self, x: Array) -> Array:
+        """The input as a batch: a single sample becomes a one-row batch."""
         if self.backbone.kind == "dense":
             want = self.backbone.blocks[0].in_width
             if x.ndim == 1:
                 if x.shape[0] != want:
                     raise ContractError(f"input width {x.shape[0]} != {want}")
-                return x[None, :], True
+                return x[None, :]
             if x.ndim == 2 and x.shape[1] == want:
-                return x, False
+                return x
             raise ContractError(f"bad dense input shape {x.shape}, want (*, {want})")
         cin = self.backbone.blocks[0].in_channels
         want = (cin, *self.input_hw)
         if x.ndim == 3:
             if x.shape != want:
                 raise ContractError(f"input shape {x.shape} != {want}")
-            return x[None], True
+            return x[None]
         if x.ndim == 4 and x.shape[1:] == want:
-            return x, False
+            return x
         raise ContractError(f"bad conv input shape {x.shape}, want (*, {want})")
 
     def forward_exit_logits(self, x, params=None):
         """Logits at every exit. `params` is an optional list of the
         parameters bound as tape nodes, in `parameters()` order (see
         `numerics.sgd`); without it the forward pass is plain numpy."""
-        squeeze = False
         if not isinstance(x, nm.Node):
-            x, squeeze = self._check_input(nm.as_array(x))
+            x = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
         activation = self.backbone.activation
         nblocks = len(self.backbone.blocks)
@@ -381,8 +382,6 @@ class MultiExitNet:
                 hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]
                 feat = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
                 logits[k] = nm.dense(feat, hw, hb)
-        if squeeze:
-            logits = [l[0] if isinstance(l, np.ndarray) else l for l in logits]
         return logits
 
     def __repr__(self):
@@ -395,9 +394,8 @@ class MultiExitNet:
 def forward_all_exits(net: MultiExitNet, x, params=None) -> list:
     """Probability vectors from every exit head, shallowest first.
 
-    Accepts a single sample or a batch; a single (d,) / (C,H,W) input yields
-    K vectors of shape (classes,), a batch yields K arrays of shape
-    (batch, classes). Rows are softmax outputs, so they sum to 1.
+    Yields K arrays of shape (batch, classes); a single (d,) / (C,H,W)
+    input is a one-row batch. Rows are softmax outputs, so they sum to 1.
     """
     return [nm.softmax(l) for l in net.forward_exit_logits(x, params=params)]
 
@@ -434,8 +432,7 @@ def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
         raise ContractError(
             f"strategy has {strategy.exit_count} exits, net has {net.exit_count}"
         )
-    xb, _ = net._check_input(nm.as_array(x))
-    probs = forward_all_exits(net, xb)  # K x (B, C)
+    probs = forward_all_exits(net, x)  # K x (B, C)
     stacked = np.stack(probs, axis=1)  # (B, K, C)
     conf = stacked.max(axis=2)
     exits = taken_exits(conf, strategy)

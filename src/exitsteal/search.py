@@ -1,8 +1,11 @@
 """Output-strategy search: recover thresholds that reproduce the victim's
 per-sample exit choices.
 
-Calibration points carry the substitute's max confidence at every exit plus
-the exit the victim is believed to have taken. Candidate thresholds for
+A calibration set is two arrays: `conf`, the (n, K) matrix of the
+substitute's max confidence at every exit for each calibration probe, and
+`target`, the n exits (1-based) the victim is believed to have taken.
+`build_calibration_points` makes them from a net and the estimated exits,
+and each public function checks them on entry. Candidate thresholds for
 exit i come from the overlap between the confidences of samples targeted at
 exit i (set A) and those targeted later (set B): every distinct observed
 value inside [min(A), max(B)], plus the smallest value strictly above
@@ -18,12 +21,8 @@ visited more than BRANCH_CAP branches.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import numerics as nm
 from .errors import BudgetError, ContractError
 from .multiexit import SENTINEL, MultiExitNet, OutputStrategy, forward_all_exits, taken_exits
 
@@ -32,57 +31,41 @@ Array = np.ndarray
 BRANCH_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """Per-exit max confidences of one calibration sample plus the victim
-    exit (1-based) estimated for it."""
-
-    conf: tuple[float, ...]
-    target_exit: int
-
-    def __post_init__(self):
-        conf = tuple(float(c) for c in self.conf)
-        object.__setattr__(self, "conf", conf)
-        if len(conf) < 2:
-            raise ContractError("calibration points need confidences for >= 2 exits")
-        arr = np.asarray(conf)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ContractError("confidences must lie in [0, 1]")
-        if not 1 <= self.target_exit <= len(conf):
-            raise ContractError(
-                f"target_exit {self.target_exit} out of range for {len(conf)} exits"
-            )
-
-
-def build_calibration_points(
-    net: MultiExitNet, inputs, target_exits
-) -> list[CalibrationPoint]:
-    """Evaluate the substitute on the calibration inputs and pair its
-    per-exit confidences with the estimated victim exits."""
-    targets = np.asarray(target_exits)
-    probs = forward_all_exits(net, nm.as_array(inputs))
-    conf = np.stack([p.max(axis=1) for p in probs], axis=1)
-    if conf.shape[0] != targets.shape[0]:
-        raise ContractError("inputs and target exits must align")
-    return [
-        CalibrationPoint(conf=tuple(conf[i]), target_exit=int(targets[i]))
-        for i in range(conf.shape[0])
-    ]
-
-
-def _point_arrays(points) -> tuple[Array, Array]:
-    points = list(points)
-    if not points:
-        raise ContractError("need at least one calibration point")
-    k = len(points[0].conf)
-    if any(len(p.conf) != k for p in points):
-        raise ContractError("calibration points disagree on the exit count")
-    conf = np.asarray([p.conf for p in points])
-    target = np.asarray([p.target_exit for p in points])
+def _check_points(conf, target) -> tuple[Array, Array]:
+    """Validate a calibration set: an (n, K) matrix of finite confidences
+    in [0, 1] with n >= 1 and K >= 2, and n integer target exits in
+    [1, K]."""
+    conf = np.asarray(conf, dtype=np.float64)
+    target = np.asarray(target)
+    if conf.ndim != 2 or conf.shape[0] == 0 or conf.shape[1] < 2:
+        raise ContractError(
+            f"confidences must be an (n, K) matrix with n >= 1 and K >= 2, got {conf.shape}"
+        )
+    if target.shape != conf.shape[:1]:
+        raise ContractError(
+            f"{conf.shape[0]} calibration points but target exits of shape {target.shape}"
+        )
+    if not np.all(np.isfinite(conf)):
+        raise ContractError("confidences must be finite")
+    if np.any(conf < 0.0) or np.any(conf > 1.0):
+        raise ContractError("confidences must lie in [0, 1]")
+    if target.dtype.kind not in "iu":
+        raise ContractError(f"target exits must be integers, got dtype {target.dtype}")
+    k = conf.shape[1]
+    if np.any(target < 1) or np.any(target > k):
+        raise ContractError(f"target exits must lie in [1, {k}]")
     return conf, target
 
 
-def candidate_thresholds(points, exit_index: int) -> list[float]:
+def build_calibration_points(net: MultiExitNet, inputs, target_exits) -> tuple[Array, Array]:
+    """Evaluate the substitute on the calibration inputs: (conf, target),
+    its per-exit max confidences paired with the estimated victim exits."""
+    probs = forward_all_exits(net, inputs)
+    conf = np.stack([p.max(axis=1) for p in probs], axis=1)
+    return _check_points(conf, target_exits)
+
+
+def candidate_thresholds(conf, target, exit_index: int) -> list[float]:
     """Candidate thresholds for one non-final exit (1-based).
 
     A = confidences at this exit of samples targeted here, B = of samples
@@ -92,7 +75,7 @@ def candidate_thresholds(points, exit_index: int) -> list[float]:
     [min(A), max(B)] plus the successor above max(B) (sentinel if none).
     Returned ascending.
     """
-    conf, target = _point_arrays(points)
+    conf, target = _check_points(conf, target)
     k = conf.shape[1]
     if not 1 <= exit_index <= k - 1:
         raise ContractError(f"exit_index must lie in [1, {k - 1}]")
@@ -112,18 +95,18 @@ def candidate_thresholds(points, exit_index: int) -> list[float]:
     return inside
 
 
-def evaluate_strategy(points, strategy) -> float:
+def evaluate_strategy(conf, target, strategy) -> float:
     """Fraction of calibration points whose simulated cascade exit equals
     the estimated victim exit. `strategy` may be an OutputStrategy or a raw
     threshold sequence of length K-1."""
-    conf, target = _point_arrays(points)
+    conf, target = _check_points(conf, target)
     if not isinstance(strategy, OutputStrategy):
         strategy = OutputStrategy(tuple(strategy))
     return float((taken_exits(conf, strategy) == target).mean())
 
 
 def search_strategy(
-    points, branch_cap: int = BRANCH_CAP
+    conf, target, branch_cap: int = BRANCH_CAP
 ) -> tuple[OutputStrategy, float]:
     """Branch-and-bound traversal of the candidate product, in
     lexicographic order, returning the first strategy that maximizes exit
@@ -145,9 +128,9 @@ def search_strategy(
     than `branch_cap` branches (pruned ones included) raises BudgetError
     listing the per-exit candidate counts.
     """
-    conf, target = _point_arrays(points)
+    conf, target = _check_points(conf, target)
     k = conf.shape[1]
-    cands = [candidate_thresholds(points, i) for i in range(1, k)]
+    cands = [candidate_thresholds(conf, target, i) for i in range(1, k)]
     bottom = np.asarray(cands[-1])
 
     n = conf.shape[0]
@@ -203,40 +186,6 @@ def search_strategy(
     descend(0, np.arange(n), 0, ())
     assert best_thresholds is not None
     return OutputStrategy(thresholds=best_thresholds), best_score / n
-
-
-def exhaustive_oracle(points, max_exits: int = 3, max_points: int = 50) -> float:
-    """Brute-force best agreement, for tests only.
-
-    Independent of search_strategy: the grid per exit is every distinct
-    observed confidence at that exit plus a sentinel above 1, and each grid
-    strategy is scored by its own cascade walk. Guards keep it honest about
-    cost (K <= 3, small point sets only).
-    """
-    conf, target = _point_arrays(points)
-    k = conf.shape[1]
-    if k > max_exits:
-        raise ContractError(f"oracle only handles up to {max_exits} exits")
-    if conf.shape[0] > max_points:
-        raise ContractError(f"oracle only handles up to {max_points} points")
-    grids = [
-        [float(v) for v in np.unique(conf[:, i])] + [SENTINEL]
-        for i in range(k - 1)
-    ]
-    best = -1
-    for combo in itertools.product(*grids):
-        correct = 0
-        for row, tgt in zip(conf, target):
-            exit_taken = k
-            for i, t in enumerate(combo):
-                if row[i] >= t:
-                    exit_taken = i + 1
-                    break
-            if exit_taken == tgt:
-                correct += 1
-        if correct > best:
-            best = correct
-    return best / conf.shape[0]
 
 
 def strategy_report_fragment(strategy: OutputStrategy, agreement: float) -> dict:

@@ -1,8 +1,9 @@
 """Victim side of the laboratory: training, deployment, timed queries.
 
 A deployed victim exposes exactly two things to the outside: the taken
-exit's probability vector, and (optionally) a runtime. The query functions'
-return types cannot express the exit index or intermediate activations, so
+exit's probability vectors and the runtimes, one of each per query. Its
+only query path, `query_timed_many`, returns just those two arrays; its
+return type cannot express the exit index or intermediate activations, so
 opacity holds by construction. Runtimes come from a simulated timing model
 (per-block and per-head costs plus Gaussian noise from a seeded stream); a
 wall-clock mode exists for demos but is never used by the experiments.
@@ -109,13 +110,6 @@ class VictimDeployment:
         return self._base_times.copy()
 
 
-def query_many(dep: VictimDeployment, x) -> Array:
-    """Probability vectors for a batch of inputs. Nothing else leaves the
-    deployment: no exit index, no intermediate activations."""
-    _, _, _, probs = cascade(dep.net, x, dep.strategy)
-    return probs
-
-
 def query_timed_many(dep: VictimDeployment, x) -> tuple[Array, Array]:
     """(probability vectors, runtimes) for a batch. Runtimes are the taken
     exit's base cost plus one noise draw per sample, in sample order."""
@@ -134,21 +128,6 @@ def query_timed_many(dep: VictimDeployment, x) -> tuple[Array, Array]:
     if dep.timing.noise_sigma > 0.0:
         runtimes = runtimes + dep._rng.normal(0.0, dep.timing.noise_sigma, size=exits.shape[0])
     return probs, runtimes
-
-
-def query(dep: VictimDeployment, x) -> Array:
-    """Black-box query for a single input: the taken exit's probabilities."""
-    xv = nm.as_array(x)
-    return query_many(dep, xv[None])[0]
-
-
-def query_timed(dep: VictimDeployment, x) -> tuple[Array, float]:
-    """Black-box timed query for a single input: (probabilities, runtime).
-    Shares the batched code path, so a sequence of single queries consumes
-    the noise stream exactly like one batched call."""
-    xv = nm.as_array(x)
-    probs, runtimes = query_timed_many(dep, xv[None])
-    return probs[0], float(runtimes[0])
 
 
 def train_victim(

@@ -30,7 +30,6 @@ from exitsteal.multiexit import (
 from exitsteal.victimlab import (
     TimingModel,
     VictimDeployment,
-    query_many,
     query_timed_many,
     train_victim,
 )
@@ -473,14 +472,14 @@ def test_estimate_exit_labels_single_cluster():
 
 
 def test_estimated_labels_match_victim_probs_stream():
-    # the batch carries exactly what query_many would return for the same
-    # inputs
+    # the batch carries exactly the probabilities a query of the same
+    # inputs returns
     dep = noiseless_deployment()
     calib = np.array(
         [[binary_conf_logit(0.99)]] * 15 + [[binary_conf_logit(0.60)]] * 15
     )
     queries = np.array([[binary_conf_logit(p)] for p in (0.95, 0.7, 0.99, 0.55)])
     _, batch, _ = label_queries(dep, calib, queries)
-    probs = query_many(dep, queries)
+    probs, _ = query_timed_many(dep, queries)
     for row, p in zip(batch.victim_probs, probs):
         assert np.allclose(row, p, atol=1e-12)

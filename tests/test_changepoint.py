@@ -1,8 +1,9 @@
 """Changepoint oracles.
 
-The segment marginal is checked against an independent route: the chain rule
-of sequential Student-t posterior predictives under the same conjugate
-Normal model. The DP segmentation is checked against brute-force
+The closed-form segment marginal of the module docstring (kept here as the
+reference `segment_log_marginal`) is checked against an independent route:
+the chain rule of sequential Student-t posterior predictives under the same
+conjugate Normal model. The DP segmentation is checked against brute-force
 enumeration of all cut placements, and bit for bit against the full-table
 DP that the column-block evaluation replaced.
 """
@@ -20,12 +21,53 @@ from exitsteal import changepoint
 from exitsteal.changepoint import (
     ChangepointResult,
     SegmentPrior,
-    assign_exit,
     assign_exits,
     detect_changepoints,
-    segment_log_marginal,
 )
 from exitsteal.errors import ContractError
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _log_marginal_terms(n, total, sse, prior: SegmentPrior):
+    """Closed-form segment log marginal from sufficient statistics. Works
+    elementwise on arrays of (n, total, sse)."""
+    mean = total / n
+    kap_n = prior.kappa0 + n
+    alpha_n = prior.alpha0 + 0.5 * n
+    beta_n = (
+        prior.beta0
+        + 0.5 * sse
+        + prior.kappa0 * n * (mean - prior.mu0) ** 2 / (2.0 * kap_n)
+    )
+    return (
+        gammaln(alpha_n)
+        - gammaln(prior.alpha0)
+        + prior.alpha0 * np.log(prior.beta0)
+        - alpha_n * np.log(beta_n)
+        + 0.5 * (np.log(prior.kappa0) - np.log(kap_n))
+        - 0.5 * n * _LOG_2PI
+    )
+
+
+def segment_log_marginal(values, prior: SegmentPrior | None = None) -> float:
+    """Log marginal likelihood of one segment of runtimes.
+
+    With no explicit prior the slice itself sets mu_0/beta_0 (i.e. it is
+    treated as the full dataset). Finite for any non-empty finite input,
+    single points included.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if x.size == 0:
+        raise ContractError("segment must be non-empty")
+    if not np.all(np.isfinite(x)):
+        raise ContractError("segment values must be finite")
+    if prior is None:
+        prior = SegmentPrior.from_data(x)
+    n = x.size
+    mean = x.mean()
+    sse = float(((x - mean) ** 2).sum())
+    return float(_log_marginal_terms(n, x.sum(), sse, prior))
 
 
 def sequential_predictive_oracle(xs, prior: SegmentPrior) -> float:
@@ -105,7 +147,7 @@ def _segment_table(x, prior: SegmentPrior):
         mu0=0.0, beta0=prior.beta0, kappa0=prior.kappa0, alpha0=prior.alpha0
     )
     with np.errstate(invalid="ignore"):
-        table = changepoint._log_marginal_terms(cnt_safe, total, sse, centered_prior)
+        table = _log_marginal_terms(cnt_safe, total, sse, centered_prior)
     return np.where(valid, table, -np.inf)
 
 
@@ -396,18 +438,19 @@ def test_non_finite_rejected():
 
 def test_assign_exit_half_open_intervals():
     res = ChangepointResult(boundaries=(1.2, 2.1, 3.0), log_posterior=0.0)
-    assert assign_exit(1.5, res) == 2
-    assert assign_exit(0.0, res) == 1
-    assert assign_exit(99.0, res) == 4
+    assert assign_exits([1.5], res).tolist() == [2]
+    assert assign_exits([0.0], res).tolist() == [1]
+    assert assign_exits([99.0], res).tolist() == [4]
     # a runtime equal to a boundary belongs to the right interval
-    assert assign_exit(2.1, res) == 3
+    assert assign_exits([2.1], res).tolist() == [3]
 
 
 def test_assign_exits_vectorized_matches_scalar():
     res = ChangepointResult(boundaries=(0.5, 1.5), log_posterior=0.0)
     runtimes = np.array([0.1, 0.5, 0.7, 1.5, 2.0])
     got = assign_exits(runtimes, res)
-    assert got.tolist() == [assign_exit(r, res) for r in runtimes]
+    # one plus the number of boundaries at or below the runtime
+    assert got.tolist() == [1 + sum(r >= b for b in res.boundaries) for r in runtimes]
 
 
 def test_assignment_accuracy_on_heldout():

@@ -1,5 +1,6 @@
-"""CLI exit codes: 0 on a finished run, 1 on an invalid config, 2 when the
-strategy search overruns its branch budget."""
+"""CLI exit codes: 0 on a finished run, 1 on an invalid config or a mode
+the config turns off, 2 when the strategy search overruns its branch
+budget."""
 
 from exitsteal import search
 from exitsteal.harness.cli import main
@@ -38,3 +39,17 @@ def test_search_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "tiny.cfg", TINY)
     assert main(["run-experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "exceeds the cap of 0" in capsys.readouterr().err
+
+
+def test_no_strategy_loss_without_ablations_exits_1(tmp_path, capsys):
+    # the ablation net is trained only when experiment.ablations is on, so
+    # the mode must fail loudly instead of finishing without its checkpoint
+    cfg = write_config(tmp_path / "tiny.cfg", dict(TINY, **{"experiment.ablations": "false"}))
+    run = str(tmp_path / "run")
+    for command in ("train-victim", "deploy", "query", "estimate-exits"):
+        assert main([command, "--config", cfg, "--out", run]) == 0
+    capsys.readouterr()
+    argv = ["train-substitute", "--mode", "no-strategy-loss", "--config", cfg, "--out", run]
+    assert main(argv) == 1
+    assert "experiment.ablations" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "sub_nostrategy.ckpt").exists()

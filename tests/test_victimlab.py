@@ -20,9 +20,6 @@ from exitsteal.victimlab import (
     TimingModel,
     VictimDeployment,
     exit_base_times,
-    query,
-    query_many,
-    query_timed,
     query_timed_many,
     select_traditional_strategy,
     train_victim,
@@ -241,11 +238,13 @@ def deploy(seed=0, noise=0.0, tau=0.9):
 def test_query_returns_only_probabilities():
     dep = deploy()
     x = np.random.default_rng(0).normal(size=(16, 8))
-    probs = query_many(dep, x)
+    probs, runtimes = query_timed_many(dep, x)
     assert probs.shape == (16, 4)
+    assert runtimes.shape == (16,)
     assert np.allclose(probs.sum(axis=1), 1.0)
-    single = query(dep, x[3])
-    assert single.shape == (4,)
+    # a single sample is a one-row batch
+    single, _ = query_timed_many(dep, x[3])
+    assert single.shape == (1, 4)
 
 
 def test_runtime_noise_statistics():
@@ -272,9 +271,9 @@ def test_single_queries_consume_stream_like_batch():
     dep_b = deploy(seed=3, noise=0.001)
     x = np.random.default_rng(3).normal(size=(32, 8))
     probs_a, times_a = query_timed_many(dep_a, x)
-    singles = [query_timed(dep_b, xi) for xi in x]
-    probs_b = np.stack([p for p, _ in singles])
-    times_b = np.array([t for _, t in singles])
+    singles = [query_timed_many(dep_b, xi) for xi in x]
+    probs_b = np.concatenate([p for p, _ in singles])
+    times_b = np.concatenate([t for _, t in singles])
     assert np.array_equal(times_a, times_b)
     assert np.allclose(probs_a, probs_b, rtol=0, atol=1e-12)
 
@@ -284,9 +283,9 @@ def test_deployment_freezes_the_network():
     timing = TimingModel.proportional(net, per_flop=1e-6, noise_sigma=0.0, seed=0)
     dep = VictimDeployment(net, OutputStrategy.uniform(0.9, 2), timing)
     x = np.random.default_rng(4).normal(size=(8, 8))
-    before = query_many(dep, x)
+    before, _ = query_timed_many(dep, x)
     net.parameters()[0][:] += 100.0
-    after = query_many(dep, x)
+    after, _ = query_timed_many(dep, x)
     assert np.array_equal(before, after)
     with pytest.raises((ValueError, RuntimeError)):
         dep.net.parameters()[0][:] = 0.0
