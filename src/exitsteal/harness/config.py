@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
@@ -39,12 +40,21 @@ def _net(**defaults: str):
     return field(metadata={"net": defaults})
 
 
+def _finite(raw: str) -> float:
+    """A float key's value; NaN and infinities are parse errors, since no
+    key has a use for them and NaN slips past every range check."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _tau(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
+    return None if raw == "auto" else _finite(raw)
 
 
 def _sigma(raw: str) -> float | None:
-    sigma = float(raw)
+    sigma = _finite(raw)
     return None if sigma < 0 else sigma
 
 
@@ -186,11 +196,11 @@ def _parse_tuple(item):
 # field type -> (kind named in parse errors, parser of the raw text)
 _PARSERS = {
     int: ("int", int),
-    float: ("float", float),
+    float: ("float", _finite),
     str: ("str", str),
     bool: ("bool", _parse_bool),
     tuple[int, ...]: ("ints", _parse_tuple(int)),
-    tuple[float, ...]: ("floats", _parse_tuple(float)),
+    tuple[float, ...]: ("floats", _parse_tuple(_finite)),
 }
 
 

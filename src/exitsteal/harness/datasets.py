@@ -40,6 +40,14 @@ class TieredDataset:
         return self.inputs.shape[0]
 
 
+def _check_count(name: str, value) -> None:
+    """Sample counts and dimensions are integers >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ContractError(f"{name} must be >= 1, got {value}")
+
+
 def generate_tiered_dataset(
     class_count: int,
     tier_count: int,
@@ -61,18 +69,20 @@ def generate_tiered_dataset(
         raise ContractError("class_count must be >= 2")
     if tier_count < 1:
         raise ContractError("tier_count must be >= 1")
+    _check_count("sample_count", sample_count)
+    _check_count("dim", dim)
     if sample_count < tier_count:
         raise ContractError("sample_count must cover every tier")
     if len(schedule) != tier_count:
         raise ContractError(
             f"noise schedule has {len(schedule)} entries for {tier_count} tiers"
         )
+    if not np.all(np.isfinite(schedule)):
+        raise ContractError("noise scales must be finite")
     if any(s <= 0.0 for s in schedule):
         raise ContractError("noise scales must be positive")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ContractError("noise schedule must be strictly increasing")
-    if dim < 1:
-        raise ContractError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, (class_count, tier_count, dim)) * (
         center_scale / np.sqrt(dim)
@@ -114,6 +124,8 @@ def generate_unrelated_blobs(
 def generate_unrelated_uniform(
     low: float, high: float, sample_count: int, seed: int, *, dim: int = 16
 ) -> Array:
+    _check_count("sample_count", sample_count)
+    _check_count("dim", dim)
     if high <= low:
         raise ContractError("uniform bounds must satisfy low < high")
     rng = np.random.default_rng(seed)

@@ -48,10 +48,11 @@ class TimingModel:
         object.__setattr__(self, "head_costs", tuple(float(c) for c in self.head_costs))
         if not self.block_costs or not self.head_costs:
             raise ContractError("timing model needs block and head costs")
-        if min(self.block_costs) <= 0.0 or min(self.head_costs) <= 0.0:
-            raise ContractError("timing costs must be positive")
-        if self.noise_sigma < 0.0:
-            raise ContractError("noise_sigma must be >= 0")
+        # chained comparisons, so NaN fails them as well as out-of-range values
+        if not all(0.0 < c < np.inf for c in self.block_costs + self.head_costs):
+            raise ContractError("timing costs must be finite and positive")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ContractError("noise_sigma must be finite and >= 0")
 
     @classmethod
     def proportional(cls, net: MultiExitNet, per_flop: float, noise_sigma: float, seed: int) -> "TimingModel":

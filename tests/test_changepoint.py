@@ -279,28 +279,46 @@ def test_dp_equals_enumeration():
 
 
 def test_block_dp_matches_full_table_oracle(monkeypatch):
-    # a small block width makes every input cross several block edges
-    monkeypatch.setattr(changepoint, "_BLOCK", 7)
-    rng = np.random.default_rng(11)
-    checked = 0
-    for trial in range(240):
-        n = int(rng.integers(2, 120))
-        k = int(rng.integers(1, 5))
-        centers = rng.uniform(0.0, 5.0, k)
-        x = rng.normal(centers[rng.integers(0, k, n)], rng.uniform(0.01, 0.5))
-        if trial % 3 == 1:
-            x = np.round(x, 1)  # tied runtimes
-        if trial % 20 == 0:
-            x = np.full(n, 2.5)  # constant input
-        min_segment = int(rng.integers(1, 8))
-        k_max = int(rng.integers(0, 9))
-        if n < 2 * min_segment:
-            continue
-        got = detect_changepoints(x, min_segment=min_segment, k_max=k_max)
-        want = full_table_oracle(x, min_segment=min_segment, k_max=k_max)
+    # widths 1 and 7 make every input cross several block edges, and with
+    # min_segment above the width a split point lies in an earlier block;
+    # at 512 every input fits in one block, so the block's own end points
+    # are split points of its later rows
+    for block in (1, 7, 512):
+        monkeypatch.setattr(changepoint, "_BLOCK", block)
+        rng = np.random.default_rng(11)
+        checked = wider = 0
+        for trial in range(240):
+            n = int(rng.integers(2, 120))
+            k = int(rng.integers(1, 5))
+            centers = rng.uniform(0.0, 5.0, k)
+            x = rng.normal(centers[rng.integers(0, k, n)], rng.uniform(0.01, 0.5))
+            if trial % 3 == 1:
+                x = np.round(x, 1)  # tied runtimes
+            if trial % 20 == 0:
+                x = np.full(n, 2.5)  # constant input
+            min_segment = int(rng.integers(1, 12))
+            k_max = int(rng.integers(0, 9))
+            if n < 2 * min_segment:
+                continue
+            got = detect_changepoints(x, min_segment=min_segment, k_max=k_max)
+            want = full_table_oracle(x, min_segment=min_segment, k_max=k_max)
+            assert (got.boundaries, got.log_posterior) == want, (block, trial)
+            checked += 1
+            wider += min_segment > block
+        assert checked > 150
+        assert wider > 30 or block == 512
+
+
+def test_tied_split_points_resolve_to_the_first(monkeypatch):
+    # mirror-symmetric input: cutting after the 0s and cutting before the
+    # 2s score exactly the same, and the first split point wins
+    x = np.array([0.0] * 4 + [1.0] * 3 + [2.0] * 4)
+    want = full_table_oracle(x, min_segment=4, k_max=4)
+    assert want[0] == (0.5,)
+    for block in (1, 7, 32):
+        monkeypatch.setattr(changepoint, "_BLOCK", block)
+        got = detect_changepoints(x, min_segment=4, k_max=4)
         assert (got.boundaries, got.log_posterior) == want
-        checked += 1
-    assert checked > 150
 
 
 def test_block_dp_matches_full_table_oracle_at_2000():
@@ -312,16 +330,19 @@ def test_block_dp_matches_full_table_oracle_at_2000():
 
 
 def test_detection_memory_is_linear_in_n():
-    # the full-table DP peaked at 421 MB here; one (n+1)^2 float64 array
-    # alone is 32 MB, so the bound also catches a single reintroduced table
-    x = np.random.default_rng(13).normal(0.0, 1.0, 2000)
-    tracemalloc.start()
-    try:
-        detect_changepoints(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20
+    # the full-table DP peaked at 421 MB at n = 2000; one (n+1)^2 float64
+    # array alone is 32 MB, so the 24 MiB bound also catches a single
+    # reintroduced table. At n = 3500 a DP that gathers the length-only
+    # terms into fresh arrays for every block peaked at 10.4 MiB.
+    for n, bound_mib in ((2000, 24), (3500, 8)):
+        x = np.random.default_rng(13).normal(0.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            detect_changepoints(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (n, peak)
 
 
 def test_permutation_invariance():

@@ -47,6 +47,16 @@ BROKEN = {
 }
 
 
+# one case per float parser kind: (overrides of configs/toy.cfg, key, kind)
+NON_FINITE = {
+    "float": ({"timing.noise_over_gap": "nan"}, "timing.noise_over_gap", "float"),
+    "floats_nan": ({"dataset.noise": "0.1,nan,0.6,0.8"}, "dataset.noise", "floats"),
+    "floats_inf_last": ({"dataset.noise": "0.1,0.35,0.7,inf"}, "dataset.noise", "floats"),
+    "tau": ({"victim.tau": "nan"}, "victim.tau", "float"),
+    "sigma": ({"timing.noise_sigma": "-inf"}, "timing.noise_sigma", "float"),
+}
+
+
 def test_config_hashes_are_pinned():
     # run directories pin these hashes (status.json), so the resolved raw
     # values may not change
@@ -67,4 +77,11 @@ def test_toy_config_is_valid():
 def test_validate_branch(case):
     overrides, message = BROKEN[case]
     with pytest.raises(ContractError, match=message):
+        load_config(TOY_CFG, overrides)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_float_is_a_parse_error(case):
+    overrides, key, kind = NON_FINITE[case]
+    with pytest.raises(ContractError, match=f"config key '{key}': cannot parse .* as {kind}$"):
         load_config(TOY_CFG, overrides)

@@ -43,6 +43,12 @@ def test_same_seed_same_dataset_with_balanced_tiers():
         ({"noise_schedule": (0.0, 0.5, 1.0)}, "noise scales must be positive"),
         ({"noise_schedule": (0.1, 0.5, 0.5)}, "must be strictly increasing"),
         ({"dim": 0}, "dim must be >= 1"),
+        ({"noise_schedule": (0.1, float("nan"), 1.0)}, "noise scales must be finite"),
+        ({"noise_schedule": (0.1, 0.5, float("inf"))}, "noise scales must be finite"),
+        ({"sample_count": 10.5}, "sample_count must be an integer"),
+        ({"sample_count": True}, "sample_count must be an integer"),
+        ({"sample_count": -4}, "sample_count must be >= 1"),
+        ({"dim": 2.0}, "dim must be an integer"),
     ],
 )
 def test_tiered_generator_rejects_bad_arguments(overrides, message):
@@ -53,6 +59,21 @@ def test_tiered_generator_rejects_bad_arguments(overrides, message):
 def test_tiered_dataset_fields_must_align():
     with pytest.raises(ContractError, match="must align"):
         TieredDataset(inputs=np.zeros((3, 2)), labels=np.zeros(3), tiers=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dim": 0}, "dim must be >= 1"),
+        ({"dim": True}, "dim must be an integer"),
+        ({"sample_count": -1}, "sample_count must be >= 1"),
+        ({"sample_count": 5.0}, "sample_count must be an integer"),
+    ],
+)
+def test_uniform_generator_rejects_bad_sizes(overrides, message):
+    args = {"low": 0.0, "high": 1.0, "sample_count": 5, "seed": 0, **overrides}
+    with pytest.raises(ContractError, match=message):
+        generate_unrelated_uniform(**args)
 
 
 def test_uniform_bounds_must_be_ordered():

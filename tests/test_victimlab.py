@@ -218,6 +218,13 @@ def test_timing_model_validation():
         TimingModel(block_costs=(1.0,), head_costs=(0.0,), noise_sigma=0.0, seed=0)
     with pytest.raises(ContractError):
         TimingModel(block_costs=(1.0,), head_costs=(1.0,), noise_sigma=-0.1, seed=0)
+    nan, inf = float("nan"), float("inf")
+    for costs in (((nan,), (1.0,)), ((1.0,), (nan,)), ((inf,), (1.0,))):
+        with pytest.raises(ContractError, match="costs must be finite and positive"):
+            TimingModel(*costs, noise_sigma=0.0, seed=0)
+    for sigma in (nan, inf):
+        with pytest.raises(ContractError, match="noise_sigma must be finite"):
+            TimingModel(block_costs=(1.0,), head_costs=(1.0,), noise_sigma=sigma, seed=0)
     net = small_net()
     with pytest.raises(ContractError):
         TimingModel.proportional(net, per_flop=0.0, noise_sigma=0.0, seed=0)
