@@ -14,9 +14,11 @@ each non-final exit i, samples estimated to exit at i should clear a high
 bar phi1 there, and samples estimated to exit later should stay below a
 lower bar phi2 at exit i. Both margin terms average within their sample
 sets and use confidences evaluated at the earlier exit i.
+`substitute_losses` computes the two losses from one forward pass; the
+trainers call it on every mini-batch.
 
 Answered queries travel as one `RecordBatch` of aligned arrays, from the
-pipeline's saved answers and labels to both losses and both trainers.
+pipeline's saved answers and labels to the losses and both trainers.
 `QueryRecord` is the validated one-row form; `RecordBatch.from_records`
 packs a list of them.
 """
@@ -134,8 +136,8 @@ def build_query_set(
 class RecordBatch:
     """Answered queries as aligned arrays, the form every loss and trainer
     takes: inputs, the victim's probability rows and the estimated exit
-    labels (1-based). The probability rows are checked once, here; the
-    losses take them as checked."""
+    labels (1-based integers). The probability rows and labels are checked
+    once, here; the losses take them as checked."""
 
     def __init__(self, inputs: Array, victim_probs: Array, exits: Array):
         victim_probs = nm.as_array(victim_probs)
@@ -144,6 +146,8 @@ class RecordBatch:
         if inputs.shape[0] == 0:
             raise ContractError("record batch must be non-empty")
         nm.check_prob(victim_probs, "victim_probs")
+        if exits.dtype.kind not in "iu" or exits.min() < 1:
+            raise ContractError("exit labels must be integers >= 1")
         self.inputs = inputs
         self.victim_probs = victim_probs
         self.exits = exits.astype(int)
@@ -172,39 +176,32 @@ class RecordBatch:
         return sub
 
 
-def _performance_terms(probs, victim_probs: Array):
-    """Shared KL arithmetic for performance_loss; `probs` may be plain
-    arrays or tape nodes, `victim_probs` are a RecordBatch's checked rows."""
-    total = None
-    for p in probs:
-        term = nm.mean_kl(victim_probs, p)
-        total = term if total is None else total + term
-    return total
+def substitute_losses(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: float, params=None):
+    """(performance, strategy) losses of `net` on `batch`, from one forward
+    pass. Differentiable when `params` is a bound-node list.
 
+    performance: mean over the batch of the summed KL(victim || exit_i)
+    across all exits (the victim's answer is the target at every exit).
 
-def performance_loss(net: MultiExitNet, batch: RecordBatch, params=None):
-    """Mean over the batch of the summed KL(victim || exit_i) across all
-    exits (the victim's answer is the target at every exit). Differentiable
-    when `params` is a bound-node list."""
-    probs = forward_all_exits(net, batch.inputs, params=params)
-    return _performance_terms(probs, batch.victim_probs)
-
-
-def strategy_loss(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: float, params=None):
-    """Confidence-shaping margins over estimated exit groups D_1..D_K:
+    strategy: confidence-shaping margins over estimated exit groups
+    D_1..D_K,
 
         sum over non-final exits i of
             mean_{x in D_i}  max(0, phi1 - conf_i(x))
           + sum over j > i of mean_{x in D_j} max(0, conf_i(x) - phi2)
 
-    conf_i is the max softmax confidence at exit i. Groups absent from the
-    batch contribute zero.
+    where conf_i is the max softmax confidence at exit i. Groups absent
+    from the batch contribute zero.
     """
     if phi1 < phi2:
         raise ContractError("phi1 must be >= phi2")
     _check_labels(net, batch)
     probs = forward_all_exits(net, batch.inputs, params=params)
-    return nm.exit_margins(probs, batch.exits, phi1, phi2)
+    performance = None
+    for p in probs:
+        term = nm.mean_kl(batch.victim_probs, p)
+        performance = term if performance is None else performance + term
+    return performance, nm.exit_margins(probs, batch.exits, phi1, phi2)
 
 
 def _check_labels(net: MultiExitNet, batch: RecordBatch) -> None:
@@ -242,10 +239,7 @@ def train_substitute(
 
     def batch_loss(bound, take):
         nonlocal perf_sum, strat_sum
-        sub = batch.subset(take)
-        probs = forward_all_exits(net, sub.inputs, params=bound)
-        perf = _performance_terms(probs, sub.victim_probs)
-        strat = nm.exit_margins(probs, sub.exits, cfg.phi1, cfg.phi2)
+        perf, strat = substitute_losses(net, batch.subset(take), cfg.phi1, cfg.phi2, params=bound)
         perf_sum += float(nm.value_of(perf)) * len(take)
         strat_sum += float(nm.value_of(strat)) * len(take)
         return perf if lam == 0.0 else perf + lam * strat

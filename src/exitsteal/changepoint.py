@@ -123,10 +123,6 @@ class ChangepointResult:
             raise ContractError("boundaries must be strictly increasing")
 
     @property
-    def changepoint_count(self) -> int:
-        return len(self.boundaries)
-
-    @property
     def exit_count(self) -> int:
         return len(self.boundaries) + 1
 
@@ -205,10 +201,12 @@ def detect_changepoints(
 
     Sorts the values, standardizes them, and runs a dynamic program over
     segmentations with segments of at least `min_segment` points and at
-    most `k_max` changepoints. Each segment scores its NIG marginal plus
-    lgamma(n_j + 1); the total is offset by -lgamma(n + 1), each
-    changepoint pays a uniform position prior -log(n - 1), and the count
-    prior is Geometric(geometric_p): P(K = k) proportional to
+    most `k_max` changepoints. It cuts only between distinct values, so a
+    run of equal runtimes stays in one segment, as `assign_exits` reads
+    it. Each segment scores its NIG marginal plus lgamma(n_j + 1); the
+    total is offset by -lgamma(n + 1), each changepoint pays a uniform
+    position prior -log(n - 1), and the count prior is
+    Geometric(geometric_p): P(K = k) proportional to
     (1-p)^k * p (see the module docstring for why the factorial correction
     is needed on sorted data). Ties between counts resolve toward fewer
     changepoints. The result is invariant to permuting the input and
@@ -260,6 +258,9 @@ def detect_changepoints(
     # future[c, k]: in the last `width` columns of a block, column k lies
     # past end point c's last admissible split
     future = ~np.tri(_BLOCK, k=-1, dtype=bool)
+    # no boundary separates equal values, so a split point inside a run of
+    # ties is inadmissible: no segment may start there
+    tied = np.flatnonzero(x[1:] == x[:-1]) + 1
 
     max_segments = min(k_max + 1, n // min_segment)
     # best[m][j]: best score splitting x[:j] into m segments; back[m][j] the
@@ -274,6 +275,8 @@ def detect_changepoints(
         width, rows = j1 - j0, j1 - min_segment + 1
         block = _score_block(s1, s2, windows, prior.beta0, j0, j1, rows, buffers)
         best[1, j0:j1] = block[:, 0]
+        if tied.size:
+            block[:, tied[tied < rows]] = -np.inf
         # Layer m reads layer m - 1 at split points up to j1 - min_segment,
         # some inside this block, so each layer finishes for the whole
         # block before the next starts.

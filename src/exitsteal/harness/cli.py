@@ -8,11 +8,11 @@ overruns its branch budget.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from ..errors import BudgetError, ContractError, FormatError
+from ..metrics import CSV_COLUMNS, EvalReport
 from . import experiment
 from .config import ExperimentConfig, load_config, seed_overrides
 
@@ -84,30 +84,27 @@ def _print_stage(name: str, ran: bool) -> None:
     print(f"{name}: {'done' if ran else 'skipped (outputs exist)'}")
 
 
-def _report_rows(run_dir) -> list[tuple[str, dict]]:
+# printed width of each CSV_COLUMNS entry in the report table
+_COLUMN_WIDTHS = (8, 8, 12, 10)
+
+
+def _print_report(run_dir) -> None:
     rows = []
     for name in experiment.VARIANTS:
         path = os.path.join(run_dir, f"report_{name}.json")
         if os.path.exists(path):
             with open(path) as fh:
-                rows.append((name, json.load(fh)))
-    return rows
-
-
-def _print_report(run_dir) -> None:
-    rows = _report_rows(run_dir)
+                rows.append((name, EvalReport.from_json(fh.read())))
     if not rows:
         raise ContractError(
             f"no report_*.json under {run_dir}; run 'exitsteal evaluate' first"
         )
-    header = f"{'model':<18}{'acc':>8}{'clo':>8}{'cc_gflops':>12}{'cc_ratio':>10}"
+    columns = tuple(zip(CSV_COLUMNS, _COLUMN_WIDTHS))
+    header = f"{'model':<18}" + "".join(f"{c:>{w}}" for c, w in columns)
     print(header)
     print("-" * len(header))
     for name, rep in rows:
-        print(
-            f"{name:<18}{rep['acc']:>8.4f}{rep['clo']:>8.4f}"
-            f"{rep['cc_gflops']:>12.4f}{rep['cc_ratio']:>10.4f}"
-        )
+        print(f"{name:<18}" + "".join(f"{getattr(rep, c):>{w}.4f}" for c, w in columns))
 
 
 def _dispatch(args) -> int:

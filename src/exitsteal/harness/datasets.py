@@ -65,12 +65,14 @@ def generate_tiered_dataset(
     tier. Same seed, same dataset, bit for bit.
     """
     schedule = tuple(float(s) for s in noise_schedule)
-    if class_count < 2:
-        raise ContractError("class_count must be >= 2")
-    if tier_count < 1:
-        raise ContractError("tier_count must be >= 1")
+    _check_count("class_count", class_count)
+    _check_count("tier_count", tier_count)
     _check_count("sample_count", sample_count)
     _check_count("dim", dim)
+    if class_count < 2:
+        raise ContractError("class_count must be >= 2")
+    if not np.isfinite(center_scale):
+        raise ContractError("center_scale must be finite")
     if sample_count < tier_count:
         raise ContractError("sample_count must cover every tier")
     if len(schedule) != tier_count:
@@ -126,8 +128,8 @@ def generate_unrelated_uniform(
 ) -> Array:
     _check_count("sample_count", sample_count)
     _check_count("dim", dim)
-    if high <= low:
-        raise ContractError("uniform bounds must satisfy low < high")
+    if not -np.inf < low < high < np.inf:  # chained, so NaN fails it too
+        raise ContractError("uniform bounds must be finite and satisfy low < high")
     rng = np.random.default_rng(seed)
     return rng.uniform(low, high, size=(sample_count, dim))
 

@@ -229,26 +229,10 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         elif train_x.ndim == 3:
             train_x = train_x[:, None]
             test_x = test_x[:, None]
-        x = np.concatenate([train_x[:need], test_x[: d.n_test]], axis=0)
-        y = np.concatenate([train_y[:need], test_y[: d.n_test]], axis=0)
-        # reorder to [train | calibration | test | iid pool] to match the
-        # slicing below
-        x = np.concatenate(
-            [
-                x[: d.n_train + d.n_calibration],
-                x[need : need + d.n_test],
-                x[d.n_train + d.n_calibration : need],
-            ],
-            axis=0,
-        )
-        y = np.concatenate(
-            [
-                y[: d.n_train + d.n_calibration],
-                y[need : need + d.n_test],
-                y[d.n_train + d.n_calibration : need],
-            ],
-            axis=0,
-        )
+        # [train | calibration | test | iid pool], as sliced below
+        fit = d.n_train + d.n_calibration
+        x = np.concatenate([train_x[:fit], test_x[: d.n_test], train_x[fit:need]])
+        y = np.concatenate([train_y[:fit], test_y[: d.n_test], train_y[fit:need]])
         tiers = np.ones(x.shape[0], dtype=np.int64)
 
     a, b = 0, d.n_train
@@ -266,13 +250,11 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
             dim=x.shape[-1],
             center_scale=d.center_scale,
         )
-    elif x.ndim == 2:
-        unrelated = generate_unrelated_uniform(
-            u.low, u.high, u.n, s.dataset + 1, dim=x.shape[-1]
-        )
     else:
-        rng = np.random.default_rng(s.dataset + 1)
-        unrelated = rng.uniform(u.low, u.high, size=(u.n,) + x.shape[1:])
+        # drawn flat and reshaped: the same stream as a draw in the inputs' shape
+        unrelated = generate_unrelated_uniform(
+            u.low, u.high, u.n, s.dataset + 1, dim=int(np.prod(x.shape[1:]))
+        ).reshape((u.n,) + x.shape[1:])
 
     np.savez(
         _path(run_dir, "dataset.npz"),

@@ -11,7 +11,7 @@ both raw and scaled by 1e-9.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,36 +40,17 @@ class EvalReport:
     per_exit_agreement: tuple[int, ...]
     sample_count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "clo": self.clo,
-            "cc_flops": self.cc_flops,
-            "cc_gflops": self.cc_gflops,
-            "cc_ratio": self.cc_ratio,
-            "per_exit_agreement": list(self.per_exit_agreement),
-            "sample_count": self.sample_count,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         obj = json.loads(text)
-        return cls(
-            acc=obj["acc"],
-            clo=obj["clo"],
-            cc_flops=obj["cc_flops"],
-            cc_gflops=obj["cc_gflops"],
-            cc_ratio=obj["cc_ratio"],
-            per_exit_agreement=tuple(obj["per_exit_agreement"]),
-            sample_count=obj["sample_count"],
-        )
+        return cls(**{**obj, "per_exit_agreement": tuple(obj["per_exit_agreement"])})
 
     def csv_row(self) -> list[str]:
         """Values in CSV_COLUMNS order: ACC, CLO, CC (GFLOPs), CC-ratio."""
-        return [repr(self.acc), repr(self.clo), repr(self.cc_gflops), repr(self.cc_ratio)]
+        return [repr(getattr(self, column)) for column in CSV_COLUMNS]
 
 
 def make_report(

@@ -7,17 +7,18 @@ then a single dense layer) produces class probabilities. Inference under an
 exit's threshold; the last exit is unconditional. `taken_exits` is the one
 implementation of that rule, called by `cascade`, by the victim's threshold
 scan and by the search's `evaluate_strategy` (the exhaustive search oracle
-in the tests keeps its own loop on purpose). The forward pass works on
-batches only; a single sample is taken as a one-row batch. `cascade`
-returns a batch's outcomes as arrays: exits, predicted classes, FLOPs and
-the taken exit's probabilities.
+in the tests keeps its own loop on purpose). The forward pass takes
+batches only: (B, d) for dense backbones, (B, C, H, W) for conv ones.
+`cascade` returns a batch's outcomes as arrays: exits, predicted classes,
+FLOPs and the taken exit's probabilities.
 
 FLOPs convention, used for every cost number in the package: a dense map
 m -> n costs 2*m*n + n (multiply-adds plus bias), a conv costs
 Ho*Wo*Cout*(2*Cin*kh*kw) + Ho*Wo*Cout, a global average pool costs C*H*W.
 Activations are free. The cost of stopping at exit k charges every backbone
 block up to and including the exit's block plus every head evaluated on the
-way (heads 1..k).
+way (heads 1..k). A net carries these as `block_flops`, `head_flops` and
+`exit_flops`.
 """
 
 from __future__ import annotations
@@ -241,7 +242,9 @@ class MultiExitNet:
 
     Parameters are float64 numpy arrays owned by the instance, in declaration
     order: (W, b) per backbone block, then (W, b) per exit head (see
-    `param_shapes`).
+    `param_shapes`). `block_flops` and `head_flops` are the FLOPs of each
+    block and head, and `exit_flops[k]` is the cost of stopping at exit
+    k + 1.
     """
 
     def __init__(
@@ -265,7 +268,6 @@ class MultiExitNet:
         self.class_count = class_count
         self.input_hw = input_hw if backbone.kind == "conv" else None
 
-        self._feature_dims = feature_dims(backbone, self.input_hw)
         shapes = param_shapes(backbone, exit_indices, class_count, self.input_hw)
         params = list(params)
         if len(params) != len(shapes):
@@ -280,38 +282,25 @@ class MultiExitNet:
             owned.append(np.ascontiguousarray(arr))
         self._params = owned
 
-        self._block_flops = self._compute_block_flops()
-        self._head_flops = self._compute_head_flops()
-        cum_blocks = np.cumsum(self._block_flops)
-        cum_heads = np.cumsum(self._head_flops)
-        self._flops_to_exit = tuple(
-            int(cum_blocks[bi - 1] + cum_heads[k])
-            for k, bi in enumerate(self.exit_indices)
-        )
-
-    # -- construction helpers -------------------------------------------------
-
-    def _compute_block_flops(self):
-        flops = []
-        if self.backbone.kind == "dense":
-            for blk in self.backbone.blocks:
-                flops.append(_dense_flops(blk.in_width, blk.out_width))
+        dims = feature_dims(backbone, self.input_hw)
+        if backbone.kind == "dense":
+            self.block_flops = tuple(_dense_flops(b.in_width, b.out_width) for b in backbone.blocks)
         else:
-            for blk, feat in zip(self.backbone.blocks, self._feature_dims):
-                cout, h, w = feat
-                flops.append(h * w * cout * (2 * blk.in_channels * blk.kernel * blk.kernel) + h * w * cout)
-        return flops
-
-    def _compute_head_flops(self):
-        flops = []
-        for bi in self.exit_indices:
-            feat = self._feature_dims[bi - 1]
-            cost = _dense_flops(_head_width(feat), self.class_count)
-            if self.backbone.kind == "conv":
-                c, h, w = feat
-                cost += c * h * w  # global average pool
-            flops.append(cost)
-        return flops
+            self.block_flops = tuple(
+                h * w * c * (2 * b.in_channels * b.kernel * b.kernel) + h * w * c
+                for b, (c, h, w) in zip(backbone.blocks, dims)
+            )
+        # a head is a dense map, after a global average pool on conv features
+        self.head_flops = tuple(
+            _dense_flops(_head_width(dims[bi - 1]), class_count)
+            + (int(np.prod(dims[bi - 1])) if backbone.kind == "conv" else 0)
+            for bi in exit_indices
+        )
+        cum_blocks = np.cumsum(self.block_flops)
+        cum_heads = np.cumsum(self.head_flops)
+        self.exit_flops = tuple(
+            int(cum_blocks[bi - 1] + cum_heads[k]) for k, bi in enumerate(exit_indices)
+        )
 
     # -- parameter access ------------------------------------------------------
 
@@ -339,25 +328,16 @@ class MultiExitNet:
     # -- forward ---------------------------------------------------------------
 
     def _check_input(self, x: Array) -> Array:
-        """The input as a batch: a single sample becomes a one-row batch."""
+        """The input, which must be a batch: (B, d) or (B, C, H, W)."""
+        first = self.backbone.blocks[0]
         if self.backbone.kind == "dense":
-            want = self.backbone.blocks[0].in_width
-            if x.ndim == 1:
-                if x.shape[0] != want:
-                    raise ContractError(f"input width {x.shape[0]} != {want}")
-                return x[None, :]
-            if x.ndim == 2 and x.shape[1] == want:
-                return x
-            raise ContractError(f"bad dense input shape {x.shape}, want (*, {want})")
-        cin = self.backbone.blocks[0].in_channels
-        want = (cin, *self.input_hw)
-        if x.ndim == 3:
-            if x.shape != want:
-                raise ContractError(f"input shape {x.shape} != {want}")
-            return x[None]
-        if x.ndim == 4 and x.shape[1:] == want:
-            return x
-        raise ContractError(f"bad conv input shape {x.shape}, want (*, {want})")
+            want = (first.in_width,)
+        else:
+            want = (first.in_channels, *self.input_hw)
+        if x.shape[1:] != want:
+            dims = ", ".join(map(str, want))
+            raise ContractError(f"input must be a (B, {dims}) batch, got shape {x.shape}")
+        return x
 
     def forward_exit_logits(self, x, params=None):
         """Logits at every exit. `params` is an optional list of the
@@ -394,18 +374,10 @@ class MultiExitNet:
 def forward_all_exits(net: MultiExitNet, x, params=None) -> list:
     """Probability vectors from every exit head, shallowest first.
 
-    Yields K arrays of shape (batch, classes); a single (d,) / (C,H,W)
-    input is a one-row batch. Rows are softmax outputs, so they sum to 1.
+    Yields K arrays of shape (batch, classes). Rows are softmax outputs,
+    so they sum to 1.
     """
     return [nm.softmax(l) for l in net.forward_exit_logits(x, params=params)]
-
-
-def flops_to_exit(net: MultiExitNet, exit_index: int) -> int:
-    """Cost of stopping at `exit_index` (1-based): all blocks up to the
-    exit's block plus every head evaluated along the way."""
-    if not 1 <= exit_index <= net.exit_count:
-        raise ContractError(f"exit_index must lie in [1, {net.exit_count}]")
-    return net._flops_to_exit[exit_index - 1]
 
 
 def taken_exits(confidences: Array, strategy: OutputStrategy) -> Array:
@@ -439,7 +411,7 @@ def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
     rows = np.arange(stacked.shape[0])
     taken = stacked[rows, exits - 1]
     predicted = taken.argmax(axis=1)
-    flops = np.asarray(net._flops_to_exit)[exits - 1]
+    flops = np.asarray(net.exit_flops)[exits - 1]
     return exits, predicted, flops, taken
 
 

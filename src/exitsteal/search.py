@@ -95,13 +95,10 @@ def candidate_thresholds(conf, target, exit_index: int) -> list[float]:
     return inside
 
 
-def evaluate_strategy(conf, target, strategy) -> float:
+def evaluate_strategy(conf, target, strategy: OutputStrategy) -> float:
     """Fraction of calibration points whose simulated cascade exit equals
-    the estimated victim exit. `strategy` may be an OutputStrategy or a raw
-    threshold sequence of length K-1."""
+    the estimated victim exit."""
     conf, target = _check_points(conf, target)
-    if not isinstance(strategy, OutputStrategy):
-        strategy = OutputStrategy(tuple(strategy))
     return float((taken_exits(conf, strategy) == target).mean())
 
 

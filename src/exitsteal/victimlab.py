@@ -4,14 +4,12 @@ A deployed victim exposes exactly two things to the outside: the taken
 exit's probability vectors and the runtimes, one of each per query. Its
 only query path, `query_timed_many`, returns just those two arrays; its
 return type cannot express the exit index or intermediate activations, so
-opacity holds by construction. Runtimes come from a simulated timing model
-(per-block and per-head costs plus Gaussian noise from a seeded stream); a
-wall-clock mode exists for demos but is never used by the experiments.
+opacity holds by construction. Runtimes come from a simulated timing model:
+per-block and per-head costs plus Gaussian noise from a seeded stream.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +58,8 @@ class TimingModel:
         if per_flop <= 0.0:
             raise ContractError("per_flop must be positive")
         return cls(
-            block_costs=tuple(f * per_flop for f in net._block_flops),
-            head_costs=tuple(f * per_flop for f in net._head_flops),
+            block_costs=tuple(f * per_flop for f in net.block_flops),
+            head_costs=tuple(f * per_flop for f in net.head_flops),
             noise_sigma=float(noise_sigma),
             seed=int(seed),
         )
@@ -88,13 +86,7 @@ class VictimDeployment:
     output strategy, and a timing model whose noise stream advances
     deterministically from its seed, one draw per timed query."""
 
-    def __init__(
-        self,
-        net: MultiExitNet,
-        strategy: OutputStrategy,
-        timing: TimingModel,
-        wall_clock: bool = False,
-    ):
+    def __init__(self, net: MultiExitNet, strategy: OutputStrategy, timing: TimingModel):
         if strategy.exit_count != net.exit_count:
             raise ContractError(
                 f"strategy has {strategy.exit_count} exits, net has {net.exit_count}"
@@ -102,28 +94,13 @@ class VictimDeployment:
         self.net = net.copy(frozen=True)
         self.strategy = strategy
         self.timing = timing
-        self.wall_clock = bool(wall_clock)
         self._base_times = exit_base_times(self.net, timing)
         self._rng = np.random.default_rng(timing.seed)
-
-    @property
-    def exit_base_times(self) -> Array:
-        return self._base_times.copy()
 
 
 def query_timed_many(dep: VictimDeployment, x) -> tuple[Array, Array]:
     """(probability vectors, runtimes) for a batch. Runtimes are the taken
     exit's base cost plus one noise draw per sample, in sample order."""
-    if dep.wall_clock:
-        xv = nm.as_array(x)
-        probs = np.empty((xv.shape[0], dep.net.class_count))
-        runtimes = np.empty(xv.shape[0])
-        for i in range(xv.shape[0]):
-            t0 = time.perf_counter()
-            _, _, _, p = cascade(dep.net, xv[i : i + 1], dep.strategy)
-            runtimes[i] = time.perf_counter() - t0
-            probs[i] = p[0]
-        return probs, runtimes
     exits, _, _, probs = cascade(dep.net, x, dep.strategy)
     runtimes = dep._base_times[exits - 1]
     if dep.timing.noise_sigma > 0.0:
@@ -190,7 +167,7 @@ def select_traditional_strategy(
     stacked = np.stack(probs, axis=1)  # (B, K, C)
     conf = stacked.max(axis=2)
     classes = stacked.argmax(axis=2)
-    flop_table = np.asarray(net._flops_to_exit)
+    flop_table = np.asarray(net.exit_flops)
     final_acc = float((classes[:, -1] == y).mean())
 
     best_tau = None

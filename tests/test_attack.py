@@ -1,5 +1,6 @@
 """Attack-side tests: query building, exit-label estimation, the two loss
-terms (against hand-worked values), and substitute training."""
+terms of `substitute_losses` (against hand-worked values), and substitute
+training."""
 
 import math
 
@@ -12,8 +13,7 @@ from exitsteal.attack import (
     QueryRecord,
     RecordBatch,
     build_query_set,
-    performance_loss,
-    strategy_loss,
+    substitute_losses,
     train_baseline,
     train_substitute,
     write_loss_trace,
@@ -30,6 +30,7 @@ from exitsteal.multiexit import (
 from exitsteal.victimlab import (
     TimingModel,
     VictimDeployment,
+    exit_base_times,
     query_timed_many,
     train_victim,
 )
@@ -161,6 +162,28 @@ def test_record_batch_roundtrip():
         RecordBatch(np.zeros((3, 2)), np.full((2, 2), 0.5), np.array([1, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "exits", [[0, -1, 1.7], [1.0, 2.0, 1.0], [1, 0, 2], [True, True, True]],
+    ids=["mixed", "float", "zero", "bool"],
+)
+def test_record_batch_rejects_bad_exit_labels(exits):
+    with pytest.raises(ContractError, match="exit labels must be integers >= 1"):
+        RecordBatch(np.zeros((3, 2)), np.full((3, 2), 0.5), np.array(exits))
+    RecordBatch(np.zeros((3, 2)), np.full((3, 2), 0.5), np.array([1, 3, 2], dtype=np.uint8))
+
+
+def test_substitute_losses_share_one_forward_pass(monkeypatch):
+    net = dense_net(widths=(2, 4, 4), exits=2, classes=2, seed=0)
+    batch = RecordBatch(np.ones((3, 2)), np.full((3, 2), 0.5), np.array([1, 2, 2]))
+    calls = []
+    forward = MultiExitNet.forward_exit_logits
+    monkeypatch.setattr(
+        MultiExitNet, "forward_exit_logits", lambda *a, **kw: calls.append(1) or forward(*a, **kw)
+    )
+    substitute_losses(net, batch, 0.95, 0.90)
+    assert len(calls) == 1
+
+
 def test_record_batch_checks_victim_probs_once(monkeypatch):
     x = np.zeros((3, 2))
     with pytest.raises(ContractError, match="victim_probs"):
@@ -173,7 +196,7 @@ def test_record_batch_checks_victim_probs_once(monkeypatch):
     monkeypatch.setattr(nm, "check_prob", lambda v, who: checked.append(who))
     sub = batch.subset([2, 0])
     assert np.array_equal(sub.exits, [2, 1])
-    performance_loss(net, sub)
+    substitute_losses(net, sub, 0.95, 0.90)
     # the substitute's predictions at both exits, never the victim rows again
     assert checked == ["mean_kl pred", "mean_kl pred"]
 
@@ -187,11 +210,11 @@ def test_performance_loss_hand_value():
     #   (1/2 ln 2 + 1/2 ln(2/3)) + 0 = ln(4/3)/2
     net = bias_only_net([[0.0, math.log(3.0)], [0.0, 0.0]])
     recs = records_for(np.zeros((1, 3)), [1])
-    val = float(nm.value_of(performance_loss(net, recs)))
+    val = float(nm.value_of(substitute_losses(net, recs, 0.95, 0.90)[0]))
     assert val == pytest.approx(0.5 * math.log(4.0 / 3.0), rel=1e-12)
     # a batch repeating the same sample averages to the same value
     recs4 = records_for(np.zeros((4, 3)), [1, 2, 1, 2])
-    val4 = float(nm.value_of(performance_loss(net, recs4)))
+    val4 = float(nm.value_of(substitute_losses(net, recs4, 0.95, 0.90)[0]))
     assert val4 == pytest.approx(val, rel=1e-12)
 
 
@@ -205,7 +228,7 @@ def test_performance_loss_matches_manual_kl():
     manual = sum(
         float(np.mean(np.sum(victim * np.log(victim / p), axis=1))) for p in probs
     )
-    val = float(nm.value_of(performance_loss(net, recs)))
+    val = float(nm.value_of(substitute_losses(net, recs, 0.95, 0.90)[0]))
     assert val == pytest.approx(manual, rel=1e-10)
 
 
@@ -216,7 +239,7 @@ def test_strategy_loss_hand_value():
     net = conf_driven_net()
     xs = np.array([[binary_conf_logit(0.90)], [binary_conf_logit(0.93)]])
     recs = records_for(xs, [1, 2])
-    val = float(nm.value_of(strategy_loss(net, recs, phi1=0.95, phi2=0.90)))
+    val = float(nm.value_of(substitute_losses(net, recs, 0.95, 0.90)[1]))
     assert val == pytest.approx(0.08, rel=1e-12)
 
 
@@ -224,7 +247,7 @@ def test_strategy_loss_zero_when_margins_met():
     net = conf_driven_net()
     xs = np.array([[binary_conf_logit(0.99)], [binary_conf_logit(0.80)]])
     recs = records_for(xs, [1, 2])
-    assert float(nm.value_of(strategy_loss(net, recs, phi1=0.95, phi2=0.90))) == 0.0
+    assert float(nm.value_of(substitute_losses(net, recs, 0.95, 0.90)[1])) == 0.0
 
 
 def test_strategy_loss_groups_average_separately():
@@ -235,7 +258,7 @@ def test_strategy_loss_groups_average_separately():
         [[binary_conf_logit(0.90)], [binary_conf_logit(0.99)], [binary_conf_logit(0.92)]]
     )
     recs = records_for(xs, [1, 1, 2])
-    val = float(nm.value_of(strategy_loss(net, recs, phi1=0.95, phi2=0.90)))
+    val = float(nm.value_of(substitute_losses(net, recs, 0.95, 0.90)[1]))
     assert val == pytest.approx(0.05 / 2 + 0.02, rel=1e-12)
 
 
@@ -243,11 +266,11 @@ def test_strategy_loss_absent_groups_contribute_nothing():
     net = conf_driven_net()
     only_own = records_for(np.array([[binary_conf_logit(0.90)]]), [1])
     assert float(
-        nm.value_of(strategy_loss(net, only_own, phi1=0.95, phi2=0.90))
+        nm.value_of(substitute_losses(net, only_own, 0.95, 0.90)[1])
     ) == pytest.approx(0.05, rel=1e-12)
     only_later = records_for(np.array([[binary_conf_logit(0.93)]]), [2])
     assert float(
-        nm.value_of(strategy_loss(net, only_later, phi1=0.95, phi2=0.90))
+        nm.value_of(substitute_losses(net, only_later, 0.95, 0.90)[1])
     ) == pytest.approx(0.03, rel=1e-12)
 
 
@@ -255,10 +278,10 @@ def test_strategy_loss_rejects_bad_inputs():
     net = conf_driven_net()
     recs = records_for(np.array([[1.0]]), [3])  # labeled past the last exit
     with pytest.raises(ContractError):
-        strategy_loss(net, recs, phi1=0.95, phi2=0.90)
+        substitute_losses(net, recs, 0.95, 0.90)
     ok = records_for(np.array([[1.0]]), [1])
     with pytest.raises(ContractError):
-        strategy_loss(net, ok, phi1=0.8, phi2=0.9)
+        substitute_losses(net, ok, 0.8, 0.9)
 
 
 # -- substitute training -----------------------------------------------------
@@ -451,7 +474,7 @@ def test_estimate_exit_labels_noiseless_exact():
     assert result.exit_count == 2
 
     true_exits, _, _, true_probs = cascade(dep.net, queries, dep.strategy)
-    base = dep.exit_base_times
+    base = exit_base_times(dep.net, dep.timing)
     assert len(batch) == 30
     for i in range(30):
         assert batch.exits[i] == int(true_exits[i])

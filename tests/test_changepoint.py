@@ -95,7 +95,7 @@ def enumeration_oracle(x, min_segment, k_max, p=0.5):
     Mirrors the detection objective term for term: standardized values,
     NIG marginals with the local-scale prior b_0 = k_0 * var, the
     sorted-contiguity factorials, a uniform position prior per cut, and
-    the geometric count prior.
+    the geometric count prior. Cuts between equal values are skipped.
     """
     x = np.sort(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -113,6 +113,8 @@ def enumeration_oracle(x, min_segment, k_max, p=0.5):
         for cuts in itertools.combinations(range(1, n), m - 1):
             edges = (0,) + cuts + (n,)
             if any(b - a < min_segment for a, b in zip(edges, edges[1:])):
+                continue
+            if any(x[c - 1] == x[c] for c in cuts):
                 continue
             score = sum(
                 segment_log_marginal(z[a:b], prior) + math.lgamma(b - a + 1)
@@ -155,7 +157,8 @@ def full_table_oracle(runtimes, min_segment=5, k_max=8, geometric_p=0.5):
     """The detection DP over a dense (n+1)x(n+1) segment-score table, one
     Python loop per segment count: the straightforward form of the same
     objective, in the same arithmetic order, so its results must match
-    `detect_changepoints` bit for bit."""
+    `detect_changepoints` bit for bit. No segment starts inside a run of
+    equal values."""
     x = np.sort(np.asarray(runtimes, dtype=np.float64))
     n = x.size
     scale = float(x.std(ddof=1))
@@ -170,6 +173,7 @@ def full_table_oracle(runtimes, min_segment=5, k_max=8, geometric_p=0.5):
     counts = np.arange(n + 1, dtype=np.float64)
     width = np.maximum(counts[None, :] - counts[:, None], 0.0)
     seg = _segment_table(z, prior) + gammaln(width + 1.0)
+    seg[np.flatnonzero(x[1:] == x[:-1]) + 1] = -np.inf
 
     max_segments = min(k_max + 1, n // min_segment)
     best = np.full((max_segments + 1, n + 1), -np.inf)
@@ -321,6 +325,33 @@ def test_tied_split_points_resolve_to_the_first(monkeypatch):
         assert (got.boundaries, got.log_posterior) == want
 
 
+def test_cuts_between_tied_runtimes_are_inadmissible():
+    # min_segment = 4 would force both cuts inside the run of 2.0s, where
+    # no boundary can separate them; the only admissible segmentation is one
+    # segment
+    x = [1.0] + [2.0] * 17 + [3.0] * 3
+    res = detect_changepoints(x, min_segment=4, k_max=6)
+    assert res.exit_count == 1
+    # noiseless runs segment exactly at their edges
+    x = np.repeat([1.0, 2.0, 3.0, 4.0], [300, 100, 50, 50])
+    res = detect_changepoints(x)
+    assert res.boundaries == (1.5, 2.5, 3.5)
+    assert np.array_equal(assign_exits(x, res), np.repeat([1, 2, 3, 4], [300, 100, 50, 50]))
+
+
+def test_rounded_runtimes_always_segment():
+    rng = np.random.default_rng(13)
+    for trial in range(3000):
+        n = int(rng.integers(4, 40))
+        centers = rng.uniform(0.0, 5.0, int(rng.integers(1, 4)))
+        x = rng.normal(centers[rng.integers(0, centers.size, n)], rng.uniform(0.05, 1.0))
+        x = np.round(x, 1) if trial % 2 else np.round(x)
+        min_segment = int(rng.integers(1, n // 2 + 1))
+        res = detect_changepoints(x, min_segment=min_segment, k_max=int(rng.integers(0, 7)))
+        sizes = np.bincount(assign_exits(x, res))[1:]
+        assert sizes.size == res.exit_count and sizes.min() >= min_segment, trial
+
+
 def test_block_dp_matches_full_table_oracle_at_2000():
     rng = np.random.default_rng(12)
     centers = np.array([1.0, 1.4, 1.8, 2.2])
@@ -383,7 +414,7 @@ def test_single_cluster_no_changepoints():
     res = detect_changepoints(rng.normal(1.0, 0.01, 40))
     assert res.exit_count == 1
     assert res.boundaries == ()
-    assert res.changepoint_count == 0
+    assert len(res.boundaries) == 0
 
 
 def test_four_cluster_recovery_with_boundary_locations():

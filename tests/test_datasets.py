@@ -49,6 +49,9 @@ def test_same_seed_same_dataset_with_balanced_tiers():
         ({"sample_count": True}, "sample_count must be an integer"),
         ({"sample_count": -4}, "sample_count must be >= 1"),
         ({"dim": 2.0}, "dim must be an integer"),
+        ({"class_count": 2.5}, "class_count must be an integer"),
+        ({"tier_count": 3.0}, "tier_count must be an integer"),
+        ({"center_scale": float("nan")}, "center_scale must be finite"),
     ],
 )
 def test_tiered_generator_rejects_bad_arguments(overrides, message):
@@ -79,6 +82,14 @@ def test_uniform_generator_rejects_bad_sizes(overrides, message):
 def test_uniform_bounds_must_be_ordered():
     with pytest.raises(ContractError, match="low < high"):
         generate_unrelated_uniform(1.0, 1.0, 5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "low, high", [(float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0)]
+)
+def test_uniform_bounds_must_be_finite(low, high):
+    with pytest.raises(ContractError, match="must be finite"):
+        generate_unrelated_uniform(low, high, 5, seed=0)
 
 
 def write_images(path, images):

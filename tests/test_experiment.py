@@ -4,6 +4,7 @@ resume and config pinning, loud failures, and the sweep recipes."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from exitsteal.errors import ContractError
@@ -17,6 +18,8 @@ from exitsteal.harness import (
 )
 from exitsteal.harness.config import parse_config_text
 from exitsteal.metrics import EvalReport
+
+from test_datasets import write_images, write_labels
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
 PINNED_REPORTS = os.path.join(os.path.dirname(__file__), "data", "tiny_reports.csv")
@@ -65,6 +68,72 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     changed = load_config(TOY_CFG, dict(TINY, **{"attack.epochs": "3"}))
     with pytest.raises(ContractError, match="different config"):
         run_experiment(changed, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "backbone, duplicate, shape",
+    [("dense", "false", (6,)), ("conv", "false", (1, 3, 2)), ("conv", "true", (3, 3, 2))],
+    ids=["dense", "conv", "conv_rgb"],
+)
+def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate, shape):
+    rng = np.random.default_rng(7)
+    sources = {
+        split: (
+            rng.integers(0, 256, size=(n, 3, 2), dtype=np.uint8),
+            rng.integers(0, 10, size=n, dtype=np.uint8),
+        )
+        for split, n in (("train", 9), ("test", 5))
+    }
+    overrides = {
+        "dataset.kind": "idx",
+        "dataset.idx_duplicate_channels": duplicate,
+        "dataset.n_train": "4",
+        "dataset.n_calibration": "2",
+        "dataset.n_test": "3",
+        "dataset.n_iid_pool": "2",
+        "unrelated.kind": "uniform",
+        "unrelated.n": "7",
+        "attack.n_iid": "2",
+        "attack.n_unrelated": "7",
+        "attack.n_search": "0",
+        "victim.backbone": backbone,
+        "attack.backbone": backbone,
+    }
+    for split, (images, labels) in sources.items():
+        overrides[f"dataset.idx_{split}_images"] = write_images(tmp_path / f"{split}-x.idx", images)
+        overrides[f"dataset.idx_{split}_labels"] = write_labels(tmp_path / f"{split}-y.idx", labels)
+    cfg = load_config(TOY_CFG, overrides)
+    assert run_stage("dataset", cfg, tmp_path / "run") is True
+
+    def as_inputs(images):
+        x = images / 255.0
+        if backbone == "dense":
+            return x.reshape(x.shape[0], -1)
+        return np.repeat(x[:, None], shape[0], axis=1)
+
+    train_x, train_y = as_inputs(sources["train"][0]), sources["train"][1].astype(np.int64)
+    test_x, test_y = as_inputs(sources["test"][0]), sources["test"][1].astype(np.int64)
+    want = {
+        "train_x": train_x[:4],
+        "train_y": train_y[:4],
+        "train_tier": np.ones(4, dtype=np.int64),
+        "calib_x": train_x[4:6],
+        "calib_y": train_y[4:6],
+        "test_x": test_x[:3],
+        "test_y": test_y[:3],
+        "iid_x": train_x[6:8],
+        "iid_y": train_y[6:8],
+        # the uniform pool in the inputs' own shape, from seed.dataset + 1
+        "unrelated_x": np.random.default_rng(cfg.seed.dataset + 1).uniform(
+            cfg.unrelated.low, cfg.unrelated.high, size=(7,) + shape
+        ),
+    }
+    with np.load(tmp_path / "run" / "dataset.npz") as data:
+        assert sorted(data.files) == sorted(want)
+        for name, arr in want.items():
+            got = data[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            assert got.tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])

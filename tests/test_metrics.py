@@ -7,7 +7,7 @@ import pytest
 
 from exitsteal.errors import ContractError
 from exitsteal.metrics import CSV_COLUMNS, EvalReport, make_report
-from exitsteal.multiexit import OutputStrategy, cascade, flops_to_exit
+from exitsteal.multiexit import OutputStrategy, cascade
 from exitsteal.victimlab import TimingModel, VictimDeployment
 
 from _utils import binary_conf_logit
@@ -70,7 +70,7 @@ def test_computation_cost_additivity():
     dep = fixture_deployment()
     xs = confs(0.99, 0.6, 0.95, 0.7)
     y = np.zeros(4, int)
-    f1, f2 = flops_to_exit(dep.net, 1), flops_to_exit(dep.net, 2)
+    f1, f2 = dep.net.exit_flops
     total = make_report(dep.net, dep, dep.strategy, xs, y)
     assert total.cc_flops == 2 * f1 + 2 * f2
     assert total.cc_gflops == pytest.approx(total.cc_flops * 1e-9)
@@ -85,7 +85,7 @@ def test_cascade_cost_equals_exit_histogram_dot_product():
     net = conf_driven_net()
     xs = confs(0.99, 0.95, 0.6, 0.7, 0.92, 0.55)
     exits, _, flops, _ = cascade(net, xs, OutputStrategy.uniform(0.9, 2))
-    per_exit = np.array([flops_to_exit(net, 1), flops_to_exit(net, 2)])
+    per_exit = np.array(net.exit_flops)
     hist = np.bincount(exits, minlength=3)[1:]
     assert int(flops.sum()) == int(hist @ per_exit)
 
@@ -106,7 +106,7 @@ def test_make_report_self_comparison_is_exact():
     # this net predicts class 0 whenever x > 0
     assert rep.acc == 0.5
     assert rep.sample_count == 4
-    f1, f2 = flops_to_exit(dep.net, 1), flops_to_exit(dep.net, 2)
+    f1, f2 = dep.net.exit_flops
     assert rep.cc_flops == 2 * f1 + 2 * f2
     assert rep.per_exit_agreement == (2, 2)
 
@@ -120,7 +120,7 @@ def test_make_report_counts_exit_mismatches():
     rep = make_report(dep.net, dep, OutputStrategy.uniform(0.97, 2), xs, labels)
     assert rep.clo == 0.75
     assert rep.per_exit_agreement == (1, 2)
-    f1, f2 = flops_to_exit(dep.net, 1), flops_to_exit(dep.net, 2)
+    f1, f2 = dep.net.exit_flops
     assert rep.cc_ratio == pytest.approx((f1 + 3 * f2) / (2 * f1 + 2 * f2))
     assert rep.acc == 1.0
 
@@ -148,7 +148,11 @@ def test_report_json_roundtrip_is_byte_stable():
     assert again == rep
     assert again.to_json() == text
     # keys are sorted, so the exact byte layout is reproducible
-    assert text.index('"acc"') < text.index('"cc_flops"') < text.index('"clo"')
+    assert text == (
+        '{\n  "acc": 0.8125,\n  "cc_flops": 123456,\n  "cc_gflops": 0.000123456,\n'
+        '  "cc_ratio": 0.3333333333333333,\n  "clo": 0.6666666666666666,\n'
+        '  "per_exit_agreement": [\n    5,\n    3,\n    1\n  ],\n  "sample_count": 16\n}'
+    )
 
 
 def test_csv_row_matches_column_order():

@@ -15,7 +15,6 @@ from exitsteal.multiexit import (
     OutputStrategy,
     build_evenly_partitioned,
     cascade,
-    flops_to_exit,
     forward_all_exits,
     load_checkpoint,
     save_checkpoint,
@@ -116,12 +115,12 @@ def test_cascade_trace_hand_example():
     assert exits[0] == 2
     assert preds[0] == 0
     assert probs[0, 0] == pytest.approx(0.96, abs=1e-12)
-    assert flops[0] == flops_to_exit(net, 2)
+    assert flops[0] == net.exit_flops[1]
 
 
 def test_last_exit_is_unconditional():
     net = bias_only_net([[0.0, 0.0], [0.0, 0.0]])  # uniform everywhere
-    exits, _, _, probs = cascade(net, np.ones(3), OutputStrategy((0.9,)))
+    exits, _, _, probs = cascade(net, np.ones((1, 3)), OutputStrategy((0.9,)))
     assert exits[0] == 2
     assert np.allclose(probs[0], [0.5, 0.5])
 
@@ -153,22 +152,19 @@ def test_cascade_fuzz_first_exit_rule():
             assert got[i] == expect
 
 
-def test_single_sample_matches_batch():
+def test_single_sample_is_rejected():
+    # the forward pass takes batches only: (B, d) or (B, C, H, W)
     net = dense_net(exits=3, widths=(5, 6, 6, 6), seed=9)
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(7, 5))
+    x = np.random.default_rng(5).normal(size=(7, 5))
     strategy = OutputStrategy((0.5, 0.6))
-    exits, preds, flops, probs = cascade(net, x, strategy)
-    for i in range(7):
-        # a single (d,) sample is evaluated as a one-row batch
-        one_exit, one_pred, one_flops, one_probs = cascade(net, x[i], strategy)
-        assert one_exit.shape == (1,)
-        assert one_exit[0] == exits[i]
-        assert one_pred[0] == preds[i]
-        assert one_flops[0] == flops[i]
-        # BLAS kernels vary with operand shape, so single-row and batched
-        # matmuls may differ in the last ulp
-        assert np.allclose(one_probs[0], probs[i], rtol=0, atol=1e-12)
+    for bad in (x[0], x[None], x[:, :4]):
+        with pytest.raises(ContractError, match=r"input must be a \(B, 5\) batch"):
+            cascade(net, bad, strategy)
+    conv = conv_net(channels=(2, 4, 4), hw=(6, 6))
+    image = np.zeros((2, 6, 6))
+    with pytest.raises(ContractError, match=r"input must be a \(B, 2, 6, 6\) batch"):
+        forward_all_exits(conv, image)
+    assert len(forward_all_exits(conv, image[None])[0]) == 1
 
 
 def test_outcome_consistent_with_forward_all_exits():
@@ -191,30 +187,25 @@ def test_dense_flops_hand_value():
     spec = BackboneSpec.dense((64, 32, 32))
     net = build_evenly_partitioned(spec, 2, 10, seed=0)
     # head at block 1 maps width 32 -> 10 classes: 2*32*10 + 10 = 650
-    assert net._head_flops[0] == 650
+    assert net.head_flops[0] == 650
     # block 1 maps 64 -> 32: 2*64*32 + 32 = 4128
-    assert net._block_flops[0] == 4128
+    assert net.block_flops[0] == 4128
 
 
 def test_flops_to_exit_counts_all_heads_on_the_way():
     # stopping at exit k costs every block up to k's depth plus every head
     # evaluated on the way (heads 1..k), mirroring cascaded execution
     net = dense_net(widths=(5, 7, 9, 11), exits=3, classes=4)
+    assert len(net.exit_flops) == net.exit_count
     for k in range(1, 4):
-        expect = sum(net._block_flops[: net.exit_indices[k - 1]]) + sum(
-            net._head_flops[:k]
-        )
-        assert flops_to_exit(net, k) == expect
-    with pytest.raises(ContractError):
-        flops_to_exit(net, 0)
-    with pytest.raises(ContractError):
-        flops_to_exit(net, 4)
+        expect = sum(net.block_flops[: net.exit_indices[k - 1]]) + sum(net.head_flops[:k])
+        assert net.exit_flops[k - 1] == expect
 
 
 def test_flops_strictly_increase_with_exit_index():
     for seed in range(5):
         net = dense_net(widths=(4, 6, 6, 6, 6), exits=4, seed=seed)
-        values = [flops_to_exit(net, k) for k in range(1, 5)]
+        values = net.exit_flops
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -223,9 +214,9 @@ def test_conv_flops_hand_value():
     # mults+adds = 6*6*8*(2*3*9) = 15552, bias adds = 6*6*8 = 288
     spec = BackboneSpec.conv((3, 8, 8), kernel=3, stride=1)
     net = build_evenly_partitioned(spec, 2, 4, seed=0, input_hw=(8, 8))
-    assert net._block_flops[0] == 15552 + 288
+    assert net.block_flops[0] == 15552 + 288
     # head 1: GAP over 6x6x8 = 288 flops, then dense 8 -> 4: 2*8*4 + 4 = 68
-    assert net._head_flops[0] == 288 + 68
+    assert net.head_flops[0] == 288 + 68
 
 
 def test_conv_forward_shapes_and_cascade():

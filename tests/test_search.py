@@ -60,7 +60,7 @@ def exhaustive_oracle(conf, target, max_exits: int = 3, max_points: int = 50) ->
 
 
 def test_calibration_point_validation():
-    assert evaluate_strategy(*pts([(0.5, 0.9, 2)]), (0.95,)) == 1.0
+    assert evaluate_strategy(*pts([(0.5, 0.9, 2)]), OutputStrategy((0.95,))) == 1.0
     for bad in (
         pts([(0.5, 1)]),  # one exit
         pts([(0.5, 1.2, 1)]),
@@ -73,7 +73,7 @@ def test_calibration_point_validation():
         with pytest.raises(ContractError):
             search_strategy(*bad)
         with pytest.raises(ContractError):
-            evaluate_strategy(*bad, (0.5,))
+            evaluate_strategy(*bad, OutputStrategy((0.5,)))
 
 
 def test_non_finite_confidences_rejected():
@@ -84,7 +84,7 @@ def test_non_finite_confidences_rejected():
         with pytest.raises(ContractError, match="finite"):
             search_strategy(conf, target)
         with pytest.raises(ContractError, match="finite"):
-            evaluate_strategy(conf, target, (0.95,))
+            evaluate_strategy(conf, target, OutputStrategy((0.95,)))
         with pytest.raises(ContractError, match="finite"):
             candidate_thresholds(conf, target, 1)
 
@@ -95,7 +95,7 @@ def test_non_integer_targets_rejected():
         with pytest.raises(ContractError, match="integers"):
             search_strategy(conf, target)
         with pytest.raises(ContractError, match="integers"):
-            evaluate_strategy(conf, target, (0.95,))
+            evaluate_strategy(conf, target, OutputStrategy((0.95,)))
 
 
 def test_candidate_thresholds_hand_case():
@@ -181,8 +181,8 @@ def test_search_budget_error_lists_counts():
 def test_evaluate_strategy_validates_shape():
     points = pts([(0.9, 0.5, 1)])
     with pytest.raises(ContractError):
-        evaluate_strategy(*points, (0.9, 0.8))  # two thresholds for two exits
-    assert evaluate_strategy(*points, (0.9,)) == 1.0
+        evaluate_strategy(*points, OutputStrategy((0.9, 0.8)))  # two thresholds for two exits
+    assert evaluate_strategy(*points, OutputStrategy((0.9,))) == 1.0
     assert evaluate_strategy(*points, OutputStrategy((0.95,))) == 0.0
 
 

@@ -13,7 +13,6 @@ from exitsteal.multiexit import (
     OutputStrategy,
     build_evenly_partitioned,
     cascade,
-    flops_to_exit,
 )
 from exitsteal.victimlab import (
     TAU_GRID,
@@ -206,7 +205,7 @@ def test_proportional_timing_matches_flops_accounting():
     net = small_net(widths=(8, 24, 24, 24), exits=3)
     timing = TimingModel.proportional(net, per_flop=2e-6, noise_sigma=0.0, seed=0)
     base = exit_base_times(net, timing)
-    want = np.array([2e-6 * flops_to_exit(net, k) for k in (1, 2, 3)])
+    want = 2e-6 * np.array(net.exit_flops)
     assert np.allclose(base, want, rtol=1e-12)
     assert (np.diff(base) > 0).all()
 
@@ -249,9 +248,10 @@ def test_query_returns_only_probabilities():
     assert probs.shape == (16, 4)
     assert runtimes.shape == (16,)
     assert np.allclose(probs.sum(axis=1), 1.0)
-    # a single sample is a one-row batch
-    single, _ = query_timed_many(dep, x[3])
+    single, _ = query_timed_many(dep, x[3:4])
     assert single.shape == (1, 4)
+    with pytest.raises(ContractError, match="batch"):
+        query_timed_many(dep, x[3])
 
 
 def test_runtime_noise_statistics():
@@ -260,7 +260,7 @@ def test_runtime_noise_statistics():
     dep.strategy = OutputStrategy.never_early(2)
     x = np.random.default_rng(1).normal(size=(4000, 8))
     _, runtimes = query_timed_many(dep, x)
-    noise = runtimes - dep.exit_base_times[-1]
+    noise = runtimes - exit_base_times(dep.net, dep.timing)[-1]
     assert abs(float(noise.mean())) < 0.002 * 0.1
     assert abs(float(noise.std()) - 0.002) < 0.002 * 0.15
 
@@ -270,7 +270,7 @@ def test_noiseless_runtimes_are_exact_base_times():
     x = np.random.default_rng(2).normal(size=(64, 8))
     exits = cascade(dep.net, x, dep.strategy)[0]
     _, runtimes = query_timed_many(dep, x)
-    assert np.array_equal(runtimes, dep.exit_base_times[exits - 1])
+    assert np.array_equal(runtimes, exit_base_times(dep.net, dep.timing)[exits - 1])
 
 
 def test_single_queries_consume_stream_like_batch():
@@ -278,7 +278,7 @@ def test_single_queries_consume_stream_like_batch():
     dep_b = deploy(seed=3, noise=0.001)
     x = np.random.default_rng(3).normal(size=(32, 8))
     probs_a, times_a = query_timed_many(dep_a, x)
-    singles = [query_timed_many(dep_b, xi) for xi in x]
+    singles = [query_timed_many(dep_b, x[i : i + 1]) for i in range(len(x))]
     probs_b = np.concatenate([p for p, _ in singles])
     times_b = np.concatenate([t for _, t in singles])
     assert np.array_equal(times_a, times_b)
@@ -303,16 +303,6 @@ def test_deployment_validates_strategy_size():
     timing = TimingModel.proportional(net, per_flop=1e-6, noise_sigma=0.0, seed=0)
     with pytest.raises(ContractError):
         VictimDeployment(net, OutputStrategy.uniform(0.9, 3), timing)
-
-
-def test_wall_clock_mode_reports_positive_times():
-    net = small_net(seed=5)
-    timing = TimingModel.proportional(net, per_flop=1e-6, noise_sigma=0.0, seed=0)
-    dep = VictimDeployment(net, OutputStrategy.uniform(0.9, 2), timing, wall_clock=True)
-    x = np.random.default_rng(5).normal(size=(4, 8))
-    probs, runtimes = query_timed_many(dep, x)
-    assert probs.shape == (4, 4)
-    assert (runtimes > 0).all()
 
 
 def test_tau_grid_shape():
