@@ -77,13 +77,13 @@ class QueryRecord:
     estimated_exit: int
 
     def __post_init__(self):
-        probs = np.asarray(self.victim_probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] < 2:
+        probs = nm.as_array(self.victim_probs)
+        if probs.ndim != 1:
             raise ContractError("victim_probs must be a probability vector")
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > nm.PROB_ATOL:
-            raise ContractError("victim_probs must sum to 1 and be nonnegative")
-        if self.estimated_exit < 1:
-            raise ContractError("estimated_exit is 1-based")
+        nm.check_prob(probs, "victim_probs")
+        e = self.estimated_exit
+        if isinstance(e, bool) or not isinstance(e, (int, np.integer)) or e < 1:
+            raise ContractError("estimated_exit must be an integer >= 1")
 
 
 @dataclass(frozen=True)

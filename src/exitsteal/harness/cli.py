@@ -1,14 +1,14 @@
 """Command-line front end for the experiment pipeline.
 
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
-missing artifact, which the message names), 2 when the strategy search
-overruns its branch budget.
+missing artifact, which the message names, and a damaged one, a
+FormatError naming its path), 2 when the strategy search overruns its
+branch budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..errors import BudgetError, ContractError, FormatError
@@ -20,13 +20,10 @@ from .config import ExperimentConfig, load_config, seed_overrides
 _MODE_ALIAS = {"no-strategy-loss": "baseline"}
 
 
-def _add_common(sub: argparse.ArgumentParser, *, config_required: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--config",
-        required=config_required,
-        help="experiment config file (flat key = value lines)",
+        "--config", required=True, help="experiment config file (flat key = value lines)"
     )
-    sub.add_argument("--out", default="run", help="run directory (default: ./run)")
     sub.add_argument(
         "--seed",
         type=int,
@@ -70,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact per-exit search or the conventional uniform-threshold scan",
     )
 
-    report_sub = sub.add_parser("report", help="print the evaluation table for a run")
-    _add_common(report_sub, config_required=False)
+    sub.add_parser("report", help="print the evaluation table for a run")
+    for command in sub.choices.values():
+        command.add_argument("--out", default="run", help="run directory (default: ./run)")
     return parser
 
 
@@ -88,34 +86,23 @@ def _print_stage(name: str, ran: bool) -> None:
 _COLUMN_WIDTHS = (8, 8, 12, 10)
 
 
-def _print_report(run_dir) -> None:
-    rows = []
-    for name in experiment.VARIANTS:
-        path = os.path.join(run_dir, f"report_{name}.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                rows.append((name, EvalReport.from_json(fh.read())))
-    if not rows:
-        raise ContractError(
-            f"no report_*.json under {run_dir}; run 'exitsteal evaluate' first"
-        )
+def _print_report(reports: dict[str, EvalReport]) -> None:
     columns = tuple(zip(CSV_COLUMNS, _COLUMN_WIDTHS))
     header = f"{'model':<18}" + "".join(f"{c:>{w}}" for c, w in columns)
     print(header)
     print("-" * len(header))
-    for name, rep in rows:
+    for name, rep in reports.items():
         print(f"{name:<18}" + "".join(f"{getattr(rep, c):>{w}.4f}" for c, w in columns))
 
 
 def _dispatch(args) -> int:
     if args.command == "report":
-        _print_report(args.out)
+        _print_report(experiment.load_reports(args.out))
         return 0
 
     cfg = _config_from_args(args)
     if args.command == "run-experiment":
-        experiment.run_experiment(cfg, args.out)
-        _print_report(args.out)
+        _print_report(experiment.run_experiment(cfg, args.out))
         return 0
     if getattr(args, "mode", None) == "no-strategy-loss" and not cfg.ablations:
         raise ContractError(
@@ -128,7 +115,7 @@ def _dispatch(args) -> int:
         if stage.command == command:
             _print_stage(name, experiment.run_stage(name, cfg, args.out))
     if args.command == "evaluate":
-        _print_report(args.out)
+        _print_report(experiment.load_reports(args.out))
     return 0
 
 

@@ -1,10 +1,13 @@
 """The staged experiment pipeline.
 
 Each stage reads artifacts from the run directory, writes its own, and is
-recorded in status.json with a wall time. Re-running skips stages whose
-outputs already exist, so an interrupted run resumes where it stopped. The
-status file pins the config hash; running a different config against the
-same directory is refused rather than silently mixing artifacts.
+recorded in status.json with a wall time. Every artifact is opened by
+`_read`, so a missing input is found when the stage reads it and names the
+command that makes it, and a damaged one is a FormatError naming its path.
+Re-running skips stages whose outputs already exist, so an interrupted run
+resumes where it stopped. The status file pins the config hash; running a
+different config against the same directory is refused rather than
+silently mixing artifacts.
 
 Artifacts (all under the run directory):
 
@@ -31,6 +34,7 @@ import json
 import os
 import shutil
 import time
+import zipfile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +48,7 @@ from ..attack import (
     write_loss_trace,
 )
 from ..changepoint import ChangepointResult, assign_exits, detect_changepoints
-from ..errors import ContractError
+from ..errors import ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport, make_report
 from ..multiexit import (
     BackboneSpec,
@@ -54,12 +58,7 @@ from ..multiexit import (
     load_checkpoint,
     save_checkpoint,
 )
-from ..search import (
-    build_calibration_points,
-    evaluate_strategy,
-    search_strategy,
-    strategy_report_fragment,
-)
+from ..search import build_calibration_points, evaluate_strategy, search_strategy
 from ..victimlab import (
     TimingModel,
     VictimDeployment,
@@ -118,6 +117,13 @@ def _strategy(spec: dict) -> OutputStrategy:
     return OutputStrategy(tuple(spec["thresholds"]), fallback=spec["fallback"])
 
 
+def _strategy_json(strategy: OutputStrategy, **fields) -> dict:
+    """`fields` plus the ones that record `strategy`, which `_strategy` reads
+    back: the JSON layout of deployment.json and strategy_<name>.json."""
+    thresholds = [float(t) for t in strategy.thresholds]
+    return {"thresholds": thresholds, "fallback": bool(strategy.fallback), **fields}
+
+
 def _path(run_dir, name: str) -> str:
     return os.path.join(run_dir, name)
 
@@ -128,9 +134,32 @@ def _write_json(path, obj) -> None:
         fh.write(text)
 
 
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _write_csv(path, column: str, rows) -> None:
+    """One line per (key, report) of `rows` under `column` and CSV_COLUMNS."""
+    with open(path, "w") as fh:
+        fh.write(",".join((column,) + CSV_COLUMNS) + "\n")
+        for key, report in rows:
+            fh.write(",".join([key] + report.csv_row()) + "\n")
+
+
+def _read(run_dir, name: str):
+    """The run artifact `name`: a .ckpt as its net, a .npz as numpy's lazy
+    archive, a .json parsed. A missing file raises ContractError naming the
+    command that makes it; one that cannot be parsed raises FormatError."""
+    path = _path(run_dir, name)
+    if not os.path.exists(path):
+        raise ContractError(
+            f"missing artifact {path}; run 'exitsteal {_ARTIFACT_COMMAND[name]}' first"
+        )
+    try:
+        if name.endswith(".ckpt"):
+            return load_checkpoint(path)
+        if name.endswith(".npz"):
+            return np.load(path)
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_status(run_dir, status: dict) -> None:
@@ -143,7 +172,8 @@ def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
     path = _path(run_dir, STATUS_FILE)
     if not os.path.exists(path):
         return {"config_sha256": cfg.sha256, "stages": {}}
-    status = _read_json(path)
+    with open(path) as fh:
+        status = json.load(fh)
     if status.get("config_sha256") != cfg.sha256:
         raise ContractError(
             f"run directory {run_dir} was produced by a different config "
@@ -271,12 +301,8 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
     )
 
 
-def _load_dataset(run_dir):
-    return np.load(_path(run_dir, "dataset.npz"))
-
-
 def _stage_train_victim(cfg: ExperimentConfig, run_dir) -> None:
-    data = _load_dataset(run_dir)
+    data = _read(run_dir, "dataset.npz")
     v = cfg.victim
     net = _build_net(
         v.net, v.exits, cfg.dataset.classes, cfg.seed.victim, data["train_x"][:1]
@@ -295,12 +321,12 @@ def _stage_train_victim(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
-    net = load_checkpoint(_path(run_dir, "victim.ckpt"))
+    net = _read(run_dir, "victim.ckpt")
     v, t = cfg.victim, cfg.timing
     if v.tau is not None:
         strategy = OutputStrategy.uniform(v.tau, net.exit_count)
     else:
-        data = _load_dataset(run_dir)
+        data = _read(run_dir, "dataset.npz")
         strategy = select_traditional_strategy(
             net, data["train_x"], data["train_y"], accuracy_slack=v.tau_slack
         )
@@ -314,22 +340,21 @@ def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
     timing = TimingModel(quiet.block_costs, quiet.head_costs, sigma, cfg.seed.noise)
     _write_json(
         _path(run_dir, "deployment.json"),
-        {
-            "thresholds": [float(x) for x in strategy.thresholds],
-            "fallback": bool(strategy.fallback),
-            "tau": v.tau,
-            "block_costs": [float(x) for x in timing.block_costs],
-            "head_costs": [float(x) for x in timing.head_costs],
-            "noise_sigma": sigma,
-            "timing_seed": cfg.seed.noise,
-            "per_flop": t.per_flop,
-        },
+        _strategy_json(
+            strategy,
+            tau=v.tau,
+            block_costs=[float(x) for x in timing.block_costs],
+            head_costs=[float(x) for x in timing.head_costs],
+            noise_sigma=sigma,
+            timing_seed=cfg.seed.noise,
+            per_flop=t.per_flop,
+        ),
     )
 
 
 def _load_deployment(run_dir) -> VictimDeployment:
-    net = load_checkpoint(_path(run_dir, "victim.ckpt"))
-    spec = _read_json(_path(run_dir, "deployment.json"))
+    spec = _read(run_dir, "deployment.json")
+    net = _read(run_dir, "victim.ckpt")
     timing = TimingModel(
         tuple(spec["block_costs"]),
         tuple(spec["head_costs"]),
@@ -341,7 +366,7 @@ def _load_deployment(run_dir) -> VictimDeployment:
 
 def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
     dep = _load_deployment(run_dir)
-    data = _load_dataset(run_dir)
+    data = _read(run_dir, "dataset.npz")
     qs = build_query_set(
         data["iid_x"],
         data["unrelated_x"],
@@ -365,7 +390,7 @@ def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
-    q = np.load(_path(run_dir, "queries.npz"))
+    q = _read(run_dir, "queries.npz")
     result = detect_changepoints(q["calib_runtimes"])
     _write_json(
         _path(run_dir, "changepoints.json"),
@@ -382,15 +407,11 @@ def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
     )
 
 
-def _estimated_exit_count(run_dir) -> int:
-    return int(_read_json(_path(run_dir, "changepoints.json"))["exit_count"])
-
-
 def _query_batch(run_dir) -> RecordBatch:
     """The answered queries with their estimated exit labels."""
-    with np.load(_path(run_dir, "queries.npz")) as q:
+    with _read(run_dir, "queries.npz") as q:
         inputs, probs = q["query_x"], q["query_probs"]
-    with np.load(_path(run_dir, "labels.npz")) as labels:
+    with _read(run_dir, "labels.npz") as labels:
         exits = labels["query_exits"]
     return RecordBatch(inputs, probs, exits)
 
@@ -409,7 +430,7 @@ def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
 
 
 def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiExitNet:
-    exit_count = _estimated_exit_count(run_dir)
+    exit_count = int(_read(run_dir, "changepoints.json")["exit_count"])
     if exit_count < 2:
         raise ContractError(
             f"changepoint detection estimated {exit_count} exit: the timing "
@@ -424,7 +445,7 @@ def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiE
         )
     if cfg.attack.warm_start:
         return load_checkpoint(cfg.attack.warm_start)
-    sample = np.load(_path(run_dir, "queries.npz"))["query_x"][:1]
+    sample = _read(run_dir, "queries.npz")["query_x"][:1]
     return _build_net(
         net_cfg, exit_count, cfg.dataset.classes, cfg.seed.attacker, sample
     )
@@ -466,12 +487,19 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _calibration_targets(run_dir):
-    data = _load_dataset(run_dir)
-    exits = np.load(_path(run_dir, "labels.npz"))["calib_exits"]
+    data = _read(run_dir, "dataset.npz")
+    exits = _read(run_dir, "labels.npz")["calib_exits"]
     return data["calib_x"], exits
 
 
+def _nets(cfg: ExperimentConfig, run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
+    """The net of each variant `_variant_names(cfg, strategy)` names."""
+    names = _variant_names(cfg, strategy)
+    return {name: _read(run_dir, VARIANTS[name].checkpoint) for name in names}
+
+
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
+    nets = _nets(cfg, run_dir, "searched")
     calib_x, calib_exits = _calibration_targets(run_dir)
     # the branch-and-bound walk visits far fewer branches than the candidate
     # product, but both grow with the probe count and the walk is capped
@@ -479,54 +507,45 @@ def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
     # probes; 0 means use them all
     n = cfg.attack.n_search or len(calib_x)
     calib_x, calib_exits = calib_x[:n], calib_exits[:n]
-    for name in _variant_names(cfg, "searched"):
-        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
+    for name, net in nets.items():
         strategy, agreement = search_strategy(
             *build_calibration_points(net, calib_x, calib_exits)
         )
-        _write_json(
-            _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
-        )
+        fields = _strategy_json(strategy, agreement=float(agreement))
+        _write_json(_path(run_dir, _strategy_file(name)), fields)
 
 
 def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
+    nets = _nets(cfg, run_dir, "traditional")
     # the attacker has no labels for its calibration probes; it uses the
     # victim's answers (pseudo-labels) for the conventional selection
     calib_x, calib_exits = _calibration_targets(run_dir)
-    q = np.load(_path(run_dir, "queries.npz"))
-    pseudo = q["calib_probs"].argmax(axis=1)
-    for name in _variant_names(cfg, "traditional"):
-        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
+    pseudo = _read(run_dir, "queries.npz")["calib_probs"].argmax(axis=1)
+    for name, net in nets.items():
         strategy = select_traditional_strategy(
             net, calib_x, pseudo, accuracy_slack=cfg.attack.delta
         )
         agreement = evaluate_strategy(
             *build_calibration_points(net, calib_x, calib_exits), strategy
         )
-        _write_json(
-            _path(run_dir, _strategy_file(name)), strategy_report_fragment(strategy, agreement)
-        )
+        fields = _strategy_json(strategy, agreement=float(agreement))
+        _write_json(_path(run_dir, _strategy_file(name)), fields)
 
 
 def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
+    nets = _nets(cfg, run_dir)
+    strategies = {name: _strategy(_read(run_dir, _strategy_file(name))) for name in nets}
     dep = _load_deployment(run_dir)
-    data = _load_dataset(run_dir)
+    data = _read(run_dir, "dataset.npz")
     test_x, test_y = data["test_x"], data["test_y"]
-
-    rows: list[tuple[str, EvalReport]] = []
-    for name in _variant_names(cfg):
-        net = load_checkpoint(_path(run_dir, VARIANTS[name].checkpoint))
-        strategy = _strategy(_read_json(_path(run_dir, _strategy_file(name))))
-        report = make_report(net, dep, strategy, test_x, test_y)
-        rows.append((name, report))
-
+    rows = [
+        (name, make_report(net, dep, strategies[name], test_x, test_y))
+        for name, net in nets.items()
+    ]
     for name, report in rows:
         with open(_path(run_dir, f"report_{name}.json"), "w") as fh:
             fh.write(report.to_json())
-    with open(_path(run_dir, "reports.csv"), "w") as fh:
-        fh.write(",".join(("model",) + CSV_COLUMNS) + "\n")
-        for name, report in rows:
-            fh.write(",".join([name] + report.csv_row()) + "\n")
+    _write_csv(_path(run_dir, "reports.csv"), "model", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +554,6 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
 
 class Stage(NamedTuple):
     run: Callable[[ExperimentConfig, str], None]
-    needs: tuple[str, ...]  # artifacts that must exist before it runs
     outputs: tuple[str, ...]
     command: str  # the CLI command that runs it
     ablation_outputs: tuple[str, ...] = ()  # written only when experiment.ablations is on
@@ -553,56 +571,38 @@ def _variant_files(pattern: str, ablation: bool, strategy: str | None = None) ->
 
 # the pipeline, in run order
 STAGES = {
-    "dataset": Stage(_stage_dataset, (), ("dataset.npz",), "train-victim"),
-    "train_victim": Stage(_stage_train_victim, ("dataset.npz",), ("victim.ckpt",), "train-victim"),
-    "deploy": Stage(_stage_deploy, ("victim.ckpt", "dataset.npz"), ("deployment.json",), "deploy"),
-    "query": Stage(
-        _stage_query, ("deployment.json", "victim.ckpt", "dataset.npz"), ("queries.npz",), "query"
-    ),
+    "dataset": Stage(_stage_dataset, ("dataset.npz",), "train-victim"),
+    "train_victim": Stage(_stage_train_victim, ("victim.ckpt",), "train-victim"),
+    "deploy": Stage(_stage_deploy, ("deployment.json",), "deploy"),
+    "query": Stage(_stage_query, ("queries.npz",), "query"),
     "estimate_exits": Stage(
-        _stage_estimate_exits,
-        ("queries.npz",),
-        ("changepoints.json", "labels.npz"),
-        "estimate-exits",
+        _stage_estimate_exits, ("changepoints.json", "labels.npz"), "estimate-exits"
     ),
     "train_substitute": Stage(
         _stage_train_substitute,
-        ("queries.npz", "labels.npz", "changepoints.json"),
         ("sub_ours.ckpt", "trace_ours.csv"),
         "train-substitute --mode ours",
     ),
     "train_baseline": Stage(
         _stage_train_baseline,
-        ("queries.npz", "labels.npz", "changepoints.json"),
         ("sub_baseline.ckpt", "trace_baseline.csv"),
         "train-substitute --mode baseline",
         ("sub_nostrategy.ckpt", "trace_nostrategy.csv"),
     ),
     "search_searched": Stage(
         _stage_search_searched,
-        ("sub_ours.ckpt", "dataset.npz", "labels.npz"),
         _variant_files("strategy_{}.json", False, "searched"),
         "search-strategy --mode search",
         _variant_files("strategy_{}.json", True, "searched"),
     ),
     "search_traditional": Stage(
         _stage_search_traditional,
-        ("sub_baseline.ckpt", "dataset.npz", "labels.npz", "queries.npz"),
         _variant_files("strategy_{}.json", False, "traditional"),
         "search-strategy --mode traditional",
         _variant_files("strategy_{}.json", True, "traditional"),
     ),
     "evaluate": Stage(
         _stage_evaluate,
-        (
-            "victim.ckpt",
-            "deployment.json",
-            "dataset.npz",
-            "sub_ours.ckpt",
-            "sub_baseline.ckpt",
-            "strategy_ours.json",
-            "strategy_baseline.json",
-        ),
         _variant_files("report_{}.json", False) + ("reports.csv",),
         "evaluate",
         _variant_files("report_{}.json", True),
@@ -617,12 +617,6 @@ _ARTIFACT_COMMAND = {
     for stage in STAGES.values()
     for out in stage.outputs + stage.ablation_outputs
 }
-
-
-def _missing(path: str, artifact: str) -> ContractError:
-    return ContractError(
-        f"missing artifact {path}; run 'exitsteal {_ARTIFACT_COMMAND[artifact]}' first"
-    )
 
 
 def _prepare_run_dir(cfg: ExperimentConfig, run_dir) -> dict:
@@ -645,17 +639,15 @@ def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool
 
 
 def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False) -> bool:
-    """Run one stage if its outputs are missing. Inputs must already exist;
-    a missing artifact raises ContractError naming the command that makes
-    it. Returns True when the stage ran, False when it was skipped."""
+    """Run one stage if its outputs are missing. An input is found missing
+    when the stage reads it: that raises ContractError naming the command
+    that makes it, and the stage is recorded as failed. Returns True when
+    the stage ran, False when it was skipped."""
     if name not in STAGES:
         raise ContractError(f"unknown stage {name!r}")
     status = _prepare_run_dir(cfg, run_dir)
     if not force and _stage_done(name, cfg, run_dir, status):
         return False
-    for need in STAGES[name].needs:
-        if not os.path.exists(_path(run_dir, need)):
-            raise _missing(_path(run_dir, need), need)
     t0 = time.perf_counter()
     try:
         STAGES[name].run(cfg, run_dir)
@@ -680,17 +672,24 @@ def run_experiment(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
             continue
         run_stage(name, cfg, run_dir)
         status = _load_status(run_dir, cfg)
-    return load_reports(cfg, run_dir)
+    return load_reports(run_dir)
 
 
-def load_reports(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
+def load_reports(run_dir) -> dict[str, EvalReport]:
+    """Every variant's report under `run_dir`, in VARIANTS order. The config
+    hash pins which variants a directory holds, so none is required; with no
+    report at all this raises ContractError, and a report whose fields are
+    not EvalReport's raises FormatError."""
+    names = [n for n in VARIANTS if os.path.exists(_path(run_dir, f"report_{n}.json"))]
+    if not names:
+        raise ContractError(f"no report_*.json under {run_dir}; run 'exitsteal evaluate' first")
     reports = {}
-    for name in _variant_names(cfg):
+    for name in names:
         path = _path(run_dir, f"report_{name}.json")
-        if not os.path.exists(path):
-            raise _missing(path, f"report_{name}.json")
-        with open(path) as fh:
-            reports[name] = EvalReport.from_json(fh.read())
+        try:
+            reports[name] = EvalReport(**_read(run_dir, f"report_{name}.json"))
+        except TypeError as exc:
+            raise FormatError(f"{path} is not an evaluation report: {exc}") from exc
     return reports
 
 
@@ -707,10 +706,7 @@ def _sweep(base_values, key: str, cast, settings, root_dir, column: str, csv_nam
         cfg = build_config({**base_values, key: repr(cast(setting))})
         reports = run_experiment(cfg, os.path.join(root_dir, f"{column}_{setting}"))
         rows.append((cast(setting), reports["ours"]))
-    with open(os.path.join(root_dir, csv_name), "w") as fh:
-        fh.write(",".join((column,) + CSV_COLUMNS) + "\n")
-        for value, report in rows:
-            fh.write(",".join([repr(value)] + report.csv_row()) + "\n")
+    _write_csv(os.path.join(root_dir, csv_name), column, [(repr(v), r) for v, r in rows])
     return rows
 
 

@@ -40,13 +40,15 @@ class EvalReport:
     per_exit_agreement: tuple[int, ...]
     sample_count: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "per_exit_agreement", tuple(self.per_exit_agreement))
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        return cls(**{**obj, "per_exit_agreement": tuple(obj["per_exit_agreement"])})
+        return cls(**json.loads(text))
 
     def csv_row(self) -> list[str]:
         """Values in CSV_COLUMNS order: ACC, CLO, CC (GFLOPs), CC-ratio."""

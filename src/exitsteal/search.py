@@ -183,12 +183,3 @@ def search_strategy(
     descend(0, np.arange(n), 0, ())
     assert best_thresholds is not None
     return OutputStrategy(thresholds=best_thresholds), best_score / n
-
-
-def strategy_report_fragment(strategy: OutputStrategy, agreement: float) -> dict:
-    """JSON-ready fragment recording a chosen strategy."""
-    return {
-        "thresholds": [float(t) for t in strategy.thresholds],
-        "agreement": float(agreement),
-        "fallback": bool(strategy.fallback),
-    }

@@ -104,6 +104,11 @@ def test_query_record_validation():
         QueryRecord(np.zeros(3), np.array([1.0]), 0.1, 1)  # not a distribution
     with pytest.raises(ContractError):
         QueryRecord(np.zeros(3), np.array([0.5, 0.5]), 0.1, 0)  # exits are 1-based
+    with pytest.raises(ContractError):
+        QueryRecord(np.zeros(3), np.array([np.nan, 0.5]), 0.1, 1)
+    for exit_label in (1.5, True):  # exit labels are integers, not bools
+        with pytest.raises(ContractError):
+            QueryRecord(np.zeros(3), np.array([0.5, 0.5]), 0.1, exit_label)
 
 
 def test_build_query_set_layout():

@@ -1,12 +1,16 @@
-"""CLI exit codes: 0 on a finished run, 1 on an invalid config or a mode
-the config turns off, 2 when the strategy search overruns its branch
-budget."""
+"""CLI exit codes: 0 on a finished run, 1 on an invalid config, a mode
+the config turns off, a damaged artifact or a usage error, 2 when the
+strategy search overruns its branch budget."""
+
+import json
+
+import pytest
 
 from exitsteal import search
 from exitsteal.harness.cli import main
 from exitsteal.harness.config import parse_config_text
 
-from test_experiment import PINNED_REPORTS, TINY, TOY_CFG
+from test_experiment import PINNED_REPORTS, TINY, TOY_CFG, _valid_report
 
 
 def write_config(path, overrides):
@@ -53,3 +57,29 @@ def test_no_strategy_loss_without_ablations_exits_1(tmp_path, capsys):
     assert main(argv) == 1
     assert "experiment.ablations" in capsys.readouterr().err
     assert not (tmp_path / "run" / "sub_nostrategy.ckpt").exists()
+
+
+@pytest.mark.parametrize("damage", ["not_json", "no_clo"])
+def test_damaged_report_exits_1(tmp_path, capsys, damage):
+    report = _valid_report()
+    del report["clo"]
+    text = "not json" if damage == "not_json" else json.dumps(report)
+    (tmp_path / "report_ours.json").write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert str(tmp_path / "report_ours.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [b"", b"garbage", b"PK\x03\x04garbage"], ids=["empty", "garbage", "bad_zip"]
+)
+def test_damaged_queries_exit_1(tmp_path, capsys, content):
+    cfg = write_config(tmp_path / "tiny.cfg", TINY)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "queries.npz").write_bytes(content)
+    assert main(["estimate-exits", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert str(tmp_path / "run" / "queries.npz") in capsys.readouterr().err
+
+
+def test_report_takes_only_out(tmp_path, capsys):
+    assert main(["report", "--config", "x", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err

@@ -3,11 +3,12 @@ resume and config pinning, loud failures, and the sweep recipes."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from exitsteal.errors import ContractError
+from exitsteal.errors import ContractError, FormatError
 from exitsteal.harness import (
     experiment,
     load_config,
@@ -18,6 +19,7 @@ from exitsteal.harness import (
 )
 from exitsteal.harness.config import parse_config_text
 from exitsteal.metrics import EvalReport
+from exitsteal.multiexit import SENTINEL, OutputStrategy
 
 from test_datasets import write_images, write_labels
 
@@ -139,8 +141,8 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
 @pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
 def test_single_estimated_exit_fails_loudly(tmp_path, stage):
     cfg = load_config(TOY_CFG)
-    # the stage reads the estimated exit count before anything else, so its
-    # other inputs only have to exist
+    # the stage reads the estimated exit count before any other input, so
+    # the empty files standing in for those are never opened
     for name in ("queries.npz", "labels.npz"):
         (tmp_path / name).write_bytes(b"")
     (tmp_path / "changepoints.json").write_text(
@@ -161,8 +163,8 @@ MISSING = {
     "deploy": ("victim.ckpt", "train-victim"),
     "query": ("deployment.json", "deploy"),
     "estimate_exits": ("queries.npz", "query"),
-    "train_substitute": ("queries.npz", "query"),
-    "train_baseline": ("queries.npz", "query"),
+    "train_substitute": ("changepoints.json", "estimate-exits"),
+    "train_baseline": ("changepoints.json", "estimate-exits"),
     "search_searched": ("sub_ours.ckpt", "train-substitute --mode ours"),
     "search_traditional": ("sub_baseline.ckpt", "train-substitute --mode baseline"),
     "evaluate": ("victim.ckpt", "train-victim"),
@@ -185,6 +187,70 @@ def test_stage_on_empty_dir_names_the_command_to_run(tmp_path, stage):
     assert str(err.value) == (
         f"missing artifact {tmp_path / artifact}; run 'exitsteal {command}' first"
     )
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, command",
+    [
+        ("search_traditional", "sub_ours.ckpt", "train-substitute --mode ours"),
+        ("search_searched", "sub_nostrategy.ckpt", "train-substitute --mode baseline"),
+        ("evaluate", "sub_nostrategy.ckpt", "train-substitute --mode baseline"),
+        ("evaluate", "strategy_no_search.json", "search-strategy --mode traditional"),
+        ("evaluate", "strategy_no_strategy_loss.json", "search-strategy --mode search"),
+    ],
+)
+def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifact, command):
+    cfg = load_config(TOY_CFG, TINY)
+    assert cfg.ablations
+    for earlier in experiment.STAGE_ORDER[: experiment.STAGE_ORDER.index(stage)]:
+        run_stage(earlier, cfg, tmp_path)
+    (tmp_path / artifact).unlink()
+    with pytest.raises(ContractError) as err:
+        run_stage(stage, cfg, tmp_path)
+    assert str(err.value) == (
+        f"missing artifact {tmp_path / artifact}; run 'exitsteal {command}' first"
+    )
+    status = json.loads((tmp_path / "status.json").read_text())
+    assert status["stages"][stage]["state"] == "failed"
+
+
+def _valid_report() -> dict:
+    return json.loads(EvalReport(0.5, 0.25, 10, 1e-8, 1.0, (1, 2), 4).to_json())
+
+
+@pytest.mark.parametrize("damage", ["not_json", "no_clo", "unknown_field", "not_an_object"])
+def test_damaged_report_is_a_format_error(tmp_path, damage):
+    report = _valid_report()
+    text = {
+        "not_json": "not json",
+        "no_clo": json.dumps({k: v for k, v in report.items() if k != "clo"}),
+        "unknown_field": json.dumps(dict(report, extra=1)),
+        "not_an_object": json.dumps([report]),
+    }[damage]
+    (tmp_path / "report_victim.json").write_text(json.dumps(report))
+    (tmp_path / "report_ours.json").write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "report_ours.json"))):
+        experiment.load_reports(tmp_path)
+
+
+def test_load_reports_reads_the_reports_present(tmp_path):
+    with pytest.raises(ContractError, match="run 'exitsteal evaluate' first"):
+        experiment.load_reports(tmp_path)
+    report = _valid_report()
+    for name in ("no_search", "victim"):
+        (tmp_path / f"report_{name}.json").write_text(json.dumps(report))
+    reports = experiment.load_reports(tmp_path)
+    assert list(reports) == ["victim", "no_search"]
+    assert reports["victim"] == EvalReport(**report)
+
+
+def test_strategy_json_shape():
+    strategy = OutputStrategy((0.9, 0.8))
+    frag = experiment._strategy_json(strategy, agreement=0.75)
+    assert frag == {"thresholds": [0.9, 0.8], "agreement": 0.75, "fallback": False}
+    assert experiment._strategy(frag) == strategy
+    frag = experiment._strategy_json(OutputStrategy.never_early(2, fallback=True), agreement=0.0)
+    assert frag["fallback"] is True and frag["thresholds"] == [SENTINEL]
 
 
 @pytest.mark.parametrize(

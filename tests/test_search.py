@@ -14,7 +14,6 @@ from exitsteal.search import (
     candidate_thresholds,
     evaluate_strategy,
     search_strategy,
-    strategy_report_fragment,
 )
 
 from _utils import binary_conf_logit
@@ -289,10 +288,3 @@ def test_build_calibration_points_from_net():
     assert target.tolist() == [1, 2]
     with pytest.raises(ContractError):
         build_calibration_points(net, xs, [1, 2, 1])
-
-
-def test_strategy_report_fragment_shape():
-    frag = strategy_report_fragment(OutputStrategy((0.9, 0.8)), 0.75)
-    assert frag == {"thresholds": [0.9, 0.8], "agreement": 0.75, "fallback": False}
-    frag = strategy_report_fragment(OutputStrategy.never_early(2, fallback=True), 0.0)
-    assert frag["fallback"] is True and frag["thresholds"] == [SENTINEL]
