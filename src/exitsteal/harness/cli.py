@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
 missing artifact, which the message names, and a damaged one, a
-FormatError naming its path), 2 when the strategy search overruns its
-branch budget.
+FormatError naming its path and the field at fault), 2 when the strategy
+search overruns its branch budget.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from ..errors import BudgetError, ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport
 from . import experiment
-from .config import ExperimentConfig, load_config, seed_overrides
+from .config import load_config, seed_overrides
 
 # the soft-label ablation net is trained by the baseline stage
 _MODE_ALIAS = {"no-strategy-loss": "baseline"}
@@ -73,15 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = seed_overrides(args.seed) if args.seed is not None else None
-    return load_config(args.config, overrides)
-
-
-def _print_stage(name: str, ran: bool) -> None:
-    print(f"{name}: {'done' if ran else 'skipped (outputs exist)'}")
-
-
 # printed width of each CSV_COLUMNS entry in the report table
 _COLUMN_WIDTHS = (8, 8, 12, 10)
 
@@ -100,7 +91,7 @@ def _dispatch(args) -> int:
         _print_report(experiment.load_reports(args.out))
         return 0
 
-    cfg = _config_from_args(args)
+    cfg = load_config(args.config, seed_overrides(args.seed) if args.seed is not None else None)
     if args.command == "run-experiment":
         _print_report(experiment.run_experiment(cfg, args.out))
         return 0
@@ -113,7 +104,8 @@ def _dispatch(args) -> int:
         command += f" --mode {_MODE_ALIAS.get(args.mode, args.mode)}"
     for name, stage in experiment.STAGES.items():
         if stage.command == command:
-            _print_stage(name, experiment.run_stage(name, cfg, args.out))
+            ran = experiment.run_stage(name, cfg, args.out)
+            print(f"{name}: {'done' if ran else 'skipped (outputs exist)'}")
     if args.command == "evaluate":
         _print_report(experiment.load_reports(args.out))
     return 0

@@ -1,31 +1,15 @@
 """The staged experiment pipeline.
 
 Each stage reads artifacts from the run directory, writes its own, and is
-recorded in status.json with a wall time. Every artifact is opened by
-`_read`, so a missing input is found when the stage reads it and names the
-command that makes it, and a damaged one is a FormatError naming its path.
-Re-running skips stages whose outputs already exist, so an interrupted run
-resumes where it stopped. The status file pins the config hash; running a
-different config against the same directory is refused rather than
-silently mixing artifacts.
-
-Artifacts (all under the run directory):
-
-    config.resolved.cfg   canonical effective config (the hash source)
-    status.json           stage states + config hash
-    dataset.npz           train/calibration/test/iid-pool/unrelated splits
-    victim.ckpt           trained victim network
-    deployment.json       victim thresholds + timing model description
-    queries.npz           victim answers: probabilities and runtimes
-    changepoints.json     runtime segmentation of the calibration probes
-    labels.npz            estimated exit labels for queries + calibration
-    sub_ours.ckpt         substitute trained with the strategy loss
-    sub_baseline.ckpt     substitute trained on soft labels only
-    sub_nostrategy.ckpt   soft-label substitute on the attacker arch
-    trace_*.csv           per-epoch loss traces
-    strategy_*.json       chosen output strategies per variant
-    report_*.json         evaluation reports per variant
-    reports.csv           one row per variant, fixed column order
+recorded in status.json with a wall time. ARTIFACTS declares every file of
+the directory once: the stage that writes it and its fields. Every artifact
+is opened by `_read`, so a missing input is found when the stage reads it
+and names the command that makes it, and a damaged one is a FormatError
+naming its path and, when the file parses, the field at fault. Re-running
+skips stages whose outputs already exist, so an interrupted run resumes
+where it stopped. The status file pins the config hash; running a different
+config against the same directory is refused rather than silently mixing
+artifacts.
 """
 
 from __future__ import annotations
@@ -35,7 +19,7 @@ import os
 import shutil
 import time
 import zipfile
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,7 +31,7 @@ from ..attack import (
     train_substitute,
     write_loss_trace,
 )
-from ..changepoint import ChangepointResult, assign_exits, detect_changepoints
+from ..changepoint import assign_exits, detect_changepoints
 from ..errors import ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport, make_report
 from ..multiexit import (
@@ -55,6 +39,7 @@ from ..multiexit import (
     MultiExitNet,
     OutputStrategy,
     build_evenly_partitioned,
+    json_field,
     load_checkpoint,
     save_checkpoint,
 )
@@ -87,8 +72,7 @@ class Variant(NamedTuple):
     ablation: bool  # scored only when experiment.ablations is on
 
 
-# the scored models, in the row order of reports.csv; each writes
-# report_<name>.json
+# the scored models, in the row order of reports.csv
 VARIANTS = {
     "victim": Variant("victim.ckpt", "deployed", False),
     "baseline": Variant("sub_baseline.ckpt", "traditional", False),
@@ -98,14 +82,75 @@ VARIANTS = {
 }
 
 
-def _variant_names(cfg: ExperimentConfig, strategy: str | None = None) -> list[str]:
-    """The variants scored under `cfg`; with `strategy`, those whose
-    thresholds it picks."""
-    return [
-        name
+class Artifact(NamedTuple):
+    stage: str | None  # the stage that writes it; None: the stage driver
+    fields: dict = {}  # .npz: array -> (dtype kind, ranks); .json: key -> type
+    ablation: bool = False  # written only when experiment.ablations is on
+
+
+_INPUTS, _PROBS = ("f", (2, 4)), ("f", (2,))  # (n, d) or (n, C, H, W); (n, classes)
+_INTS, _FLOATS = ("i", (1,)), ("f", (1,))
+_STRATEGY = {"thresholds": list, "fallback": bool}  # as `_strategy_json` writes it
+# EvalReport's fields, each tuple a list in JSON
+_REPORT = {k: list if get_origin(t) is tuple else t for k, t in get_type_hints(EvalReport).items()}
+
+# every file of a run directory
+ARTIFACTS = {
+    CONFIG_FILE: Artifact(None),  # canonical effective config (the hash source)
+    STATUS_FILE: Artifact(None, {"config_sha256": str, "stages": dict}),
+    "dataset.npz": Artifact(
+        "dataset",
+        {f"{s}_x": _INPUTS for s in ("train", "calib", "test", "iid", "unrelated")}
+        | {f"{s}_y": _INTS for s in ("train", "calib", "test", "iid")}
+        | {"train_tier": _INTS},
+    ),
+    "victim.ckpt": Artifact("train_victim"),
+    "deployment.json": Artifact(
+        "deploy",
+        {
+            **_STRATEGY,
+            "tau": float | None,  # None: selected by select_traditional_strategy
+            "block_costs": list,
+            "head_costs": list,
+            "noise_sigma": float,
+            "timing_seed": int,
+            "per_flop": float,
+        },
+    ),
+    "queries.npz": Artifact(
+        "query",
+        {
+            "calib_probs": _PROBS,
+            "calib_runtimes": _FLOATS,
+            "query_x": _INPUTS,
+            "query_probs": _PROBS,
+            "query_runtimes": _FLOATS,
+            "query_is_iid": ("b", (1,)),
+        },
+    ),
+    "changepoints.json": Artifact(
+        "estimate_exits", {"boundaries": list, "log_posterior": float, "exit_count": int}
+    ),
+    "labels.npz": Artifact("estimate_exits", {"query_exits": _INTS, "calib_exits": _INTS}),
+    "sub_ours.ckpt": Artifact("train_substitute"),  # trained with the strategy loss
+    "trace_ours.csv": Artifact("train_substitute"),  # per-epoch losses
+    "sub_baseline.ckpt": Artifact("train_baseline"),  # trained on soft labels only
+    "trace_baseline.csv": Artifact("train_baseline"),
+    "sub_nostrategy.ckpt": Artifact("train_baseline", ablation=True),  # ditto, attacker arch
+    "trace_nostrategy.csv": Artifact("train_baseline", ablation=True),
+    **{
+        f"strategy_{name}.json": Artifact(
+            f"search_{v.strategy}", {**_STRATEGY, "agreement": float}, v.ablation
+        )
         for name, v in VARIANTS.items()
-        if (cfg.ablations or not v.ablation) and strategy in (None, v.strategy)
-    ]
+        if v.strategy != "deployed"
+    },
+    **{
+        f"report_{name}.json": Artifact("evaluate", _REPORT, v.ablation)
+        for name, v in VARIANTS.items()
+    },
+    "reports.csv": Artifact("evaluate"),  # one row per variant
+}
 
 
 def _strategy_file(name: str) -> str:
@@ -129,9 +174,9 @@ def _path(run_dir, name: str) -> str:
 
 
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path + ".tmp", "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    os.replace(path + ".tmp", path)
 
 
 def _write_csv(path, column: str, rows) -> None:
@@ -142,42 +187,71 @@ def _write_csv(path, column: str, rows) -> None:
             fh.write(",".join([key] + report.csv_row()) + "\n")
 
 
+def _check_names(path, names, fields) -> None:
+    """FormatError unless `names` are exactly the declared `fields`."""
+    odd = sorted(set(names) ^ set(fields))
+    if odd:
+        raise FormatError(f"{path} {'lacks' if odd[0] in fields else 'has undeclared'} {odd[0]!r}")
+
+
+class _Archive:
+    """numpy's lazy .npz archive, each array checked against ARTIFACTS as a stage takes it."""
+
+    def __init__(self, path, archive, fields):
+        _check_names(path, archive.files, fields)
+        self.path, self.archive, self.fields = path, archive, fields
+
+    def __getitem__(self, key):
+        array = self.archive[key]
+        kind, ranks = self.fields[key]
+        if array.dtype.kind != kind or array.ndim not in ranks:
+            got = f"got {array.dtype} of rank {array.ndim}"
+            raise FormatError(f"{self.path} {key!r} must be kind {kind!r}, rank in {ranks}; {got}")
+        return array
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.archive.close()
+
+
 def _read(run_dir, name: str):
-    """The run artifact `name`: a .ckpt as its net, a .npz as numpy's lazy
-    archive, a .json parsed. A missing file raises ContractError naming the
-    command that makes it; one that cannot be parsed raises FormatError."""
+    """The run artifact `name`: a .ckpt as its net, a .npz as an `_Archive`,
+    a .json parsed. A missing file raises ContractError naming the command
+    that makes it; one that cannot be parsed, or whose fields are not those
+    ARTIFACTS declares, raises FormatError."""
     path = _path(run_dir, name)
+    artifact = ARTIFACTS[name]
     if not os.path.exists(path):
-        raise ContractError(
-            f"missing artifact {path}; run 'exitsteal {_ARTIFACT_COMMAND[name]}' first"
-        )
+        command = STAGES[artifact.stage].command
+        raise ContractError(f"missing artifact {path}; run 'exitsteal {command}' first")
     try:
         if name.endswith(".ckpt"):
             return load_checkpoint(path)
         if name.endswith(".npz"):
-            return np.load(path)
-        with open(path) as fh:
-            return json.load(fh)
+            content = np.load(path)
+        else:
+            with open(path) as fh:
+                content = json.load(fh)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _write_status(run_dir, status: dict) -> None:
-    tmp = _path(run_dir, STATUS_FILE + ".tmp")
-    _write_json(tmp, status)
-    os.replace(tmp, _path(run_dir, STATUS_FILE))
+    if name.endswith(".npz"):
+        return _Archive(path, content, artifact.fields)
+    for key, kind in artifact.fields.items():
+        json_field(content, key, kind, path)
+    _check_names(path, content, artifact.fields)
+    return content
 
 
 def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
-    path = _path(run_dir, STATUS_FILE)
-    if not os.path.exists(path):
+    if not os.path.exists(_path(run_dir, STATUS_FILE)):
         return {"config_sha256": cfg.sha256, "stages": {}}
-    with open(path) as fh:
-        status = json.load(fh)
-    if status.get("config_sha256") != cfg.sha256:
+    status = _read(run_dir, STATUS_FILE)
+    if status["config_sha256"] != cfg.sha256:
         raise ContractError(
             f"run directory {run_dir} was produced by a different config "
-            f"(hash {status.get('config_sha256')!r} vs {cfg.sha256!r}); "
+            f"(hash {status['config_sha256']!r} vs {cfg.sha256!r}); "
             "use a fresh --out"
         )
     return status
@@ -187,32 +261,21 @@ def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
 # networks from config
 
 
-def _backbone(net_cfg: NetCfg, input_dim: int, input_channels: int) -> BackboneSpec:
+def _build_net(
+    net_cfg: NetCfg, exit_count: int, class_count: int, seed: int, sample_input: np.ndarray
+) -> MultiExitNet:
     if net_cfg.backbone == "dense":
-        return BackboneSpec.dense((input_dim,) + net_cfg.widths, activation=net_cfg.activation)
-    return BackboneSpec.conv(
-        (input_channels,) + net_cfg.channels,
+        widths = (int(sample_input.shape[-1]),) + net_cfg.widths
+        spec = BackboneSpec.dense(widths, activation=net_cfg.activation)
+        return build_evenly_partitioned(spec, exit_count, class_count, seed)
+    channels, height, width = (int(n) for n in sample_input.shape[-3:])
+    spec = BackboneSpec.conv(
+        (channels,) + net_cfg.channels,
         kernel=net_cfg.kernel,
         stride=net_cfg.stride,
         activation=net_cfg.activation,
     )
-
-
-def _build_net(
-    net_cfg: NetCfg,
-    exit_count: int,
-    class_count: int,
-    seed: int,
-    sample_input: np.ndarray,
-) -> MultiExitNet:
-    if net_cfg.backbone == "dense":
-        spec = _backbone(net_cfg, int(sample_input.shape[-1]), 0)
-        return build_evenly_partitioned(spec, exit_count, class_count, seed)
-    channels, height, width = sample_input.shape[-3:]
-    spec = _backbone(net_cfg, 0, int(channels))
-    return build_evenly_partitioned(
-        spec, exit_count, class_count, seed, input_hw=(int(height), int(width))
-    )
+    return build_evenly_partitioned(spec, exit_count, class_count, seed, input_hw=(height, width))
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +297,12 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         )
         x, y, tiers = ds.inputs, ds.labels, ds.tiers
     else:
-        train_x, train_y = load_idx_dataset(
-            d.idx_train_images,
-            d.idx_train_labels,
-            duplicate_channels=d.idx_duplicate_channels,
-        )
-        test_x, test_y = load_idx_dataset(
-            d.idx_test_images,
-            d.idx_test_labels,
-            duplicate_channels=d.idx_duplicate_channels,
+        (train_x, train_y), (test_x, test_y) = (
+            load_idx_dataset(images, labels, duplicate_channels=d.idx_duplicate_channels)
+            for images, labels in (
+                (d.idx_train_images, d.idx_train_labels),
+                (d.idx_test_images, d.idx_test_labels),
+            )
         )
         need = d.n_train + d.n_calibration + d.n_iid_pool
         if train_x.shape[0] < need:
@@ -265,10 +325,7 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         y = np.concatenate([train_y[:fit], test_y[: d.n_test], train_y[fit:need]])
         tiers = np.ones(x.shape[0], dtype=np.int64)
 
-    a, b = 0, d.n_train
-    c = b + d.n_calibration
-    e = c + d.n_test
-    f = e + d.n_iid_pool
+    b, c, e, f = np.cumsum([d.n_train, d.n_calibration, d.n_test, d.n_iid_pool])
     if u.kind == "blobs":
         if x.ndim != 2:
             raise ContractError("unrelated.kind = blobs requires flat inputs")
@@ -288,9 +345,9 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
 
     np.savez(
         _path(run_dir, "dataset.npz"),
-        train_x=x[a:b],
-        train_y=y[a:b],
-        train_tier=tiers[a:b],
+        train_x=x[:b],
+        train_y=y[:b],
+        train_tier=tiers[:b],
         calib_x=x[b:c],
         calib_y=y[b:c],
         test_x=x[c:e],
@@ -356,10 +413,7 @@ def _load_deployment(run_dir) -> VictimDeployment:
     spec = _read(run_dir, "deployment.json")
     net = _read(run_dir, "victim.ckpt")
     timing = TimingModel(
-        tuple(spec["block_costs"]),
-        tuple(spec["head_costs"]),
-        spec["noise_sigma"],
-        spec["timing_seed"],
+        spec["block_costs"], spec["head_costs"], spec["noise_sigma"], spec["timing_seed"]
     )
     return VictimDeployment(net, _strategy(spec), timing)
 
@@ -430,7 +484,7 @@ def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
 
 
 def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiExitNet:
-    exit_count = int(_read(run_dir, "changepoints.json")["exit_count"])
+    exit_count = _read(run_dir, "changepoints.json")["exit_count"]
     if exit_count < 2:
         raise ContractError(
             f"changepoint detection estimated {exit_count} exit: the timing "
@@ -444,7 +498,13 @@ def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiE
             f"only {blocks} blocks; widen attack.widths"
         )
     if cfg.attack.warm_start:
-        return load_checkpoint(cfg.attack.warm_start)
+        net = load_checkpoint(cfg.attack.warm_start)
+        if net.exit_count != exit_count:
+            raise ContractError(
+                f"attack.warm_start {cfg.attack.warm_start} has {net.exit_count} exits "
+                f"but the timing channel estimated {exit_count}"
+            )
+        return net
     sample = _read(run_dir, "queries.npz")["query_x"][:1]
     return _build_net(
         net_cfg, exit_count, cfg.dataset.classes, cfg.seed.attacker, sample
@@ -459,10 +519,8 @@ def _stage_train_substitute(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
-    base_netcfg = (
-        cfg.victim.net if cfg.attack.baseline_arch == "victim" else cfg.attack.net
-    )
-    net = _fresh_substitute(cfg, run_dir, base_netcfg)
+    arch = cfg.victim.net if cfg.attack.baseline_arch == "victim" else cfg.attack.net
+    net = _fresh_substitute(cfg, run_dir, arch)
     batch = _query_batch(run_dir)
     acfg = _attack_config(cfg)
     net, trace = train_baseline(net, batch, acfg)
@@ -473,12 +531,9 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
     if cfg.attack.baseline_arch == "attacker":
         # same architecture and the same soft-label objective: the ablation
         # net is the baseline net, so reuse the checkpoint byte for byte
-        shutil.copyfile(
-            _path(run_dir, "sub_baseline.ckpt"), _path(run_dir, "sub_nostrategy.ckpt")
-        )
-        shutil.copyfile(
-            _path(run_dir, "trace_baseline.csv"), _path(run_dir, "trace_nostrategy.csv")
-        )
+        for pattern in ("sub_{}.ckpt", "trace_{}.csv"):
+            src, dst = (_path(run_dir, pattern.format(n)) for n in ("baseline", "nostrategy"))
+            shutil.copyfile(src, dst)
         return
     net2 = _fresh_substitute(cfg, run_dir, cfg.attack.net)
     net2, trace2 = train_baseline(net2, batch, acfg)
@@ -493,9 +548,13 @@ def _calibration_targets(run_dir):
 
 
 def _nets(cfg: ExperimentConfig, run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
-    """The net of each variant `_variant_names(cfg, strategy)` names."""
-    names = _variant_names(cfg, strategy)
-    return {name: _read(run_dir, VARIANTS[name].checkpoint) for name in names}
+    """The net of each variant scored under `cfg`; with `strategy`, of each
+    whose thresholds it picks."""
+    return {
+        name: _read(run_dir, v.checkpoint)
+        for name, v in VARIANTS.items()
+        if (cfg.ablations or not v.ablation) and strategy in (None, v.strategy)
+    }
 
 
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
@@ -554,69 +613,24 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
 
 class Stage(NamedTuple):
     run: Callable[[ExperimentConfig, str], None]
-    outputs: tuple[str, ...]
     command: str  # the CLI command that runs it
-    ablation_outputs: tuple[str, ...] = ()  # written only when experiment.ablations is on
 
 
-def _variant_files(pattern: str, ablation: bool, strategy: str | None = None) -> tuple[str, ...]:
-    """`pattern` filled in with the name of each variant that is (or is not)
-    an ablation and whose thresholds `strategy` picks, if given."""
-    return tuple(
-        pattern.format(name)
-        for name, v in VARIANTS.items()
-        if v.ablation == ablation and strategy in (None, v.strategy)
-    )
-
-
-# the pipeline, in run order
+# the pipeline, in run order; ARTIFACTS names what each stage writes
 STAGES = {
-    "dataset": Stage(_stage_dataset, ("dataset.npz",), "train-victim"),
-    "train_victim": Stage(_stage_train_victim, ("victim.ckpt",), "train-victim"),
-    "deploy": Stage(_stage_deploy, ("deployment.json",), "deploy"),
-    "query": Stage(_stage_query, ("queries.npz",), "query"),
-    "estimate_exits": Stage(
-        _stage_estimate_exits, ("changepoints.json", "labels.npz"), "estimate-exits"
-    ),
-    "train_substitute": Stage(
-        _stage_train_substitute,
-        ("sub_ours.ckpt", "trace_ours.csv"),
-        "train-substitute --mode ours",
-    ),
-    "train_baseline": Stage(
-        _stage_train_baseline,
-        ("sub_baseline.ckpt", "trace_baseline.csv"),
-        "train-substitute --mode baseline",
-        ("sub_nostrategy.ckpt", "trace_nostrategy.csv"),
-    ),
-    "search_searched": Stage(
-        _stage_search_searched,
-        _variant_files("strategy_{}.json", False, "searched"),
-        "search-strategy --mode search",
-        _variant_files("strategy_{}.json", True, "searched"),
-    ),
-    "search_traditional": Stage(
-        _stage_search_traditional,
-        _variant_files("strategy_{}.json", False, "traditional"),
-        "search-strategy --mode traditional",
-        _variant_files("strategy_{}.json", True, "traditional"),
-    ),
-    "evaluate": Stage(
-        _stage_evaluate,
-        _variant_files("report_{}.json", False) + ("reports.csv",),
-        "evaluate",
-        _variant_files("report_{}.json", True),
-    ),
+    "dataset": Stage(_stage_dataset, "train-victim"),
+    "train_victim": Stage(_stage_train_victim, "train-victim"),
+    "deploy": Stage(_stage_deploy, "deploy"),
+    "query": Stage(_stage_query, "query"),
+    "estimate_exits": Stage(_stage_estimate_exits, "estimate-exits"),
+    "train_substitute": Stage(_stage_train_substitute, "train-substitute --mode ours"),
+    "train_baseline": Stage(_stage_train_baseline, "train-substitute --mode baseline"),
+    "search_searched": Stage(_stage_search_searched, "search-strategy --mode search"),
+    "search_traditional": Stage(_stage_search_traditional, "search-strategy --mode traditional"),
+    "evaluate": Stage(_stage_evaluate, "evaluate"),
 }
 
 STAGE_ORDER = tuple(STAGES)
-
-# artifact -> the CLI command that makes it, for missing-artifact errors
-_ARTIFACT_COMMAND = {
-    out: stage.command
-    for stage in STAGES.values()
-    for out in stage.outputs + stage.ablation_outputs
-}
 
 
 def _prepare_run_dir(cfg: ExperimentConfig, run_dir) -> dict:
@@ -633,9 +647,11 @@ def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool
     entry = status["stages"].get(name)
     if not entry or entry.get("state") != "done":
         return False
-    stage = STAGES[name]
-    outputs = stage.outputs + (stage.ablation_outputs if cfg.ablations else ())
-    return all(os.path.exists(_path(run_dir, out)) for out in outputs)
+    return all(
+        os.path.exists(_path(run_dir, out))
+        for out, artifact in ARTIFACTS.items()
+        if artifact.stage == name and (cfg.ablations or not artifact.ablation)
+    )
 
 
 def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False) -> bool:
@@ -653,13 +669,13 @@ def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False)
         STAGES[name].run(cfg, run_dir)
     except Exception as exc:
         status["stages"][name] = {"state": "failed", "error": str(exc)}
-        _write_status(run_dir, status)
+        _write_json(_path(run_dir, STATUS_FILE), status)
         raise
     status["stages"][name] = {
         "state": "done",
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    _write_status(run_dir, status)
+    _write_json(_path(run_dir, STATUS_FILE), status)
     return True
 
 
@@ -678,19 +694,11 @@ def run_experiment(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
 def load_reports(run_dir) -> dict[str, EvalReport]:
     """Every variant's report under `run_dir`, in VARIANTS order. The config
     hash pins which variants a directory holds, so none is required; with no
-    report at all this raises ContractError, and a report whose fields are
-    not EvalReport's raises FormatError."""
+    report at all this raises ContractError, and `_read` checks the fields."""
     names = [n for n in VARIANTS if os.path.exists(_path(run_dir, f"report_{n}.json"))]
     if not names:
         raise ContractError(f"no report_*.json under {run_dir}; run 'exitsteal evaluate' first")
-    reports = {}
-    for name in names:
-        path = _path(run_dir, f"report_{name}.json")
-        try:
-            reports[name] = EvalReport(**_read(run_dir, f"report_{name}.json"))
-        except TypeError as exc:
-            raise FormatError(f"{path} is not an evaluation report: {exc}") from exc
-    return reports
+    return {name: EvalReport(**_read(run_dir, f"report_{name}.json")) for name in names}
 
 
 # ---------------------------------------------------------------------------

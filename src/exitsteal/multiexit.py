@@ -473,20 +473,20 @@ def _backbone_to_json(spec: BackboneSpec):
     return {"activation": spec.activation, "blocks": blocks}
 
 
-def _field(obj, key: str, kind: type):
-    """obj[key] of type `kind` (an int is never a bool), else FormatError."""
+def json_field(obj, key: str, kind, label: str = "checkpoint descriptor"):
+    """obj[key] of type `kind` (an int is never a bool), else FormatError
+    naming `label`, the file or object `obj` was read from, and `key`."""
     if not isinstance(obj, dict) or key not in obj:
-        raise FormatError(f"checkpoint descriptor lacks {key!r}")
+        raise FormatError(f"{label} lacks {key!r}")
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise FormatError(
-            f"checkpoint descriptor {key!r} must be {kind.__name__}, got {value!r}"
-        )
+        name = getattr(kind, "__name__", kind)  # a union such as float | None has none
+        raise FormatError(f"{label} {key!r} must be {name}, got {value!r}")
     return value
 
 
 def _ints(obj, key: str) -> list[int]:
-    values = _field(obj, key, list)
+    values = json_field(obj, key, list)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise FormatError(f"checkpoint descriptor {key!r} must hold integers, got {values!r}")
     return values
@@ -494,26 +494,26 @@ def _ints(obj, key: str) -> list[int]:
 
 def _backbone_from_json(obj) -> BackboneSpec:
     blocks = []
-    for b in _field(obj, "blocks", list):
-        kind = _field(b, "kind", str)
+    for b in json_field(obj, "blocks", list):
+        kind = json_field(b, "kind", str)
         if kind == "dense":
-            blocks.append(DenseBlockSpec(_field(b, "in", int), _field(b, "out", int)))
+            blocks.append(DenseBlockSpec(json_field(b, "in", int), json_field(b, "out", int)))
         elif kind == "conv":
             blocks.append(
-                ConvBlockSpec(*(_field(b, key, int) for key in ("in", "out", "kernel", "stride")))
+                ConvBlockSpec(*(json_field(b, k, int) for k in ("in", "out", "kernel", "stride")))
             )
         else:
             raise FormatError(f"unknown block kind {kind!r}")
-    return BackboneSpec(blocks=tuple(blocks), activation=_field(obj, "activation", str))
+    return BackboneSpec(blocks=tuple(blocks), activation=json_field(obj, "activation", str))
 
 
 def _descriptor_fields(desc):
     """Backbone, exit indices, class count, input (h, w) and parameter
     shapes of a checkpoint descriptor; FormatError unless they describe a
     net."""
-    backbone_obj = _field(desc, "backbone", dict)
+    backbone_obj = json_field(desc, "backbone", dict)
     exit_indices = _ints(desc, "exit_indices")
-    class_count = _field(desc, "class_count", int)
+    class_count = json_field(desc, "class_count", int)
     if class_count < 2:
         raise FormatError(f"checkpoint descriptor 'class_count' must be >= 2, got {class_count}")
     input_hw = desc.get("input_hw")

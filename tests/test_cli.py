@@ -10,7 +10,7 @@ from exitsteal import search
 from exitsteal.harness.cli import main
 from exitsteal.harness.config import parse_config_text
 
-from test_experiment import PINNED_REPORTS, TINY, TOY_CFG, _valid_report
+from test_experiment import CHANGEPOINTS, PINNED_REPORTS, TINY, TOY_CFG, _valid_report, queries_npz
 
 
 def write_config(path, overrides):
@@ -59,25 +59,71 @@ def test_no_strategy_loss_without_ablations_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run" / "sub_nostrategy.ckpt").exists()
 
 
-@pytest.mark.parametrize("damage", ["not_json", "no_clo"])
-def test_damaged_report_exits_1(tmp_path, capsys, damage):
-    report = _valid_report()
-    del report["clo"]
-    text = "not json" if damage == "not_json" else json.dumps(report)
-    (tmp_path / "report_ours.json").write_text(text)
-    assert main(["report", "--out", str(tmp_path)]) == 1
-    assert str(tmp_path / "report_ours.json") in capsys.readouterr().err
+def assert_one_error_line(err: str, *names: str) -> None:
+    """stderr is a single 'error:' line (no traceback) naming each of `names`."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for name in names:
+        assert name in err
 
 
 @pytest.mark.parametrize(
-    "content", [b"", b"garbage", b"PK\x03\x04garbage"], ids=["empty", "garbage", "bad_zip"]
+    "damage, field",
+    [("not_json", None), ("no_clo", "'clo'"), ("clo_not_a_number", "'clo'")],
+    ids=["not_json", "no_clo", "clo_not_a_number"],
 )
-def test_damaged_queries_exit_1(tmp_path, capsys, content):
+def test_damaged_report_exits_1(tmp_path, capsys, damage, field):
+    report = _valid_report()
+    text = {
+        "not_json": "not json",
+        "no_clo": json.dumps({k: v for k, v in report.items() if k != "clo"}),
+        "clo_not_a_number": json.dumps(dict(report, clo="x")),
+    }[damage]
+    (tmp_path / "report_ours.json").write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    names = [str(tmp_path / "report_ours.json")] + [field] * (field is not None)
+    assert_one_error_line(capsys.readouterr().err, *names)
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        (b"", None),
+        (b"garbage", None),
+        (b"PK\x03\x04garbage", None),
+        (queries_npz(calib_runtimes=None), "'calib_runtimes'"),
+    ],
+    ids=["empty", "garbage", "bad_zip", "no_calib_runtimes"],
+)
+def test_damaged_queries_exit_1(tmp_path, capsys, content, field):
     cfg = write_config(tmp_path / "tiny.cfg", TINY)
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "queries.npz").write_bytes(content)
     assert main(["estimate-exits", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert str(tmp_path / "run" / "queries.npz") in capsys.readouterr().err
+    names = [str(tmp_path / "run" / "queries.npz")] + [field] * (field is not None)
+    assert_one_error_line(capsys.readouterr().err, *names)
+
+
+@pytest.mark.parametrize(
+    "name, text, command, field",
+    [
+        ("status.json", "not json", "estimate-exits", None),
+        ("changepoints.json", "{}", "train-substitute", "'boundaries'"),
+        (
+            "changepoints.json",
+            json.dumps({k: v for k, v in CHANGEPOINTS.items() if k != "exit_count"}),
+            "train-substitute",
+            "'exit_count'",
+        ),
+    ],
+    ids=["status_not_json", "changepoints_empty", "changepoints_no_exit_count"],
+)
+def test_damaged_run_file_exits_1(tmp_path, capsys, name, text, command, field):
+    cfg = write_config(tmp_path / "tiny.cfg", TINY)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / name).write_text(text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    names = [str(tmp_path / "run" / name)] + [field] * (field is not None)
+    assert_one_error_line(capsys.readouterr().err, *names)
 
 
 def test_report_takes_only_out(tmp_path, capsys):

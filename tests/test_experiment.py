@@ -1,6 +1,8 @@
 """Staged-pipeline checks: a tiny end-to-end run pinned byte for byte,
-resume and config pinning, loud failures, and the sweep recipes."""
+resume and config pinning, the run directory against its declaration,
+loud failures, and the sweep recipes."""
 
+import io
 import json
 import os
 import re
@@ -19,8 +21,10 @@ from exitsteal.harness import (
 )
 from exitsteal.harness.config import parse_config_text
 from exitsteal.metrics import EvalReport
-from exitsteal.multiexit import SENTINEL, OutputStrategy
+from exitsteal.multiexit import SENTINEL, OutputStrategy, load_checkpoint, save_checkpoint
+from exitsteal.victimlab import select_traditional_strategy
 
+from _utils import dense_net
 from test_datasets import write_images, write_labels
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
@@ -70,6 +74,68 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     changed = load_config(TOY_CFG, dict(TINY, **{"attack.epochs": "3"}))
     with pytest.raises(ContractError, match="different config"):
         run_experiment(changed, tmp_path)
+
+
+def assert_run_matches_artifacts(cfg, run_dir) -> None:
+    """A finished run holds exactly the files ARTIFACTS declares for `cfg`;
+    each .npz holds exactly its declared arrays, of their dtype kind and
+    rank, and each JSON file exactly its declared keys."""
+    declared = {
+        name: artifact.fields
+        for name, artifact in experiment.ARTIFACTS.items()
+        if cfg.ablations or not artifact.ablation
+    }
+    assert sorted(os.listdir(run_dir)) == sorted(declared)
+    for name, fields in declared.items():
+        path = os.path.join(run_dir, name)
+        if name.endswith(".npz"):
+            with np.load(path) as archive:
+                assert sorted(archive.files) == sorted(fields), name
+                for key, (kind, ranks) in fields.items():
+                    assert archive[key].dtype.kind == kind and archive[key].ndim in ranks, key
+        elif name.endswith(".json"):
+            with open(path) as fh:
+                assert sorted(json.load(fh)) == sorted(fields), name
+        else:
+            assert fields == {}, name
+
+
+@pytest.mark.parametrize("ablations", ["true", "false"])
+def test_run_directory_is_what_artifacts_declares(tmp_path, ablations):
+    cfg = load_config(TOY_CFG, dict(TINY, **{"experiment.ablations": ablations}))
+    run_experiment(cfg, tmp_path)
+    assert_run_matches_artifacts(cfg, tmp_path)
+
+
+def test_auto_tau_and_victim_arch_baseline(tmp_path):
+    # victim.tau = auto selects the victim's thresholds in deploy, and
+    # attack.baseline_arch = victim trains the baseline on the victim's
+    # widths and the soft-label ablation net apart, on the attacker's
+    overrides = {
+        "victim.tau": "auto",
+        "attack.baseline_arch": "victim",
+        "attack.widths": "12,12,12",
+    }
+    cfg = load_config(TOY_CFG, dict(TINY, **overrides))
+    reports = run_experiment(cfg, tmp_path)
+    assert list(reports) == list(experiment.VARIANTS)
+    assert reports["victim"].clo == reports["victim"].cc_ratio == 1.0
+    assert_run_matches_artifacts(cfg, tmp_path)
+
+    deployment = json.loads((tmp_path / "deployment.json").read_text())
+    victim = load_checkpoint(tmp_path / "victim.ckpt")
+    with np.load(tmp_path / "dataset.npz") as data:
+        chosen = select_traditional_strategy(
+            victim, data["train_x"], data["train_y"], accuracy_slack=cfg.victim.tau_slack
+        )
+    assert deployment["tau"] is None
+    assert experiment._strategy(deployment) == chosen
+
+    def widths(name):
+        return tuple(b.out_width for b in load_checkpoint(tmp_path / name).backbone.blocks)
+
+    assert widths("sub_baseline.ckpt") == widths("victim.ckpt") == (16, 16, 16, 16)
+    assert widths("sub_nostrategy.ckpt") == widths("sub_ours.ckpt") == (12, 12, 12)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +221,22 @@ def test_single_estimated_exit_fails_loudly(tmp_path, stage):
     assert status["stages"][stage]["state"] == "failed"
 
 
+# a changepoints.json for an estimated 2 exits
+CHANGEPOINTS = {"boundaries": [1.0], "log_posterior": 0.0, "exit_count": 2}
+
+
+@pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
+def test_warm_start_with_another_exit_count_fails_loudly(tmp_path, stage):
+    warm = tmp_path / "warm.ckpt"
+    save_checkpoint(dense_net(widths=(16, 8, 8, 8), exits=3, classes=4), warm)
+    cfg = load_config(TOY_CFG, dict(TINY, **{"attack.warm_start": str(warm)}))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "changepoints.json").write_text(json.dumps(CHANGEPOINTS))
+    with pytest.raises(ContractError, match="has 3 exits but the timing channel estimated 2"):
+        run_stage(stage, cfg, run_dir)
+
+
 # the first missing input of each stage run on an empty directory, and the
 # command the error names for it; dataset has no inputs and runs
 MISSING = {
@@ -214,11 +296,81 @@ def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifa
     assert status["stages"][stage]["state"] == "failed"
 
 
+def queries_npz(**changes) -> bytes:
+    """A small queries.npz in the declared layout, with each member of
+    `changes` replaced, added or, when None, left out."""
+    arrays = {
+        "calib_probs": np.full((3, 2), 0.5),
+        "calib_runtimes": np.arange(3.0),
+        "query_x": np.zeros((2, 4)),
+        "query_probs": np.full((2, 2), 0.5),
+        "query_runtimes": np.arange(2.0),
+        "query_is_iid": np.ones(2, dtype=bool),
+    }
+    arrays.update(changes)
+    buf = io.BytesIO()
+    np.savez(buf, **{k: v for k, v in arrays.items() if v is not None})
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"calib_runtimes": None}, "lacks 'calib_runtimes'"),
+        ({"extra": np.zeros(1)}, "has undeclared 'extra'"),
+        ({"calib_runtimes": np.arange(3)}, "'calib_runtimes' must be kind 'f'"),
+        ({"calib_runtimes": np.zeros((3, 1))}, r"'calib_runtimes' .* got float64 of rank 2"),
+    ],
+    ids=["missing", "undeclared", "int_dtype", "rank_2"],
+)
+def test_damaged_queries_is_a_format_error(tmp_path, changes, message):
+    (tmp_path / "queries.npz").write_bytes(queries_npz(**changes))
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "queries.npz")) + " " + message):
+        run_stage("estimate_exits", load_config(TOY_CFG, TINY), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, text, stage, message",
+    [
+        ("changepoints.json", "{}", "train_substitute", "lacks 'boundaries'"),
+        ("changepoints.json", "[]", "train_substitute", "lacks 'boundaries'"),
+        (
+            "changepoints.json",
+            json.dumps(dict(CHANGEPOINTS, exit_count=True)),
+            "train_substitute",
+            "'exit_count' must be int, got True",
+        ),
+        (
+            "changepoints.json",
+            json.dumps(dict(CHANGEPOINTS, extra=1)),
+            "train_baseline",
+            "has undeclared 'extra'",
+        ),
+        ("status.json", "not json", "dataset", ": Expecting value"),
+        (
+            "status.json",
+            json.dumps({"config_sha256": 1, "stages": {}}),
+            "dataset",
+            " 'config_sha256' must be str, got 1",
+        ),
+        ("status.json", json.dumps({"config_sha256": "x"}), "dataset", " lacks 'stages'"),
+    ],
+    ids=["empty", "list", "bool_count", "undeclared", "status_not_json", "status_hash",
+         "status_no_stages"],
+)
+def test_damaged_json_is_a_format_error(tmp_path, name, text, stage, message):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / name)) + ".*" + message):
+        run_stage(stage, load_config(TOY_CFG, TINY), tmp_path)
+
+
 def _valid_report() -> dict:
     return json.loads(EvalReport(0.5, 0.25, 10, 1e-8, 1.0, (1, 2), 4).to_json())
 
 
-@pytest.mark.parametrize("damage", ["not_json", "no_clo", "unknown_field", "not_an_object"])
+@pytest.mark.parametrize(
+    "damage", ["not_json", "no_clo", "unknown_field", "not_an_object", "clo_not_a_number"]
+)
 def test_damaged_report_is_a_format_error(tmp_path, damage):
     report = _valid_report()
     text = {
@@ -226,6 +378,7 @@ def test_damaged_report_is_a_format_error(tmp_path, damage):
         "no_clo": json.dumps({k: v for k, v in report.items() if k != "clo"}),
         "unknown_field": json.dumps(dict(report, extra=1)),
         "not_an_object": json.dumps([report]),
+        "clo_not_a_number": json.dumps(dict(report, clo="x")),
     }[damage]
     (tmp_path / "report_victim.json").write_text(json.dumps(report))
     (tmp_path / "report_ours.json").write_text(text)
