@@ -19,7 +19,7 @@ import os
 import shutil
 import time
 import zipfile
-from typing import Callable, NamedTuple, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -90,14 +90,14 @@ class Artifact(NamedTuple):
 
 _INPUTS, _PROBS = ("f", (2, 4)), ("f", (2,))  # (n, d) or (n, C, H, W); (n, classes)
 _INTS, _FLOATS = ("i", (1,)), ("f", (1,))
-_STRATEGY = {"thresholds": list, "fallback": bool}  # as `_strategy_json` writes it
-# EvalReport's fields, each tuple a list in JSON
-_REPORT = {k: list if get_origin(t) is tuple else t for k, t in get_type_hints(EvalReport).items()}
+_STRATEGY = {"thresholds": list[float], "fallback": bool}  # as `_strategy_json` writes it
+_REPORT = get_type_hints(EvalReport)  # EvalReport's fields, each tuple[T, ...] a list[T] in JSON
+_REPORT |= {k: list[get_args(t)[0]] for k, t in _REPORT.items() if get_origin(t) is tuple}
 
 # every file of a run directory
 ARTIFACTS = {
     CONFIG_FILE: Artifact(None),  # canonical effective config (the hash source)
-    STATUS_FILE: Artifact(None, {"config_sha256": str, "stages": dict}),
+    STATUS_FILE: Artifact(None, {"config_sha256": str, "stages": dict[str, dict]}),
     "dataset.npz": Artifact(
         "dataset",
         {f"{s}_x": _INPUTS for s in ("train", "calib", "test", "iid", "unrelated")}
@@ -110,8 +110,8 @@ ARTIFACTS = {
         {
             **_STRATEGY,
             "tau": float | None,  # None: selected by select_traditional_strategy
-            "block_costs": list,
-            "head_costs": list,
+            "block_costs": list[float],
+            "head_costs": list[float],
             "noise_sigma": float,
             "timing_seed": int,
             "per_flop": float,
@@ -129,7 +129,7 @@ ARTIFACTS = {
         },
     ),
     "changepoints.json": Artifact(
-        "estimate_exits", {"boundaries": list, "log_posterior": float, "exit_count": int}
+        "estimate_exits", {"boundaries": list[float], "log_posterior": float, "exit_count": int}
     ),
     "labels.npz": Artifact("estimate_exits", {"query_exits": _INTS, "calib_exits": _INTS}),
     "sub_ours.ckpt": Artifact("train_substitute"),  # trained with the strategy loss
@@ -173,10 +173,15 @@ def _path(run_dir, name: str) -> str:
     return os.path.join(run_dir, name)
 
 
-def _write_json(path, obj) -> None:
+def _write_text(path, text: str) -> None:
+    """Write to <path>.tmp, then rename it into place."""
     with open(path + ".tmp", "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
     os.replace(path + ".tmp", path)
+
+
+def _write_json(path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, column: str, rows) -> None:
@@ -602,8 +607,7 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
         for name, net in nets.items()
     ]
     for name, report in rows:
-        with open(_path(run_dir, f"report_{name}.json"), "w") as fh:
-            fh.write(report.to_json())
+        _write_text(_path(run_dir, f"report_{name}.json"), report.to_json())
     _write_csv(_path(run_dir, "reports.csv"), "model", rows)
 
 
@@ -633,16 +637,6 @@ STAGES = {
 STAGE_ORDER = tuple(STAGES)
 
 
-def _prepare_run_dir(cfg: ExperimentConfig, run_dir) -> dict:
-    os.makedirs(run_dir, exist_ok=True)
-    status = _load_status(run_dir, cfg)
-    cfg_path = _path(run_dir, CONFIG_FILE)
-    if not os.path.exists(cfg_path):
-        with open(cfg_path, "w") as fh:
-            fh.write(cfg.canonical_text)
-    return status
-
-
 def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool:
     entry = status["stages"].get(name)
     if not entry or entry.get("state") != "done":
@@ -654,15 +648,18 @@ def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool
     )
 
 
-def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False) -> bool:
+def run_stage(name: str, cfg: ExperimentConfig, run_dir) -> bool:
     """Run one stage if its outputs are missing. An input is found missing
     when the stage reads it: that raises ContractError naming the command
     that makes it, and the stage is recorded as failed. Returns True when
     the stage ran, False when it was skipped."""
     if name not in STAGES:
         raise ContractError(f"unknown stage {name!r}")
-    status = _prepare_run_dir(cfg, run_dir)
-    if not force and _stage_done(name, cfg, run_dir, status):
+    os.makedirs(run_dir, exist_ok=True)
+    status = _load_status(run_dir, cfg)
+    if not os.path.exists(_path(run_dir, CONFIG_FILE)):
+        _write_text(_path(run_dir, CONFIG_FILE), cfg.canonical_text)
+    if _stage_done(name, cfg, run_dir, status):
         return False
     t0 = time.perf_counter()
     try:
@@ -682,12 +679,8 @@ def run_stage(name: str, cfg: ExperimentConfig, run_dir, *, force: bool = False)
 def run_experiment(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
     """Run every stage in order, skipping the ones already done, and return
     the evaluation reports keyed by variant name."""
-    status = _prepare_run_dir(cfg, run_dir)
     for name in STAGE_ORDER:
-        if _stage_done(name, cfg, run_dir, status):
-            continue
         run_stage(name, cfg, run_dir)
-        status = _load_status(run_dir, cfg)
     return load_reports(run_dir)
 
 

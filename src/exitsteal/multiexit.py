@@ -27,7 +27,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -473,23 +473,27 @@ def _backbone_to_json(spec: BackboneSpec):
     return {"activation": spec.activation, "blocks": blocks}
 
 
+def _is_json(value, kind) -> bool:
+    """isinstance for parsed JSON: an int is never a bool, and list[T] and
+    dict[str, T] hold only items of type T."""
+    if get_origin(kind) in (list, dict):
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, get_origin(kind)) and all(
+            _is_json(item, get_args(kind)[-1]) for item in items
+        )
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def json_field(obj, key: str, kind, label: str = "checkpoint descriptor"):
-    """obj[key] of type `kind` (an int is never a bool), else FormatError
-    naming `label`, the file or object `obj` was read from, and `key`."""
+    """obj[key] of type `kind` (see `_is_json`), else FormatError naming
+    `label`, the file or object `obj` was read from, and `key`."""
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{label} lacks {key!r}")
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = getattr(kind, "__name__", kind)  # a union such as float | None has none
+    if not _is_json(value, kind):
+        name = kind.__name__ if isinstance(kind, type) else kind  # e.g. float | None, list[int]
         raise FormatError(f"{label} {key!r} must be {name}, got {value!r}")
     return value
-
-
-def _ints(obj, key: str) -> list[int]:
-    values = json_field(obj, key, list)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise FormatError(f"checkpoint descriptor {key!r} must hold integers, got {values!r}")
-    return values
 
 
 def _backbone_from_json(obj) -> BackboneSpec:
@@ -512,13 +516,13 @@ def _descriptor_fields(desc):
     shapes of a checkpoint descriptor; FormatError unless they describe a
     net."""
     backbone_obj = json_field(desc, "backbone", dict)
-    exit_indices = _ints(desc, "exit_indices")
+    exit_indices = json_field(desc, "exit_indices", list[int])
     class_count = json_field(desc, "class_count", int)
     if class_count < 2:
         raise FormatError(f"checkpoint descriptor 'class_count' must be >= 2, got {class_count}")
     input_hw = desc.get("input_hw")
     if input_hw is not None:
-        input_hw = tuple(_ints(desc, "input_hw"))
+        input_hw = tuple(json_field(desc, "input_hw", list[int]))
         if len(input_hw) != 2:
             raise FormatError(f"checkpoint descriptor 'input_hw' must hold 2 integers, got {input_hw}")
     try:

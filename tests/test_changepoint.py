@@ -6,10 +6,19 @@ the chain rule of sequential Student-t posterior predictives under the same
 conjugate Normal model. The DP segmentation is checked against brute-force
 enumeration of all cut placements, and bit for bit against the full-table
 DP that the column-block evaluation replaced.
+
+The closed form and the full-table DP take log-gamma from `math.lgamma`, as
+detection does, so the bitwise comparisons hold. scipy is the independent
+reference: its t density in `sequential_predictive_oracle`, and
+`scipy.special.gammaln` for the log-gamma values detection uses. Only
+tests need scipy; importing and running the package must not.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,9 +38,17 @@ from exitsteal.errors import ContractError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _per_count(f, counts):
+    """f(c) for each entry c of `counts`, whole numbers >= 0 held as ints or
+    floats, evaluated once per count from 0 to the largest."""
+    counts = np.asarray(counts)
+    values = np.array([f(float(c)) for c in range(int(counts.max()) + 1)])
+    return values[counts.astype(np.intp)]
+
+
 def _log_marginal_terms(n, total, sse, prior: SegmentPrior):
     """Closed-form segment log marginal from sufficient statistics. Works
-    elementwise on arrays of (n, total, sse)."""
+    elementwise on arrays of (n, total, sse); n holds whole numbers."""
     mean = total / n
     kap_n = prior.kappa0 + n
     alpha_n = prior.alpha0 + 0.5 * n
@@ -41,8 +58,8 @@ def _log_marginal_terms(n, total, sse, prior: SegmentPrior):
         + prior.kappa0 * n * (mean - prior.mu0) ** 2 / (2.0 * kap_n)
     )
     return (
-        gammaln(alpha_n)
-        - gammaln(prior.alpha0)
+        _per_count(lambda c: math.lgamma(prior.alpha0 + 0.5 * c), n)
+        - math.lgamma(prior.alpha0)
         + prior.alpha0 * np.log(prior.beta0)
         - alpha_n * np.log(beta_n)
         + 0.5 * (np.log(prior.kappa0) - np.log(kap_n))
@@ -172,7 +189,7 @@ def full_table_oracle(runtimes, min_segment=5, k_max=8, geometric_p=0.5):
     )
     counts = np.arange(n + 1, dtype=np.float64)
     width = np.maximum(counts[None, :] - counts[:, None], 0.0)
-    seg = _segment_table(z, prior) + gammaln(width + 1.0)
+    seg = _segment_table(z, prior) + _per_count(lambda c: math.lgamma(c + 1.0), width)
     seg[np.flatnonzero(x[1:] == x[:-1]) + 1] = -np.inf
 
     max_segments = min(k_max + 1, n // min_segment)
@@ -189,7 +206,7 @@ def full_table_oracle(runtimes, min_segment=5, k_max=8, geometric_p=0.5):
 
     log_p = np.log(geometric_p)
     per_cut = np.log1p(-geometric_p) - np.log(n - 1.0)
-    offset = -float(gammaln(n + 1.0))
+    offset = -math.lgamma(n + 1.0)
     best_m, best_score = 1, best[1, n] + log_p + offset
     for m in range(2, max_segments + 1):
         score = best[m, n] + (m - 1) * per_cut + log_p + offset
@@ -482,6 +499,54 @@ def test_non_integer_arguments_rejected():
 def test_non_finite_rejected():
     with pytest.raises(ContractError):
         detect_changepoints(np.array([1.0, np.nan] + [2.0] * 10))
+
+
+# ---------------------------------------------------------------------------
+# log-gamma without scipy
+
+
+def test_length_terms_take_log_gamma_of_each_entry():
+    # one math.lgamma call per distinct length, laid out at every position
+    # that holds that length, is bitwise one call per entry
+    prior = SegmentPrior(mu0=0.0, beta0=0.37, kappa0=0.02, alpha0=1.3)
+    for n in (1, 2, 7, 300):
+        terms = changepoint._length_terms(n, prior)
+        length, alpha_n = terms[0], terms[3]
+        assert np.array_equal(length, np.maximum(n - np.arange(2 * n + 1), 1))
+        head = np.array([math.lgamma(a) for a in alpha_n]) - math.lgamma(prior.alpha0)
+        assert np.array_equal(terms[4], head + prior.alpha0 * np.log(prior.beta0))
+        assert np.array_equal(terms[7], [math.lgamma(c + 1.0) for c in length])
+
+
+def test_log_gamma_terms_match_scipy():
+    # a_0 = b_0 = 1 leaves the a_n term as lgamma(1 + L/2) alone; relative
+    # error bound set beforehand, 1.6e-15 measured
+    n = 5000
+    terms = changepoint._length_terms(n, SegmentPrior(mu0=0.0, beta0=1.0, alpha0=1.0))
+    length, lgamma_alpha_n, lgamma_count = (terms[i][:n] for i in (0, 4, 7))
+    assert np.array_equal(length, np.arange(n, 0, -1))
+    np.testing.assert_allclose(lgamma_alpha_n, gammaln(1.0 + 0.5 * length), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(lgamma_count, gammaln(length + 1.0), rtol=1e-14, atol=0)
+
+
+def test_package_runs_without_scipy():
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # importing scipy or any submodule raises ImportError
+sys.path.insert(0, {os.path.dirname(os.path.dirname(changepoint.__file__))!r})
+import numpy as np
+import exitsteal
+from exitsteal.harness.cli import main
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+x = np.repeat([1.0, 2.0], 10) + np.tile(np.linspace(0.0, 0.01, 10), 2)
+print("exits", exitsteal.detect_changepoints(x).exit_count)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "usage: exitsteal" in done.stdout and done.stdout.endswith("exits 2\n")
 
 
 # ---------------------------------------------------------------------------

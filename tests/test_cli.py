@@ -8,9 +8,18 @@ import pytest
 
 from exitsteal import search
 from exitsteal.harness.cli import main
-from exitsteal.harness.config import parse_config_text
+from exitsteal.harness.config import load_config, parse_config_text
 
-from test_experiment import CHANGEPOINTS, PINNED_REPORTS, TINY, TOY_CFG, _valid_report, queries_npz
+from test_experiment import (
+    CHANGEPOINTS,
+    DEPLOYMENT,
+    PINNED_REPORTS,
+    TINY,
+    TOY_CFG,
+    _valid_report,
+    queries_npz,
+    run_stages_before,
+)
 
 
 def write_config(path, overrides):
@@ -114,12 +123,33 @@ def test_damaged_queries_exit_1(tmp_path, capsys, content, field):
             "train-substitute",
             "'exit_count'",
         ),
+        (
+            "status.json",
+            json.dumps({"config_sha256": "x", "stages": {"query": "done"}}),
+            "query",
+            "'stages'",
+        ),
+        (
+            "deployment.json",
+            json.dumps(dict(DEPLOYMENT, block_costs=["a", 1.0])),
+            "query",
+            "'block_costs'",
+        ),
+        (
+            "strategy_ours.json",
+            json.dumps({"thresholds": ["x"], "fallback": False, "agreement": 1.0}),
+            "evaluate",
+            "'thresholds'",
+        ),
     ],
-    ids=["status_not_json", "changepoints_empty", "changepoints_no_exit_count"],
+    ids=["status_not_json", "changepoints_empty", "changepoints_no_exit_count",
+         "status_stage_not_a_dict", "block_cost_not_a_number", "threshold_not_a_number"],
 )
 def test_damaged_run_file_exits_1(tmp_path, capsys, name, text, command, field):
     cfg = write_config(tmp_path / "tiny.cfg", TINY)
     (tmp_path / "run").mkdir()
+    if command == "evaluate":  # it opens every checkpoint first
+        run_stages_before("evaluate", load_config(cfg), tmp_path / "run")
     (tmp_path / "run" / name).write_text(text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     names = [str(tmp_path / "run" / name)] + [field] * (field is not None)

@@ -60,13 +60,9 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
 
     # every stage is done, so a second call runs none of them
     ran = []
-    real_run_stage = experiment.run_stage
-
-    def counting_run_stage(name, *args, **kwargs):
-        ran.append(name)
-        return real_run_stage(name, *args, **kwargs)
-
-    monkeypatch.setattr(experiment, "run_stage", counting_run_stage)
+    for name, stage in experiment.STAGES.items():
+        run = stage._replace(run=lambda *args, name=name: ran.append(name))
+        monkeypatch.setitem(experiment.STAGES, name, run)
     assert run_experiment(cfg, tmp_path) == reports
     assert ran == []
 
@@ -223,6 +219,17 @@ def test_single_estimated_exit_fails_loudly(tmp_path, stage):
 
 # a changepoints.json for an estimated 2 exits
 CHANGEPOINTS = {"boundaries": [1.0], "log_posterior": 0.0, "exit_count": 2}
+# a deployment.json for a 2-exit victim
+DEPLOYMENT = {
+    "thresholds": [0.8],
+    "fallback": False,
+    "tau": 0.8,
+    "block_costs": [1.0, 1.0],
+    "head_costs": [0.5, 0.5],
+    "noise_sigma": 0.01,
+    "timing_seed": 3,
+    "per_flop": 1e-9,
+}
 
 
 @pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
@@ -271,6 +278,11 @@ def test_stage_on_empty_dir_names_the_command_to_run(tmp_path, stage):
     )
 
 
+def run_stages_before(stage, cfg, run_dir) -> None:
+    for earlier in experiment.STAGE_ORDER[: experiment.STAGE_ORDER.index(stage)]:
+        run_stage(earlier, cfg, run_dir)
+
+
 @pytest.mark.parametrize(
     "stage, artifact, command",
     [
@@ -284,8 +296,7 @@ def test_stage_on_empty_dir_names_the_command_to_run(tmp_path, stage):
 def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifact, command):
     cfg = load_config(TOY_CFG, TINY)
     assert cfg.ablations
-    for earlier in experiment.STAGE_ORDER[: experiment.STAGE_ORDER.index(stage)]:
-        run_stage(earlier, cfg, tmp_path)
+    run_stages_before(stage, cfg, tmp_path)
     (tmp_path / artifact).unlink()
     with pytest.raises(ContractError) as err:
         run_stage(stage, cfg, tmp_path)
@@ -354,14 +365,36 @@ def test_damaged_queries_is_a_format_error(tmp_path, changes, message):
             " 'config_sha256' must be str, got 1",
         ),
         ("status.json", json.dumps({"config_sha256": "x"}), "dataset", " lacks 'stages'"),
+        (
+            "status.json",
+            json.dumps({"config_sha256": "x", "stages": {"query": "done"}}),
+            "query",
+            r" 'stages' must be dict\[str, dict\], got \{'query': 'done'\}",
+        ),
+        (
+            "deployment.json",
+            json.dumps(dict(DEPLOYMENT, block_costs=["a", 1.0])),
+            "query",
+            r" 'block_costs' must be list\[float\], got \['a', 1.0\]",
+        ),
+        (
+            "strategy_ours.json",
+            json.dumps({"thresholds": ["x"], "fallback": False, "agreement": 1.0}),
+            "evaluate",
+            r" 'thresholds' must be list\[float\], got \['x'\]",
+        ),
     ],
     ids=["empty", "list", "bool_count", "undeclared", "status_not_json", "status_hash",
-         "status_no_stages"],
+         "status_no_stages", "status_stage_not_a_dict", "block_cost_not_a_number",
+         "threshold_not_a_number"],
 )
 def test_damaged_json_is_a_format_error(tmp_path, name, text, stage, message):
+    cfg = load_config(TOY_CFG, TINY)
+    if stage == "evaluate":
+        run_stages_before(stage, cfg, tmp_path)  # it opens every checkpoint first
     (tmp_path / name).write_text(text)
     with pytest.raises(FormatError, match=re.escape(str(tmp_path / name)) + ".*" + message):
-        run_stage(stage, load_config(TOY_CFG, TINY), tmp_path)
+        run_stage(stage, cfg, tmp_path)
 
 
 def _valid_report() -> dict:

@@ -312,12 +312,13 @@ def _set_exits(indices):
         (_set_exits([2, 9]), r"exit indices must lie in \[1, 3\]"),
         (_set_exits([0, 3]), r"exit indices must lie in \[1, 3\]"),
         (_set_exits([3, 2]), "strictly increasing"),
-        (_set_exits(["a", 3]), "'exit_indices' must hold integers"),
+        (_set_exits(["a", 3]), r"'exit_indices' must be list\[int\], got \['a', 3\]"),
+        (_set_exits([True, 3]), r"'exit_indices' must be list\[int\], got \[True, 3\]"),
         (lambda desc: desc.pop("backbone"), "lacks 'backbone'"),
         (lambda desc: desc["backbone"]["blocks"][1].pop("in"), "lacks 'in'"),
     ],
-    ids=["index_past_last_block", "index_zero", "decreasing", "non_integer", "no_backbone",
-         "block_without_in"],
+    ids=["index_past_last_block", "index_zero", "decreasing", "non_integer", "bool_index",
+         "no_backbone", "block_without_in"],
 )
 def test_checkpoint_malformed_descriptor_is_a_format_error(tmp_path, edit, message):
     path = tmp_path / "net.ckpt"
