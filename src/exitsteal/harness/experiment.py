@@ -39,6 +39,7 @@ from ..multiexit import (
     MultiExitNet,
     OutputStrategy,
     build_evenly_partitioned,
+    cascade,
     json_field,
     load_checkpoint,
     save_checkpoint,
@@ -602,8 +603,9 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
     dep = _load_deployment(run_dir)
     data = _read(run_dir, "dataset.npz")
     test_x, test_y = data["test_x"], data["test_y"]
+    victim = cascade(dep.net, test_x, dep.strategy)
     rows = [
-        (name, make_report(net, dep, strategies[name], test_x, test_y))
+        (name, make_report(net, strategies[name], test_x, test_y, victim))
         for name, net in nets.items()
     ]
     for name, report in rows:

@@ -1,5 +1,6 @@
 """Evaluation: one report per model, computed by `make_report` from the
-batched cascades of the model and the victim on a labeled test set.
+model's batched cascade on a labeled test set and the victim's cascade
+outcome on the same set.
 
 Accuracy is class agreement with the true labels. Closeness is stricter
 than class agreement with the victim: a sample counts only when the
@@ -18,7 +19,6 @@ import numpy as np
 from . import numerics as nm
 from .errors import ContractError
 from .multiexit import MultiExitNet, OutputStrategy, cascade
-from .victimlab import VictimDeployment
 
 Array = np.ndarray
 
@@ -57,26 +57,30 @@ class EvalReport:
 
 def make_report(
     sub_net: MultiExitNet,
-    victim_dep: VictimDeployment,
     sub_strategy: OutputStrategy,
     inputs,
     labels,
+    victim: tuple,
 ) -> EvalReport:
     """Evaluate a substitute (or the victim itself) on a labeled test set.
 
-    cc_ratio divides the substitute's total cost by the victim's on the same
-    inputs. per_exit_agreement[k] counts samples where both models stopped
-    at exit k+1 with matching predicted classes; comparing a deployment to
-    itself gives clo == 1.0 and cc_ratio == 1.0 exactly.
+    `victim` is the victim's `cascade` outcome on the same inputs, computed
+    once for all the models a caller scores. cc_ratio divides the
+    substitute's total cost by the victim's. per_exit_agreement[k] counts
+    samples where both models stopped at exit k+1 with matching predicted
+    classes; comparing a deployment to itself gives clo == 1.0 and
+    cc_ratio == 1.0 exactly.
     """
     x = nm.as_array(inputs)
     y = np.asarray(labels)
+    v_exit, v_pred, v_flops = victim[:3]
     if x.shape[0] == 0:
         raise ContractError("test set must be non-empty")
     if y.shape != (x.shape[0],):
         raise ContractError("labels must align with the test inputs")
+    if v_exit.shape != y.shape:
+        raise ContractError("the victim's outcome must align with the test inputs")
     s_exit, s_pred, s_flops, _ = cascade(sub_net, x, sub_strategy)
-    v_exit, v_pred, v_flops, _ = cascade(victim_dep.net, x, victim_dep.strategy)
     match = (s_pred == v_pred) & (s_exit == v_exit)
     hist = np.bincount(s_exit[match] - 1, minlength=sub_net.exit_count)
     sub_cost = int(s_flops.sum())

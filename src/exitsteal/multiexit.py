@@ -67,7 +67,7 @@ class ConvBlockSpec:
 
 BlockSpec = Union[DenseBlockSpec, ConvBlockSpec]
 
-# activation names; the function is looked up in numerics at call time
+# activation names, applied by numerics.dense and numerics.conv2d
 _ACTIVATIONS = ("relu", "tanh")
 
 
@@ -347,21 +347,23 @@ class MultiExitNet:
             x = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
         activation = self.backbone.activation
+        dense_kind = self.backbone.kind == "dense"
         nblocks = len(self.backbone.blocks)
         exit_at = {bi: k for k, bi in enumerate(self.exit_indices)}
         logits: list = [None] * self.exit_count
         h = x
         for i, blk in enumerate(self.backbone.blocks):
             w, b = p[2 * i], p[2 * i + 1]
-            if isinstance(blk, DenseBlockSpec):
+            if dense_kind:
                 h = nm.dense(h, w, b, activation)
             else:
-                h = getattr(nm, activation)(nm.conv2d(h, w, b, stride=blk.stride))
+                h = nm.conv2d(h, w, b, stride=blk.stride, activation=activation)
             k = exit_at.get(i + 1)
             if k is not None:
+                # no name is bound to the head's input, so a block's output
+                # is freed as soon as the next block has read it
                 hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]
-                feat = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
-                logits[k] = nm.dense(feat, hw, hb)
+                logits[k] = nm.dense(h if dense_kind else nm.global_avg_pool(h), hw, hb)
         return logits
 
     def __repr__(self):

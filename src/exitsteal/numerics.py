@@ -13,7 +13,8 @@ which makes the accumulation order deterministic for a fixed forward pass.
 A tape step costs mostly per-record Python overhead, so the training hot
 chains each have one fused record:
 
-- `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none);
+- `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none),
+  and `conv2d(x, w, b, stride, activation)` for its conv -> relu/tanh;
 - `mean_kl(target, pred)` for mean_all(kl_div(target, pred));
 - `cross_entropy_sum(logits, labels)` for the sum of cross_entropy over a
   list of exit logits;
@@ -25,6 +26,12 @@ replaces, forward and backward, and hands each input the gradient the chain
 would have accumulated for it (none where the chain gives none). Values and
 gradients are therefore bit-identical to the primitive chain, which the
 tests keep as the reference.
+
+Memory: `dense` and `conv2d`, the layers of every forward pass, allocate
+one fresh array per call and finish it in place (bias add, activation).
+They never write into their inputs, which may be read-only (a deployed
+victim's parameters are), and their backward passes read the activation's
+derivative from that output, so a tape holds one array per layer.
 """
 
 from __future__ import annotations
@@ -296,31 +303,47 @@ def tanh(x):
     return _emit(_tape_of(xn), out, (xn,), backward)
 
 
+def _activate(z: Array, activation) -> None:
+    """Apply `activation` ("relu", "tanh" or None) to `z` in place; `z` is
+    the caller's own fresh array."""
+    if activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif activation == "tanh":
+        np.tanh(z, out=z)
+    elif activation is not None:
+        raise ContractError(f"unknown activation {activation!r}")
+
+
+def _activation_grad(g: Array, out: Array, activation) -> Array:
+    """g times the activation's derivative, read from the activated output:
+    relu's mask out > 0 equals z > 0 for every z, signed zeros included."""
+    if activation == "relu":
+        return g * (out > 0.0)
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
 def dense(x, w, b, activation=None):
     """act(x @ w + b) as one record; `activation` is "relu", "tanh" or None.
 
-    Same arithmetic as `relu`/`tanh` of `add(matmul(x, w), b)`.
+    Same arithmetic as `relu`/`tanh` of `add(matmul(x, w), b)`. Allocates one
+    array: the bias add and the activation run in place on the fresh matmul
+    output, `x`, `w` and `b` are never written (they may be read-only), and
+    the backward pass reads its relu mask from that output, so a tape keeps
+    one array per call.
     """
     xn, xv = _split(x)
     wn, wv = _split(w)
     bn, bv = _split(b)
     if xv.ndim != 2 or wv.ndim != 2:
         raise ContractError("dense expects 2-D input and weight")
-    if activation not in (None, "relu", "tanh"):
-        raise ContractError(f"unknown activation {activation!r}")
-    z = xv @ wv + bv
-    if activation == "relu":
-        out = np.maximum(z, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(z)
-    else:
-        out = z
+    out = xv @ wv
+    out += bv
+    _activate(out, activation)
 
     def backward(g):
-        if activation == "relu":
-            g = g * (z > 0.0)
-        elif activation == "tanh":
-            g = g * (1.0 - out * out)
+        g = _activation_grad(g, out, activation)
         return (
             g @ wv.T if xn is not None else None,
             xv.T @ g if wn is not None else None,
@@ -644,8 +667,15 @@ def _conv_windows(xv: Array, kh: int, kw: int, stride: int) -> Array:
     return win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, kh, kw)
 
 
-def conv2d(x, weight, bias, stride: int = 1):
-    """Valid-padding 2-D convolution: x (B,Cin,H,W), weight (Cout,Cin,kh,kw)."""
+def conv2d(x, weight, bias, stride: int = 1, activation=None):
+    """act(conv(x) + bias) as one record, valid padding: x (B,Cin,H,W),
+    weight (Cout,Cin,kh,kw); `activation` is "relu", "tanh" or None.
+
+    Same arithmetic as `relu`/`tanh` of the plain convolution, and the same
+    memory contract as `dense`: the bias add and the activation run in place
+    on the fresh einsum output, the inputs are never written, and the
+    backward pass reads the activation's derivative from the output.
+    """
     xn, xv = _split(x)
     wn, wv = _split(weight)
     bn, bv = _split(bias)
@@ -657,10 +687,13 @@ def conv2d(x, weight, bias, stride: int = 1):
     if xv.shape[2] < kh or xv.shape[3] < kw:
         raise ContractError("conv2d input smaller than kernel")
     win = _conv_windows(xv, kh, kw, stride)
-    out = np.einsum("bcyxij,ocij->boyx", win, wv) + bv[None, :, None, None]
+    out = np.einsum("bcyxij,ocij->boyx", win, wv)
+    out += bv[None, :, None, None]
+    _activate(out, activation)
     ho, wo = out.shape[2], out.shape[3]
 
     def backward(g):
+        g = _activation_grad(g, out, activation)
         gx = None
         if xn is not None:
             gx = np.zeros_like(xv)

@@ -104,6 +104,13 @@ def chain_dense(x, w, b, activation=None):
     return _CHAIN_ACTIVATIONS[activation](nm.add(nm.matmul(x, w), b))
 
 
+_conv2d = nm.conv2d  # the record itself, kept before any monkeypatch
+
+
+def chain_conv2d(x, weight, bias, stride=1, activation=None):
+    return _CHAIN_ACTIVATIONS[activation](_conv2d(x, weight, bias, stride=stride))
+
+
 def chain_mean_kl(target, pred):
     return nm.mean_all(nm.kl_div(target, pred))
 
@@ -140,6 +147,7 @@ def use_unfused_chains(monkeypatch) -> None:
     """Route every fused record through its primitive chain."""
     for name, chain in (
         ("dense", chain_dense),
+        ("conv2d", chain_conv2d),
         ("mean_kl", chain_mean_kl),
         ("cross_entropy_sum", chain_cross_entropy_sum),
         ("exit_margins", chain_exit_margins),

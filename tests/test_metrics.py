@@ -25,10 +25,11 @@ def test_closeness_hand_count():
     # sample agrees on the class but not the exit: 2 of 3 count
     dep = fixture_deployment()
     xs = confs(0.99, 0.95, 0.60)
-    rep = make_report(dep.net, dep, OutputStrategy.uniform(0.97, 2), xs, np.zeros(3, int))
+    y = np.zeros(3, int)
+    rep = make_report(dep.net, OutputStrategy.uniform(0.97, 2), xs, y, victim_of(dep, xs))
     assert rep.clo == pytest.approx(2.0 / 3.0)
     assert rep.per_exit_agreement == (1, 1)
-    assert make_report(dep.net, dep, dep.strategy, xs, np.zeros(3, int)).clo == 1.0
+    assert make_report(dep.net, dep.strategy, xs, y, victim_of(dep, xs)).clo == 1.0
 
 
 def test_closeness_requires_both_class_and_exit():
@@ -36,11 +37,13 @@ def test_closeness_requires_both_class_and_exit():
     dep = fixture_deployment()
     x = confs(0.99)
     y = np.zeros(1, int)
-    same_class_later_exit = make_report(dep.net, dep, OutputStrategy.uniform(0.995, 2), x, y)
+    victim = victim_of(dep, x)
+    same_class_later_exit = make_report(dep.net, OutputStrategy.uniform(0.995, 2), x, y, victim)
     assert same_class_later_exit.clo == 0.0
-    other_class_same_exit = make_report(conf_driven_net(predicted_class=1), dep, dep.strategy, x, y)
+    other_class = conf_driven_net(predicted_class=1)
+    other_class_same_exit = make_report(other_class, dep.strategy, x, y, victim)
     assert other_class_same_exit.clo == 0.0
-    assert make_report(dep.net, dep, dep.strategy, x, y).clo == 1.0
+    assert make_report(dep.net, dep.strategy, x, y, victim).clo == 1.0
 
 
 def test_closeness_validation():
@@ -48,8 +51,9 @@ def test_closeness_validation():
     # victim and the substitute always answer the same inputs, so their
     # outcome counts cannot differ
     dep = fixture_deployment()
+    empty = np.zeros((0, 1))
     with pytest.raises(ContractError):
-        make_report(dep.net, dep, dep.strategy, np.zeros((0, 1)), np.zeros(0, int))
+        make_report(dep.net, dep.strategy, empty, np.zeros(0, int), victim_of(dep, empty))
 
 
 def test_accuracy_hand_count():
@@ -57,12 +61,13 @@ def test_accuracy_hand_count():
     dep = fixture_deployment()
     sub = conf_driven_net(predicted_class=1)
     xs = confs(0.99, 0.95, 0.6, 0.7, 0.92)
-    rep = make_report(sub, dep, dep.strategy, xs, np.array([0, 1, 0, 1, 1]))
+    rep = make_report(sub, dep.strategy, xs, np.array([0, 1, 0, 1, 1]), victim_of(dep, xs))
     assert rep.acc == pytest.approx(0.6)
+    empty = np.zeros((0, 1))
     with pytest.raises(ContractError):
-        make_report(sub, dep, dep.strategy, np.zeros((0, 1)), np.zeros(0, int))
+        make_report(sub, dep.strategy, empty, np.zeros(0, int), victim_of(dep, empty))
     with pytest.raises(ContractError):
-        make_report(sub, dep, dep.strategy, xs, np.array([0, 1]))
+        make_report(sub, dep.strategy, xs, np.array([0, 1]), victim_of(dep, xs))
 
 
 def test_computation_cost_additivity():
@@ -71,14 +76,14 @@ def test_computation_cost_additivity():
     xs = confs(0.99, 0.6, 0.95, 0.7)
     y = np.zeros(4, int)
     f1, f2 = dep.net.exit_flops
-    total = make_report(dep.net, dep, dep.strategy, xs, y)
+    total = make_report(dep.net, dep.strategy, xs, y, victim_of(dep, xs))
     assert total.cc_flops == 2 * f1 + 2 * f2
     assert total.cc_gflops == pytest.approx(total.cc_flops * 1e-9)
-    a = make_report(dep.net, dep, dep.strategy, xs[:2], y[:2])
-    b = make_report(dep.net, dep, dep.strategy, xs[2:], y[2:])
+    a = make_report(dep.net, dep.strategy, xs[:2], y[:2], victim_of(dep, xs[:2]))
+    b = make_report(dep.net, dep.strategy, xs[2:], y[2:], victim_of(dep, xs[2:]))
     assert a.cc_flops + b.cc_flops == total.cc_flops
     with pytest.raises(ContractError):
-        make_report(dep.net, dep, dep.strategy, xs[:0], y[:0])
+        make_report(dep.net, dep.strategy, xs[:0], y[:0], victim_of(dep, xs[:0]))
 
 
 def test_cascade_cost_equals_exit_histogram_dot_product():
@@ -96,11 +101,17 @@ def fixture_deployment():
     return VictimDeployment(net, OutputStrategy.uniform(0.9, 2), timing)
 
 
+def victim_of(dep, xs):
+    """The deployment's cascade outcome on xs, as the evaluate stage
+    computes it once for every report."""
+    return cascade(dep.net, xs, dep.strategy)
+
+
 def test_make_report_self_comparison_is_exact():
     dep = fixture_deployment()
     xs = np.array([[binary_conf_logit(p)] for p in (0.99, 0.95, 0.6, 0.7)])
     labels = np.array([0, 1, 0, 1])
-    rep = make_report(dep.net, dep, dep.strategy, xs, labels)
+    rep = make_report(dep.net, dep.strategy, xs, labels, victim_of(dep, xs))
     assert rep.clo == 1.0
     assert rep.cc_ratio == 1.0
     # this net predicts class 0 whenever x > 0
@@ -117,7 +128,7 @@ def test_make_report_counts_exit_mismatches():
     labels = np.array([0, 0, 0, 0])
     # same net, stricter thresholds: the 0.95 sample now falls through to
     # exit 2 while the victim stops at exit 1
-    rep = make_report(dep.net, dep, OutputStrategy.uniform(0.97, 2), xs, labels)
+    rep = make_report(dep.net, OutputStrategy.uniform(0.97, 2), xs, labels, victim_of(dep, xs))
     assert rep.clo == 0.75
     assert rep.per_exit_agreement == (1, 2)
     f1, f2 = dep.net.exit_flops
@@ -127,10 +138,14 @@ def test_make_report_counts_exit_mismatches():
 
 def test_make_report_validation():
     dep = fixture_deployment()
+    empty, two = np.zeros((0, 1)), np.zeros((2, 1))
     with pytest.raises(ContractError):
-        make_report(dep.net, dep, dep.strategy, np.zeros((0, 1)), np.zeros(0))
+        make_report(dep.net, dep.strategy, empty, np.zeros(0), victim_of(dep, empty))
     with pytest.raises(ContractError):
-        make_report(dep.net, dep, dep.strategy, np.zeros((2, 1)), np.zeros(3))
+        make_report(dep.net, dep.strategy, two, np.zeros(3), victim_of(dep, two))
+    # the victim's outcome must be on the same inputs
+    with pytest.raises(ContractError):
+        make_report(dep.net, dep.strategy, two, np.zeros(2), victim_of(dep, np.zeros((3, 1))))
 
 
 def test_report_json_roundtrip_is_byte_stable():

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ def test_cascade_fuzz_first_exit_rule():
             assert got[i] == expect
 
 
+def test_cascade_holds_two_backbone_activations():
+    # each block reads its input and allocates its output; nothing else of
+    # the backbone's size stays alive, exit inputs included (tracemalloc
+    # sees numpy's buffers)
+    rows, width = 4000, 128
+    net = build_evenly_partitioned(BackboneSpec.dense((width,) * 7), 3, 4, seed=2)
+    x = np.random.default_rng(3).normal(size=(rows, width))
+    activation = rows * width * 8
+    tracemalloc.start()
+    try:
+        cascade(net, x, OutputStrategy.uniform(0.9, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 * activation, f"peak is {peak / activation:.2f} activations"
+
+
+def test_cascade_runs_on_a_frozen_copy():
+    # a deployed victim's parameters are read-only; the forward pass never
+    # writes into them and gives the writable net's outcome bit for bit
+    net = dense_net(exits=3, widths=(5, 6, 6, 6), seed=4)
+    x = np.random.default_rng(6).normal(size=(9, 5))
+    strategy = OutputStrategy((0.5, 0.6))
+    frozen = net.copy(frozen=True)
+    for got, want in zip(cascade(frozen, x, strategy), cascade(net, x, strategy)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_single_sample_is_rejected():
     # the forward pass takes batches only: (B, d) or (B, C, H, W)
     net = dense_net(exits=3, widths=(5, 6, 6, 6), seed=9)
@@ -231,19 +260,20 @@ def test_conv_forward_shapes_and_cascade():
     assert np.allclose(taken.sum(axis=1), 1.0)
 
 
-def test_conv_activation_is_looked_up_at_call_time(monkeypatch):
-    # a wrapped numerics.relu (a tracer, say) must see every conv block
+def test_conv_block_is_looked_up_at_call_time(monkeypatch):
+    # a wrapped numerics.conv2d (a tracer, say) must see every conv block,
+    # each applying the backbone's activation in its own record
     calls = []
-    real_relu = nm.relu
+    real_conv2d = nm.conv2d
 
-    def counting_relu(x):
-        calls.append(1)
-        return real_relu(x)
+    def counting_conv2d(*args, **kwargs):
+        calls.append(kwargs.get("activation"))
+        return real_conv2d(*args, **kwargs)
 
-    monkeypatch.setattr(nm, "relu", counting_relu)
+    monkeypatch.setattr(nm, "conv2d", counting_conv2d)
     net = conv_net(channels=(2, 4, 4, 4), exits=2, classes=3, hw=(8, 8))
     forward_all_exits(net, np.random.default_rng(1).normal(size=(3, 2, 8, 8)))
-    assert len(calls) == 3
+    assert calls == ["relu"] * 3
 
 
 # ---------------------------------------------------------------------------

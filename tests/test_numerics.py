@@ -4,6 +4,8 @@ Closed-form fixtures are frozen as literals computed by hand; gradients are
 checked against central finite differences.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from exitsteal.errors import ContractError
 
 from _utils import (
     assert_bitwise,
+    chain_conv2d,
     chain_cross_entropy_sum,
     chain_dense,
     chain_mean_kl,
@@ -353,6 +356,14 @@ def test_grad_broadcast_add_bias():
 # fused records against the primitive chains they replace, bit for bit
 
 
+def freeze(*arrays):
+    """The arrays made read-only, as a deployed victim's parameters are,
+    and copies to check afterwards that nothing wrote into them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return [a.copy() for a in arrays]
+
+
 @pytest.mark.parametrize("input_is_node", [False, True])
 @pytest.mark.parametrize("activation", [None, "relu", "tanh"])
 def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_node):
@@ -360,11 +371,20 @@ def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_n
     x = rng.normal(size=(6, 4))
     x[0] = 0.0  # with a zero bias entry below, relu sits exactly on its kink
     w = rng.normal(size=(4, 3))
-    b = np.array([0.0, 0.3, -0.2])
+    b = np.array([0.0, 0.3, -0.0])
+    # row 2 against column 2 is a dot product of products that underflow
+    # below the smallest subnormal; the BLAS kernel's fused multiply-adds
+    # round it to -0.0, which the -0.0 bias keeps: a pre-activation of -0.0
+    x[2] = -1e-200
+    w[:, 2] = 1e-200
+    pre = x @ w + b
+    assert pre[0, 0] == 0.0 and not np.signbit(pre[0, 0])
+    assert pre[2, 2] == 0.0 and np.signbit(pre[2, 2])
     # a downstream weight with zeros and negatives makes the incoming
     # gradient uneven and produces signed zeros
     scale = rng.normal(size=(6, 3))
     scale[1] = 0.0
+    before = freeze(x, w, b)
 
     def make_args(tape):
         params = [tape.param(w), tape.param(b)]
@@ -376,10 +396,63 @@ def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_n
     fused_vs_chain(nm.dense, chain_dense, make_args, scale)
     # plain arrays: the value alone
     assert_bitwise(nm.dense(x, w, b, activation), chain_dense(x, w, b, activation))
+    for a, copy in zip((x, w, b), before):
+        assert_bitwise(a, copy)
     with pytest.raises(ContractError):
         nm.dense(x[0], w, b)
     with pytest.raises(ContractError):
         nm.dense(x, w, b, "sigmoid")
+
+
+@pytest.mark.parametrize("input_is_node", [False, True])
+@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+def test_conv2d_is_bitwise_the_conv_activation_chain(activation, input_is_node):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(3, 2, 6, 6))
+    x[0, :, :3, :3] = 0.0  # with the zero bias below, relu sits on its kink
+    w = rng.normal(size=(4, 2, 3, 3)) * 0.5
+    b = np.array([0.0, 0.3, -0.2, 0.1])
+    scale = rng.normal(size=(3, 4, 4, 4))
+    scale[1] = 0.0
+    before = freeze(x, w, b)
+
+    def make_args(tape):
+        params = [tape.param(w), tape.param(b)]
+        if input_is_node:
+            params.insert(0, tape.param(x))
+            return (params[0], params[1], params[2], 1, activation), params
+        return (x, params[0], params[1], 1, activation), params
+
+    fused_vs_chain(nm.conv2d, chain_conv2d, make_args, scale)
+    for stride in (1, 2):
+        fused = nm.conv2d(x, w, b, stride=stride, activation=activation)
+        assert_bitwise(fused, chain_conv2d(x, w, b, stride=stride, activation=activation))
+    # the convolution's arithmetic itself: the einsum, then the bias
+    windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
+    plain = np.einsum("bcyxij,ocij->boyx", windows, w) + b[None, :, None, None]
+    assert_bitwise(nm.conv2d(x, w, b), plain)
+    for a, copy in zip((x, w, b), before):
+        assert_bitwise(a, copy)
+    with pytest.raises(ContractError):
+        nm.conv2d(x, w, b, activation="sigmoid")
+
+
+@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+def test_dense_allocates_one_output_array(activation):
+    # tracemalloc sees numpy's buffers. Past the output there is only the
+    # ufunc iterator's fixed 64 KiB buffer for the broadcast bias add; a
+    # second (B, W) array would add 4 MB
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2000, 256))
+    w = rng.normal(size=(256, 256))
+    b = rng.normal(size=256)
+    tracemalloc.start()
+    try:
+        out = nm.dense(x, w, b, activation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes <= peak <= out.nbytes + 128 * 1024
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.7, -1.3])
