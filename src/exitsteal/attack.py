@@ -14,8 +14,9 @@ each non-final exit i, samples estimated to exit at i should clear a high
 bar phi1 there, and samples estimated to exit later should stay below a
 lower bar phi2 at exit i. Both margin terms average within their sample
 sets and use confidences evaluated at the earlier exit i.
-`substitute_losses` computes the two losses from one forward pass; the
-trainers call it on every mini-batch.
+`substitute_losses` computes the two losses from one forward pass, each
+as one record over the (K, batch, classes) probability stack of the
+substitute's exits; the trainers call it on every mini-batch.
 
 Answered queries travel as one `RecordBatch` of aligned arrays, from the
 pipeline's saved answers and labels to the losses and both trainers.
@@ -196,12 +197,11 @@ def substitute_losses(net: MultiExitNet, batch: RecordBatch, phi1: float, phi2: 
     if phi1 < phi2:
         raise ContractError("phi1 must be >= phi2")
     _check_labels(net, batch)
-    probs = forward_all_exits(net, batch.inputs, params=params)
-    performance = None
-    for p in probs:
-        term = nm.mean_kl(batch.victim_probs, p)
-        performance = term if performance is None else performance + term
-    return performance, nm.exit_margins(probs, batch.exits, phi1, phi2)
+    probs = forward_all_exits(net, batch.inputs, params=params)  # (K, B, C)
+    return (
+        nm.mean_kl(batch.victim_probs, probs),
+        nm.exit_margins(probs, batch.exits, phi1, phi2),
+    )
 
 
 def _check_labels(net: MultiExitNet, batch: RecordBatch) -> None:

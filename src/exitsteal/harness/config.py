@@ -339,6 +339,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError("batch sizes must be >= 1")
     if t.noise_over_gap < 0:
         raise ContractError("timing.noise_over_gap must be >= 0")
+    if not 0.0 <= v.momentum < 1.0:
+        raise ContractError("victim.momentum must lie in [0, 1)")
+    for name, val in (("victim.tau_slack", v.tau_slack), ("attack.delta", a.delta)):
+        if val < 0:
+            raise ContractError(f"{name} must be >= 0")
     if a.warm_start and not os.path.exists(a.warm_start):
         raise ContractError(f"attack.warm_start: no such file: {a.warm_start}")
     if a.baseline_arch not in ("attacker", "victim"):

@@ -9,6 +9,8 @@ implementation of that rule, called by `cascade`, by the victim's threshold
 scan and by the search's `evaluate_strategy` (the exhaustive search oracle
 in the tests keeps its own loop on purpose). The forward pass takes
 batches only: (B, d) for dense backbones, (B, C, H, W) for conv ones.
+The K exits' logits and probabilities travel as one (K, B, classes)
+stack, which training's losses and every inference path read directly.
 `cascade` returns a batch's outcomes as arrays: exits, predicted classes,
 FLOPs and the taken exit's probabilities.
 
@@ -340,9 +342,10 @@ class MultiExitNet:
         return x
 
     def forward_exit_logits(self, x, params=None):
-        """Logits at every exit. `params` is an optional list of the
-        parameters bound as tape nodes, in `parameters()` order (see
-        `numerics.sgd`); without it the forward pass is plain numpy."""
+        """Logits at every exit, shallowest first, as one (K, B, classes)
+        stack. `params` is an optional list of the parameters bound as tape
+        nodes, in `parameters()` order (see `numerics.sgd`); without it the
+        forward pass is plain numpy."""
         if not isinstance(x, nm.Node):
             x = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
@@ -364,7 +367,7 @@ class MultiExitNet:
                 # is freed as soon as the next block has read it
                 hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]
                 logits[k] = nm.dense(h if dense_kind else nm.global_avg_pool(h), hw, hb)
-        return logits
+        return nm.stack(logits)
 
     def __repr__(self):
         return (
@@ -373,13 +376,11 @@ class MultiExitNet:
         )
 
 
-def forward_all_exits(net: MultiExitNet, x, params=None) -> list:
-    """Probability vectors from every exit head, shallowest first.
-
-    Yields K arrays of shape (batch, classes). Rows are softmax outputs,
-    so they sum to 1.
-    """
-    return [nm.softmax(l) for l in net.forward_exit_logits(x, params=params)]
+def forward_all_exits(net: MultiExitNet, x, params=None):
+    """Probability vectors from every exit head, shallowest first: one
+    softmax over the logits stack gives a (K, batch, classes) stack whose
+    rows sum to 1. A tape node when `params` are bound nodes."""
+    return nm.softmax(net.forward_exit_logits(x, params=params))
 
 
 def taken_exits(confidences: Array, strategy: OutputStrategy) -> Array:
@@ -397,21 +398,19 @@ def taken_exits(confidences: Array, strategy: OutputStrategy) -> Array:
 
 
 def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
-    """Batched cascade evaluation.
+    """Batched cascade evaluation on the (K, B, C) probability stack of
+    `forward_all_exits`.
 
     Returns (exit_idx, predicted, flops, probs): 1-based exits, argmax
-    classes, per-sample FLOPs and the taken exit's probability rows.
+    classes, per-sample FLOPs and the taken exit's probability rows, (B, C).
     """
     if strategy.exit_count != net.exit_count:
         raise ContractError(
             f"strategy has {strategy.exit_count} exits, net has {net.exit_count}"
         )
-    probs = forward_all_exits(net, x)  # K x (B, C)
-    stacked = np.stack(probs, axis=1)  # (B, K, C)
-    conf = stacked.max(axis=2)
-    exits = taken_exits(conf, strategy)
-    rows = np.arange(stacked.shape[0])
-    taken = stacked[rows, exits - 1]
+    probs = forward_all_exits(net, x)
+    exits = taken_exits(probs.max(axis=2).T, strategy)
+    taken = probs[exits - 1, np.arange(probs.shape[1])]
     predicted = taken.argmax(axis=1)
     flops = np.asarray(net.exit_flops)[exits - 1]
     return exits, predicted, flops, taken

@@ -11,21 +11,33 @@ Everything is float64. Gradients are accumulated in reverse record order,
 which makes the accumulation order deterministic for a fixed forward pass.
 
 A tape step costs mostly per-record Python overhead, so the training hot
-chains each have one fused record:
+chains each have one fused record, and the K exits of a multi-exit net
+travel as one C-contiguous (K, batch, classes) stack from the heads on
+(`stack` makes it, and one `softmax` runs over it):
 
 - `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none),
   and `conv2d(x, w, b, stride, activation)` for its conv -> relu/tanh;
-- `mean_kl(target, pred)` for mean_all(kl_div(target, pred));
-- `cross_entropy_sum(logits, labels)` for the sum of cross_entropy over a
-  list of exit logits;
+- `mean_kl(target, probs)` for the sum over the exits of a probability
+  stack of mean_all(kl_div(target, probs[k])), added left to right like a
+  chain of `add`s;
+- `cross_entropy_sum(logits, labels)` for the sum of cross_entropy over
+  the exits of a logits stack, added the same way;
 - `exit_margins(probs, exits, phi1, phi2)` for the strategy loss's
-  max_last -> take_rows -> hinge/hinge_excess -> mean_all -> add chain.
+  max_last -> take_rows -> hinge/hinge_excess -> mean_all -> add chain
+  over the exits of a probability stack.
 
 A fused record does the same arithmetic, in the same order, as the chain it
 replaces, forward and backward, and hands each input the gradient the chain
 would have accumulated for it (none where the chain gives none). Values and
 gradients are therefore bit-identical to the primitive chain, which the
-tests keep as the reference.
+tests keep as the reference: per exit, on the stack's slabs. Two rules keep
+the stacked records exact. A reduction over the batch axis runs on a
+C-contiguous (K, batch) array, whose rows numpy sums like the 1-D array of
+one exit (a strided gather would be summed in another order); reductions
+over the class axis stay whole-row reductions. And where a stacked record
+gives no gradient to an exit that the per-exit chain never reached, it
+gives -0.0, the additive identity, so that adding another record's
+gradient for that exit changes no bit.
 
 Memory: `dense` and `conv2d`, the layers of every forward pass, allocate
 one fresh array per call and finish it in place (bias add, activation).
@@ -166,8 +178,11 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, en
     `take`, `batch_loss(bound, take)` builds the loss on a fresh tape from
     the parameters bound as nodes (in `params` order); the update is
     p -= lr * g, with g replaced by the velocity momentum * v + g only when
-    momentum > 0. `end_epoch(epoch)` runs after each epoch's last update.
+    momentum > 0; `momentum` must lie in [0, 1). `end_epoch(epoch)` runs
+    after each epoch's last update.
     """
+    if not 0.0 <= momentum < 1.0:  # chained, so NaN fails too
+        raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
     rng = np.random.default_rng(seed)
     velocity = [np.zeros_like(p) for p in params] if momentum > 0.0 else None
     for epoch in range(epochs):
@@ -353,6 +368,22 @@ def dense(x, w, b, activation=None):
     return _emit(_tape_of(xn, wn, bn), out, (xn, wn, bn), backward)
 
 
+def stack(xs):
+    """Equal-shape arrays or nodes stacked on a new leading axis, as one
+    record: a fresh C-contiguous array whose slab k is xs[k]. Input k's
+    gradient is slab k of the output's gradient."""
+    split = [_split(x) for x in xs]
+    if not split:
+        raise ContractError("stack needs at least one array")
+    out = np.stack([v for _, v in split])
+
+    def backward(g):
+        return tuple(g[k] if n is not None else None for k, (n, _) in enumerate(split))
+
+    nodes = tuple(n for n, _ in split)
+    return _emit(_tape_of(*nodes), out, nodes, backward)
+
+
 def sum_all(x):
     xn, xv = _split(x)
     out = xv.sum()
@@ -480,24 +511,36 @@ def kl_div(target, pred):
     return _emit(_tape_of(pn), out, (pn,), backward)
 
 
-def mean_kl(target, pred):
-    """mean_all(kl_div(target, pred)) as one record.
+def _sum_left(values: Array):
+    """values[0] + values[1] + ... added left to right, as a chain of `add`s
+    would (numpy's own sum goes pairwise from 8 entries on)."""
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
+def mean_kl(target, probs):
+    """The sum over exits of mean_all(kl_div(target, probs[k])), as one
+    record: `probs` is a (K, ...) stack of predictions of the target's
+    shape, and the K means are added left to right.
 
     `target` is constant data that is not checked again here: callers pass
     targets already checked with `check_prob` (`attack.RecordBatch` checks
-    its victim probabilities once, when it is built). `pred` is checked as
-    in `kl_div`.
+    its victim probabilities once, when it is built). `probs` is checked as
+    in `kl_div`, once for the whole stack.
     """
     tv = as_array(target)
-    pn, pv = _split(pred)
+    pn, pv = _split(probs)
     check_prob(pv, "mean_kl pred")
-    if tv.shape != pv.shape:
-        raise ContractError(f"mean_kl shapes differ: {tv.shape} vs {pv.shape}")
+    if pv.shape[1:] != tv.shape:
+        raise ContractError(f"mean_kl shapes differ: {tv.shape} vs stack {pv.shape}")
     rows, clamped = _kl_rows(tv, pv)
     if rows.size == 0:
         raise ContractError("mean of an empty value")
-    out = rows.mean()
-    inv = 1.0 / rows.size
+    per_exit = rows.reshape(rows.shape[0], -1)  # (K, batch), C-contiguous
+    out = _sum_left(per_exit.mean(axis=1))
+    inv = 1.0 / per_exit.shape[1]
 
     def backward(g):
         return (_kl_local_grad(tv, pv, clamped) * (g * inv),)
@@ -538,7 +581,7 @@ def hinge_excess(value, threshold):
 def exit_margins(probs, exits, phi1, phi2):
     """The strategy loss's margin terms over exit groups, as one record.
 
-    `probs` holds one (batch, classes) probability array or node per exit;
+    `probs` is the (K, batch, classes) probability stack of K exits;
     `exits` labels each row with its 1-based exit. With conf_i the row max
     of probs[i-1] and D_j the rows labeled j, the result adds up, for i = 1
     .. K-1 and in this order,
@@ -548,73 +591,79 @@ def exit_margins(probs, exits, phi1, phi2):
 
     Empty groups add nothing; with no term at all the result is the
     constant 0.0. Same arithmetic as max_last -> take_rows -> hinge /
-    hinge_excess -> mean_all -> add; since the groups are disjoint, one
-    scatter per exit equals the chain's sum of per-term scatters.
+    hinge_excess -> mean_all -> add on each exit's slab. The rows are
+    sorted by group once; the terms of D_j are then the row means of one
+    C-contiguous (exits, |D_j|) block. Since the groups are disjoint, one
+    scatter equals the chain's sum of per-term scatters.
     """
-    split = [_split(p) for p in probs]
-    k = len(split)
+    pn, pv = _split(probs)
+    if pv.ndim != 3:
+        raise ContractError("exit_margins expects a (exits, batch, classes) stack")
+    k = pv.shape[0]
     t1, t2 = as_array(phi1), as_array(phi2)
     labels = np.asarray(exits)
-    groups = [np.flatnonzero(labels == i) for i in range(1, k + 1)]
-    terms = []  # (exit index, rows, conf at those rows, 1 / row count, own group?)
-    total = None
-    for i in range(k - 1):
-        conf = None
-        for j in range(i, k):
-            rows = groups[j]
-            if not rows.size:
-                continue
-            if conf is None:
-                conf = split[i][1].max(axis=-1)
-            vv = conf[rows]
-            hinged = np.maximum(0.0, t1 - vv) if j == i else np.maximum(0.0, vv - t2)
-            term = hinged.mean()
-            total = term if total is None else total + term
-            terms.append((i, rows, vv, 1.0 / vv.size, j == i))
-    if total is None:
+    if labels.dtype.kind not in "iu" or labels.shape != pv.shape[1:2]:
+        raise ContractError("exit labels must be integers, one per batch row")
+    order = np.argsort(labels, kind="stable")  # row order within each group
+    bounds = np.searchsorted(labels[order], np.arange(1, k + 2))  # D_j: bounds[j - 1:j + 1]
+    order = order[bounds[0] : bounds[-1]]  # the rows labeled 1..K
+    counts = np.diff(bounds)
+    group = labels[order]
+    conf = np.take(pv[:-1].max(axis=-1), order, axis=1)  # (K-1, rows), by group
+    own = group == np.arange(1, k)[:, None]  # D_i's rows at exit i
+    hinged = np.maximum(0.0, np.where(own, t1 - conf, conf - t2))
+    means = {}  # (exit i, group j), both 0-based -> that term's value
+    start = 0
+    for j, count in enumerate(counts):
+        if count:
+            block = np.ascontiguousarray(hinged[: min(j + 1, k - 1), start : start + count])
+            for i, term in enumerate(block.mean(axis=1)):
+                means[i, j] = term
+        start += count
+    if not means:
         return np.float64(0.0)
+    total = _sum_left([means[key] for key in sorted(means)])
+    reached = max(i for i, _ in means) + 1  # exits 0..reached-1 get a gradient
 
     def backward(g):
-        conf_grads: dict[int, Array] = {}
-        for i, rows, vv, inv, own in terms:
-            gm = g * inv
-            z = conf_grads.get(i)
-            if z is None:
-                z = conf_grads[i] = np.zeros(split[i][1].shape[:-1])
-            z[rows] += -gm * (vv < t1) if own else gm * (vv > t2)
-        grads = [None] * k
-        for i, z in conf_grads.items():
-            pv = split[i][1]
-            dp = np.zeros_like(pv)
-            idx = np.expand_dims(pv.argmax(axis=-1), -1)
-            np.put_along_axis(dp, idx, np.expand_dims(z, -1), axis=-1)
-            grads[i] = dp
-        return grads
+        # 1 / |D_j| per row; an empty group's entry is repeated 0 times
+        gm = np.repeat(g * (1.0 / np.maximum(counts, 1)), counts)
+        later = group > np.arange(1, reached + 1)[:, None]
+        z = np.where(
+            own[:reached],
+            -gm * (conf[:reached] < t1),
+            np.where(later, gm * (conf[:reached] > t2), 0.0),
+        )
+        dp = np.empty_like(pv)
+        dp[:reached] = 0.0
+        dp[reached:] = -0.0  # exits the chain never reaches: add nothing to other gradients
+        argmax = pv[:reached].argmax(axis=-1)[:, order]
+        # + 0.0: the chain scatters onto zeros, turning -0.0 into 0.0
+        dp[np.arange(reached)[:, None], order, argmax] = z + 0.0
+        return (dp,)
 
-    nodes = tuple(n for n, _ in split)
-    return _emit(_tape_of(*nodes), total, nodes, backward)
+    return _emit(_tape_of(pn), total, (pn,), backward)
 
 
 def _log_softmax_rows(lv: Array, y: Array) -> Array:
-    """Checked log-softmax of (batch, classes) logits for integer labels."""
-    if lv.ndim != 2:
-        raise ContractError("cross_entropy expects (batch, classes) logits")
-    if y.ndim != 1 or y.shape[0] != lv.shape[0]:
+    """Checked log-softmax of (..., batch, classes) logits for integer
+    labels, one per batch row."""
+    if y.ndim != 1 or y.shape[0] != lv.shape[-2]:
         raise ContractError("labels must be 1-D and match the batch size")
     if not np.issubdtype(y.dtype, np.integer):
         raise ContractError("labels must be integers")
-    c = lv.shape[1]
+    c = lv.shape[-1]
     if np.any(y < 0) or np.any(y >= c):
         raise ContractError(f"labels must lie in [0, {c})")
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = lv - lv.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
 def _cross_entropy_grad(logp: Array, y: Array, g) -> Array:
-    b = logp.shape[0]
+    b = logp.shape[-2]
     p = np.exp(logp)
-    p[np.arange(b), y] -= 1.0
+    p[..., np.arange(b), y] -= 1.0
     return p * (g / b)
 
 
@@ -625,6 +674,8 @@ def cross_entropy(logits, labels):
     a scalar (mean over the batch).
     """
     ln, lv = _split(logits)
+    if lv.ndim != 2:
+        raise ContractError("cross_entropy expects (batch, classes) logits")
     y = np.asarray(labels)
     logp = _log_softmax_rows(lv, y)
     out = np.float64(-logp[np.arange(lv.shape[0]), y].mean())
@@ -637,25 +688,21 @@ def cross_entropy(logits, labels):
 
 def cross_entropy_sum(logits, labels):
     """cross_entropy(logits[0], labels) + cross_entropy(logits[1], labels)
-    + ... as one record, added left to right like a chain of `add`s."""
-    split = [_split(l) for l in logits]
-    if not split:
-        raise ContractError("cross_entropy_sum needs at least one logits array")
+    + ... over a (K, batch, classes) logits stack, as one record, added left
+    to right like a chain of `add`s. The labels are checked once."""
+    ln, lv = _split(logits)
+    if lv.ndim != 3 or lv.shape[0] == 0:
+        raise ContractError("cross_entropy_sum expects (exits, batch, classes) logits")
     y = np.asarray(labels)
-    logps = [_log_softmax_rows(lv, y) for _, lv in split]
-    total = None
-    for logp in logps:
-        out = np.float64(-logp[np.arange(logp.shape[0]), y].mean())
-        total = out if total is None else total + out
+    logp = _log_softmax_rows(lv, y)
+    # the (K, batch) gather is strided; its means need a C-contiguous copy
+    picked = np.ascontiguousarray(logp[:, np.arange(lv.shape[1]), y])
+    total = _sum_left(-picked.mean(axis=1))
 
     def backward(g):
-        return tuple(
-            _cross_entropy_grad(logp, y, g) if n is not None else None
-            for (n, _), logp in zip(split, logps)
-        )
+        return (_cross_entropy_grad(logp, y, g),)
 
-    nodes = tuple(n for n, _ in split)
-    return _emit(_tape_of(*nodes), np.asarray(total), nodes, backward)
+    return _emit(_tape_of(ln), np.asarray(total), (ln,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def _check_points(conf, target) -> tuple[Array, Array]:
 def build_calibration_points(net: MultiExitNet, inputs, target_exits) -> tuple[Array, Array]:
     """Evaluate the substitute on the calibration inputs: (conf, target),
     its per-exit max confidences paired with the estimated victim exits."""
-    probs = forward_all_exits(net, inputs)
-    conf = np.stack([p.max(axis=1) for p in probs], axis=1)
+    conf = forward_all_exits(net, inputs).max(axis=2).T  # (K, n) -> (n, K)
     return _check_points(conf, target_exits)
 
 

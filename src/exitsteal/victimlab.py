@@ -156,25 +156,27 @@ def select_traditional_strategy(
     `accuracy_slack` of the final exit's accuracy, and among those return
     the one with the smallest total computation (ties break toward the
     smaller threshold). If nothing is feasible the result routes everything
-    to the last exit and carries fallback=True."""
+    to the last exit and carries fallback=True. `accuracy_slack` must be
+    >= 0."""
+    if not accuracy_slack >= 0.0:  # NaN fails too
+        raise ContractError(f"accuracy_slack must be >= 0, got {accuracy_slack}")
     x = nm.as_array(inputs)
     y = np.asarray(labels)
     if x.shape[0] == 0:
         raise ContractError("calibration set must be non-empty")
     if y.shape != (x.shape[0],):
         raise ContractError("labels must be 1-D and match the inputs")
-    probs = forward_all_exits(net, x)
-    stacked = np.stack(probs, axis=1)  # (B, K, C)
-    conf = stacked.max(axis=2)
-    classes = stacked.argmax(axis=2)
+    probs = forward_all_exits(net, x)  # (K, B, C)
+    conf = probs.max(axis=2).T  # (B, K)
+    classes = probs.argmax(axis=2)  # (K, B)
     flop_table = np.asarray(net.exit_flops)
-    final_acc = float((classes[:, -1] == y).mean())
+    final_acc = float((classes[-1] == y).mean())
 
     best_tau = None
     best_cost = None
     for tau in grid:
         exits = taken_exits(conf, OutputStrategy.uniform(tau, net.exit_count)) - 1
-        acc = float((classes[np.arange(len(y)), exits] == y).mean())
+        acc = float((classes[exits, np.arange(len(y))] == y).mean())
         if acc < final_acc - accuracy_slack:
             continue
         cost = int(flop_table[exits].sum())

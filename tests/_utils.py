@@ -1,5 +1,7 @@
 """Shared test helpers: finite-difference gradient checks and tiny nets."""
 
+from collections import Counter
+
 import numpy as np
 
 from exitsteal import numerics as nm
@@ -95,37 +97,67 @@ def binary_conf_logit(p):
 
 # ---------------------------------------------------------------------------
 # unfused primitive chains: the references the fused records must equal bit
-# for bit (same signatures as the fused records they stand for)
+# for bit (same signatures as the fused records they stand for). The stacked
+# records take (K, batch, classes) stacks; their chains work exit by exit on
+# the stack's slabs.
 
 _CHAIN_ACTIVATIONS = {None: lambda h: h, "relu": nm.relu, "tanh": nm.tanh}
+
+# the records themselves, kept before any monkeypatch
+_conv2d = nm.conv2d
+_softmax = nm.softmax
+
+
+def exit_slab(x, k):
+    """Slab k of a stack, as a record. Its gradient is -0.0 off the slab:
+    -0.0 is the additive identity, so the slabs' gradients add up to the
+    stack's bit for bit, signed zeros included."""
+    xn, xv = nm._split(x)
+
+    def backward(g):
+        z = np.full_like(xv, -0.0)
+        z[k] = g
+        return (z,)
+
+    return nm._emit(nm._tape_of(xn), xv[k], (xn,), backward)
+
+
+def exit_slabs(x):
+    return [exit_slab(x, k) for k in range(nm.value_of(x).shape[0])]
+
+
+def add_left(terms):
+    """terms[0] + terms[1] + ... as a chain of `add` records."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def chain_dense(x, w, b, activation=None):
     return _CHAIN_ACTIVATIONS[activation](nm.add(nm.matmul(x, w), b))
 
 
-_conv2d = nm.conv2d  # the record itself, kept before any monkeypatch
-
-
 def chain_conv2d(x, weight, bias, stride=1, activation=None):
     return _CHAIN_ACTIVATIONS[activation](_conv2d(x, weight, bias, stride=stride))
 
 
-def chain_mean_kl(target, pred):
-    return nm.mean_all(nm.kl_div(target, pred))
+def chain_softmax(x):
+    return nm.stack([_softmax(s) for s in exit_slabs(x)])
+
+
+def chain_mean_kl(target, probs):
+    return add_left([nm.mean_all(nm.kl_div(target, p)) for p in exit_slabs(probs)])
 
 
 def chain_cross_entropy_sum(logits, labels):
-    loss = nm.cross_entropy(logits[0], labels)
-    for lg in logits[1:]:
-        loss = loss + nm.cross_entropy(lg, labels)
-    return loss
+    return add_left([nm.cross_entropy(lg, labels) for lg in exit_slabs(logits)])
 
 
 def chain_exit_margins(probs, exits, phi1, phi2):
     """The strategy loss's margin terms built from primitive records."""
-    exit_count = len(probs)
-    conf = [nm.max_last(p) for p in probs]
+    conf = [nm.max_last(p) for p in exit_slabs(probs)]
+    exit_count = len(conf)
     groups = [np.flatnonzero(exits == i) for i in range(1, exit_count + 1)]
     total = None
     for i in range(exit_count - 1):  # exit i+1, 1-based
@@ -143,16 +175,31 @@ def chain_exit_margins(probs, exits, phi1, phi2):
     return total
 
 
-def use_unfused_chains(monkeypatch) -> None:
-    """Route every fused record through its primitive chain."""
-    for name, chain in (
-        ("dense", chain_dense),
-        ("conv2d", chain_conv2d),
-        ("mean_kl", chain_mean_kl),
-        ("cross_entropy_sum", chain_cross_entropy_sum),
-        ("exit_margins", chain_exit_margins),
-    ):
-        monkeypatch.setattr(nm, name, chain)
+CHAINS = {
+    "dense": chain_dense,
+    "conv2d": chain_conv2d,
+    "softmax": chain_softmax,
+    "mean_kl": chain_mean_kl,
+    "cross_entropy_sum": chain_cross_entropy_sum,
+    "exit_margins": chain_exit_margins,
+}
+
+
+def use_unfused_chains(monkeypatch) -> Counter:
+    """Route every fused record through its primitive chain. Returns a
+    Counter of the calls each routed name receives from then on."""
+    calls = Counter()
+
+    def counted(name, chain):
+        def routed(*args, **kwargs):
+            calls[name] += 1
+            return chain(*args, **kwargs)
+
+        return routed
+
+    for name, chain in CHAINS.items():
+        monkeypatch.setattr(nm, name, counted(name, chain))
+    return calls
 
 
 def assert_bitwise(a, b) -> None:

@@ -40,6 +40,7 @@ from _utils import (
     bias_only_net,
     binary_conf_logit,
     chain_exit_margins,
+    chain_mean_kl,
     conv_net,
     dense_net,
     fused_vs_chain,
@@ -202,8 +203,9 @@ def test_record_batch_checks_victim_probs_once(monkeypatch):
     sub = batch.subset([2, 0])
     assert np.array_equal(sub.exits, [2, 1])
     substitute_losses(net, sub, 0.95, 0.90)
-    # the substitute's predictions at both exits, never the victim rows again
-    assert checked == ["mean_kl pred", "mean_kl pred"]
+    # the substitute's prediction stack, once for both exits; never the
+    # victim rows again
+    assert checked == ["mean_kl pred"]
 
 
 # -- loss terms against hand-worked values ----------------------------------
@@ -372,17 +374,17 @@ def test_write_loss_trace_format(tmp_path):
 # -- fused records against the primitive chains ------------------------------
 
 
-def margin_probs(rng, n, exit_count):
-    """Per-exit 3-class probability rows rounded to 2 decimals: many exact
-    ties (also of the row max) and maxima sitting on phi1/phi2."""
+def margin_probs(rng, n, exit_count, classes=3):
+    """A stack of per-exit probability rows rounded to 2 decimals: many
+    exact ties (also of the row max) and maxima sitting on phi1/phi2."""
     probs = []
     for _ in range(exit_count):
-        p = np.round(rng.dirichlet(np.full(3, 0.5), size=n), 2)
-        p[0] = [0.95, 0.05, 0.0]
-        p[1] = [0.05, 0.9, 0.05]
-        p[2] = [0.4, 0.4, 0.2]
+        p = np.round(rng.dirichlet(np.full(classes, 0.5), size=n), 2)
+        for row, head in zip(p, ([0.95, 0.05], [0.05, 0.9, 0.05], [0.4, 0.4, 0.2])):
+            row[:] = 0.0
+            row[: len(head)] = head
         probs.append(p)
-    return probs
+    return np.stack(probs)
 
 
 @pytest.mark.parametrize("exit_count", [2, 3, 4, 5])
@@ -400,8 +402,8 @@ def test_exit_margins_is_bitwise_the_margin_chain(exit_count, groups):
     }[groups]
 
     def make_args(tape):
-        nodes = [tape.param(p) for p in probs]
-        return (nodes, exits, 0.95, 0.90), nodes
+        node = tape.param(probs)
+        return (node, exits, 0.95, 0.90), [node]
 
     for scale in (0.5, -1.0):
         value = fused_vs_chain(nm.exit_margins, chain_exit_margins, make_args, scale)
@@ -409,6 +411,53 @@ def test_exit_margins_is_bitwise_the_margin_chain(exit_count, groups):
     assert_bitwise(
         nm.exit_margins(probs, exits, 0.95, 0.90), chain_exit_margins(probs, exits, 0.95, 0.90)
     )
+
+
+def test_exit_margins_rejects_bad_exit_labels():
+    probs = margin_probs(np.random.default_rng(0), 4, 2)
+    for exits in (np.array([1.0, 2.0, 1.5, 2.0]), np.array([1, 2, 2])):
+        with pytest.raises(ContractError, match="exit labels must be integers"):
+            nm.exit_margins(probs, exits, 0.95, 0.90)
+
+
+MARGIN_GROUPS = {
+    "all": lambda n, k: np.arange(n) % k + 1,
+    "gaps": lambda n, k: np.where(np.arange(n) % 2 == 0, 1, k),
+    "first_only": lambda n, k: np.ones(n, dtype=int),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3, 129, 512])
+@pytest.mark.parametrize("classes", [3, 10])
+@pytest.mark.parametrize("groups", sorted(MARGIN_GROUPS))
+def test_substitute_loss_records_are_bitwise_the_chains_at_size(batch, classes, groups):
+    # both loss records on one probability stack, as in training: 10
+    # classes make row sums pairwise, batches past 128 the batch means. The
+    # target's zeros give -0.0 KL gradients; with "gaps" and "first_only"
+    # the margins reach only some exits, whose other slabs must add nothing
+    rng = np.random.default_rng(batch * classes)
+    exit_count = 4
+    probs = margin_probs(rng, batch, exit_count, classes)
+    probs /= probs.sum(axis=2, keepdims=True)
+    target = rng.dirichlet(np.ones(classes), size=batch)
+    target[::2, 0] = 0.0
+    target /= target.sum(axis=1, keepdims=True)
+    exits = MARGIN_GROUPS[groups](batch, exit_count)
+
+    def losses(mean_kl, exit_margins):
+        return lambda p: mean_kl(target, p) + 0.5 * exit_margins(p, exits, 0.95, 0.90)
+
+    def make_args(tape):
+        node = tape.param(probs)
+        return (node,), [node]
+
+    for scale in (1.0, -0.7):
+        fused_vs_chain(
+            losses(nm.mean_kl, nm.exit_margins),
+            losses(chain_mean_kl, chain_exit_margins),
+            make_args,
+            scale,
+        )
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv"])
@@ -435,8 +484,11 @@ def test_training_is_bitwise_the_unfused_path(kind, monkeypatch):
         return [p.copy() for net in nets for p in net.parameters()], trace_ours + trace_base
 
     fused_params, fused_trace = one_epoch_each()
-    use_unfused_chains(monkeypatch)
+    calls = use_unfused_chains(monkeypatch)
     chain_params, chain_trace = one_epoch_each()
+    # every fused record of the training step went through its chain
+    blocks = {"dense"} if kind == "dense" else {"conv2d", "dense"}
+    assert set(calls) == blocks | {"softmax", "mean_kl", "cross_entropy_sum", "exit_margins"}
     for a, b in zip(fused_params, chain_params):
         assert_bitwise(a, b)
     assert fused_trace == chain_trace

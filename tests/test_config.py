@@ -40,6 +40,10 @@ BROKEN = {
     "epochs": ({"attack.epochs": "-1"}, "epochs must be >= 0"),
     "batch_size": ({"victim.batch_size": "0"}, "batch sizes must be >= 1"),
     "noise_over_gap": ({"timing.noise_over_gap": "-0.1"}, "noise_over_gap must be >= 0"),
+    "momentum_negative": ({"victim.momentum": "-0.5"}, r"victim.momentum must lie in \[0, 1\)"),
+    "momentum_one": ({"victim.momentum": "1"}, r"victim.momentum must lie in \[0, 1\)"),
+    "tau_slack": ({"victim.tau_slack": "-0.01"}, "victim.tau_slack must be >= 0"),
+    "delta": ({"attack.delta": "-0.02"}, "attack.delta must be >= 0"),
     "uniform_range": (
         {"unrelated.kind": "uniform", "unrelated.low": "1", "unrelated.high": "1"},
         "unrelated.low must be < unrelated.high",

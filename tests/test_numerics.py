@@ -18,6 +18,7 @@ from _utils import (
     chain_cross_entropy_sum,
     chain_dense,
     chain_mean_kl,
+    chain_softmax,
     check_grads,
     fused_vs_chain,
 )
@@ -82,6 +83,14 @@ def test_sgd_matches_hand_rolled_steps():
                 want -= 0.1 * g
         assert float(p) == want
         assert seen == [0, 1]
+
+
+@pytest.mark.parametrize("momentum", [-0.5, 1.0, 1.5, float("nan")])
+def test_sgd_rejects_momentum_outside_0_1(momentum):
+    p = np.array(0.25)
+    with pytest.raises(ContractError, match=r"momentum must lie in \[0, 1\)"):
+        nm.sgd([p], 5, None, epochs=1, lr=0.1, seed=3, batch_size=2, momentum=momentum)
+    assert float(p) == 0.25
 
 
 def test_unused_parameter_gets_zero_gradient():
@@ -467,21 +476,25 @@ def test_mean_kl_is_bitwise_mean_all_of_kl_div(scale):
     pred[2] = [1.0 - 3e-13, 1e-13, 2e-13, 0.0]
     pred[3] = [0.0, 0.0, 1.0, 0.0]
 
+    stack = np.stack([pred, pred[::-1]])  # two exits
+
     def make_args(tape):
-        p = tape.param(pred)
+        p = tape.param(stack)
         return (target, p), [p]
 
     fused_vs_chain(nm.mean_kl, chain_mean_kl, make_args, scale)
 
-    def make_row_args(tape):  # one probability vector: a scalar KL
-        p = tape.param(pred[2])
+    def make_row_args(tape):  # one probability vector per exit: scalar KLs
+        p = tape.param(stack[:, 2])
         return (target[0], p), [p]
 
     fused_vs_chain(nm.mean_kl, chain_mean_kl, make_row_args, scale)
     with pytest.raises(ContractError):
-        nm.mean_kl(target, pred[:, :3] / pred[:, :3].sum(axis=1, keepdims=True))
+        nm.mean_kl(target, stack[:, :, :3] / stack[:, :, :3].sum(axis=2, keepdims=True))
     with pytest.raises(ContractError):
-        nm.mean_kl(target, pred * 2.0)
+        nm.mean_kl(target, stack * 2.0)
+    with pytest.raises(ContractError, match="shapes differ"):
+        nm.mean_kl(target, pred)  # one exit's predictions, not a stack
 
 
 @pytest.mark.parametrize("exits", [1, 2, 4])
@@ -493,11 +506,106 @@ def test_cross_entropy_sum_is_bitwise_the_added_cross_entropies(exits):
     def make_args(tape):
         # the second exit's logits stay constant: they get no gradient
         nodes = [l if k == 1 else tape.param(l) for k, l in enumerate(logits)]
-        return (nodes, labels), [n for n in nodes if isinstance(n, nm.Node)]
+        return (nm.stack(nodes), labels), [n for n in nodes if isinstance(n, nm.Node)]
 
     fused_vs_chain(nm.cross_entropy_sum, chain_cross_entropy_sum, make_args, 0.5)
     with pytest.raises(ContractError):
-        nm.cross_entropy_sum(logits, labels + 3)
+        nm.cross_entropy_sum(np.stack(logits), labels + 3)
     with pytest.raises(ContractError):
-        nm.cross_entropy_sum([], labels)
+        nm.cross_entropy_sum(np.empty((0, 7, 3)), labels)
+    with pytest.raises(ContractError):
+        nm.cross_entropy_sum(logits[0], labels)  # one exit, not a stack
 
+
+# batch sizes around numpy's pairwise-sum block of 128, and 10 classes,
+# where row sums over the class axis are pairwise too
+STACK_SIZES = [(b, c) for b in (1, 3, 129, 512) for c in (3, 10)]
+
+
+def logits_stack(rng, exits, batch, classes):
+    return rng.normal(size=(exits, batch, classes)) * 4.0
+
+
+@pytest.mark.parametrize("batch,classes", STACK_SIZES)
+def test_stacked_records_are_bitwise_the_per_exit_chains(batch, classes):
+    rng = np.random.default_rng(batch + classes)
+    logits = logits_stack(rng, 4, batch, classes)
+    labels = rng.integers(0, classes, size=batch)
+    target = rng.dirichlet(np.ones(classes), size=batch)
+    target[::3, -1] = 0.0  # zero targets: -0.0 gradients
+    target /= target.sum(axis=1, keepdims=True)
+
+    def make_args_of(*rest):
+        def make_args(tape):
+            node = tape.param(logits)
+            return (node, *rest), [node]
+
+        return make_args
+
+    fused_vs_chain(nm.softmax, chain_softmax, make_args_of(), 1.0)
+    fused_vs_chain(nm.cross_entropy_sum, chain_cross_entropy_sum, make_args_of(labels), -0.5)
+
+    def make_probs(tape):
+        node = tape.param(logits)
+        return (target, nm.softmax(node)), [node]
+
+    fused_vs_chain(nm.mean_kl, chain_mean_kl, make_probs, 0.7)
+
+
+def test_stacked_records_add_many_exits_left_to_right():
+    # past 8 exits numpy's own sum of the per-exit terms would go pairwise
+    rng = np.random.default_rng(38)
+    logits = logits_stack(rng, 12, 40, 5)
+    labels = rng.integers(0, 5, size=40)
+    target = rng.dirichlet(np.ones(5), size=40)
+
+    def make_args(tape):
+        node = tape.param(logits)
+        return (node, labels), [node]
+
+    def make_probs(tape):
+        node = tape.param(logits)
+        return (target, nm.softmax(node)), [node]
+
+    fused_vs_chain(nm.cross_entropy_sum, chain_cross_entropy_sum, make_args, 1.0)
+    fused_vs_chain(nm.mean_kl, chain_mean_kl, make_probs, 1.0)
+    # the premise: at this seed numpy's sum differs from both chains'
+    terms = [nm.mean_all(nm.kl_div(target, p)) for p in nm.softmax(logits)]
+    assert sum(terms[1:], terms[0]) != np.sum(terms)
+    terms = [nm.cross_entropy(l, labels) for l in logits]
+    assert sum(terms[1:], terms[0]) != np.sum(terms)
+
+
+def test_batch_means_of_a_strided_gather_are_not_the_per_exit_means():
+    # the regression the stacked records guard against: picking each
+    # row's label entry from a (K, B, C) stack gives a strided (K, B)
+    # array whose batch means numpy adds in another order than one exit's
+    # 1-D mean, so they differ in the last bit; a C-contiguous copy agrees
+    rng = np.random.default_rng(17)
+    logp = logits_stack(rng, 4, 512, 10)
+    labels = rng.integers(0, 10, size=512)
+    per_exit = [l[np.arange(512), labels].mean() for l in logp]
+    gathered = logp[:, np.arange(512), labels]
+    assert not gathered.flags.c_contiguous
+    assert any(a != b for a, b in zip(gathered.mean(axis=1), per_exit))
+    assert_bitwise(np.ascontiguousarray(gathered).mean(axis=1), np.array(per_exit))
+    # and the record is the chain at that size and gather
+    fused = nm.cross_entropy_sum(logp, labels)
+    assert_bitwise(fused, np.asarray(chain_cross_entropy_sum(logp, labels)))
+
+
+def test_stack_gives_each_input_its_slab():
+    rng = np.random.default_rng(18)
+    parts = [rng.normal(size=(3, 2)) for _ in range(3)]
+    tape = nm.GradTape()
+    nodes = [tape.param(parts[0]), parts[1], tape.param(parts[2])]
+    out = nm.stack(nodes)
+    assert out.value.flags.c_contiguous
+    assert_bitwise(out.value, np.stack(parts))
+    weights = rng.normal(size=(3, 3, 2))
+    grads = nm.grad(nm.sum_all(nm.mul(out, weights)), tape)
+    assert_bitwise(grads[nodes[0]], weights[0])
+    assert_bitwise(grads[nodes[2]], weights[2])
+    assert_bitwise(nm.stack(parts), np.stack(parts))
+    with pytest.raises(ContractError):
+        nm.stack([])

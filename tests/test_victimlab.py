@@ -24,6 +24,8 @@ from exitsteal.victimlab import (
     train_victim,
 )
 
+from _utils import bias_only_net
+
 
 def small_net(seed=0, widths=(8, 32, 32), classes=4, exits=2):
     spec = BackboneSpec.dense(widths)
@@ -177,14 +179,26 @@ def test_tau_selection_on_trained_victim_prefers_cheap_exit():
 
 
 def test_tau_selection_fallback_when_infeasible():
-    net = small_net(seed=9)
+    # exit 1 is sure (confidence 0.99995) of class 0, the last exit of the
+    # true class 1: every threshold on the grid stops at exit 1 and loses
+    # all the final exit's accuracy, so none is feasible even at slack 0
+    net = bias_only_net([[10.0, 0.0], [0.0, 10.0]], in_dim=8)
     x = np.random.default_rng(1).normal(size=(60, 8))
-    y = np.random.default_rng(2).integers(0, 4, size=60)
-    strat = select_traditional_strategy(net, x, y, accuracy_slack=-1.0)
+    y = np.ones(60, dtype=int)
+    strat = select_traditional_strategy(net, x, y, accuracy_slack=0.0)
     assert strat.fallback
     assert all(t == SENTINEL for t in strat.thresholds[:-1])
     exits = cascade(net, x, strat)[0]
     assert (exits == net.exit_count).all()
+
+
+@pytest.mark.parametrize("slack", [-1.0, -1e-9, float("nan")])
+def test_tau_selection_rejects_negative_slack(slack):
+    net = small_net()
+    x = np.random.default_rng(1).normal(size=(60, 8))
+    y = np.random.default_rng(2).integers(0, 4, size=60)
+    with pytest.raises(ContractError, match="accuracy_slack must be >= 0"):
+        select_traditional_strategy(net, x, y, accuracy_slack=slack)
 
 
 def test_tau_selection_rejects_bad_shapes():
