@@ -42,7 +42,8 @@ Array = np.ndarray
 class AttackConfig:
     """Knobs for substitute training. phi1 is the own-exit confidence bar,
     phi2 the cap earlier exits must hold later-exiting samples under; the
-    margins only make sense when phi1 >= phi2."""
+    margins only make sense when phi1 >= phi2. epochs, lr and batch_size are
+    checked by `numerics.sgd` when training starts."""
 
     phi1: float = 0.95
     phi2: float = 0.90
@@ -57,14 +58,8 @@ class AttackConfig:
             raise ContractError("phi1 and phi2 must lie in (0, 1]")
         if self.phi1 < self.phi2:
             raise ContractError("phi1 must be >= phi2")
-        if self.lambda_strategy < 0.0:
+        if not self.lambda_strategy >= 0.0:  # NaN fails too
             raise ContractError("lambda_strategy must be >= 0")
-        if self.epochs < 0:
-            raise ContractError("epochs must be >= 0")
-        if self.lr <= 0.0:
-            raise ContractError("lr must be positive")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
 missing artifact, which the message names, and a damaged one, a
-FormatError naming its path and the field at fault), 2 when the strategy
-search overruns its branch budget.
+FormatError naming its path and the field at fault, or the archive member
+that fails to read), 2 when the strategy search overruns its branch budget.
 """
 
 from __future__ import annotations

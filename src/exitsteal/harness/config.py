@@ -350,6 +350,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError("attack.baseline_arch must be attacker or victim")
     if u.kind == "uniform" and u.high <= u.low:
         raise ContractError("unrelated.low must be < unrelated.high")
+    for f in fields(SeedCfg):
+        if getattr(cfg.seed, f.name) < 0:  # numpy's generators take no negative seed
+            raise ContractError(f"seed.{f.name} must be >= 0")
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:

@@ -5,9 +5,11 @@ recorded in status.json with a wall time. ARTIFACTS declares every file of
 the directory once: the stage that writes it and its fields. Every artifact
 is opened by `_read`, so a missing input is found when the stage reads it
 and names the command that makes it, and a damaged one is a FormatError
-naming its path and, when the file parses, the field at fault. Re-running
-skips stages whose outputs already exist, so an interrupted run resumes
-where it stopped. The status file pins the config hash; running a different
+naming its path and, when the file parses, the field at fault. A .npz
+archive is read whole and each of its arrays checked before a stage sees
+any of them, so a damaged member fails in `_read` too. Re-running skips
+stages whose outputs already exist, so an interrupted run resumes where it
+stopped. The status file pins the config hash; running a different
 config against the same directory is refused rather than silently mixing
 artifacts.
 """
@@ -200,33 +202,12 @@ def _check_names(path, names, fields) -> None:
         raise FormatError(f"{path} {'lacks' if odd[0] in fields else 'has undeclared'} {odd[0]!r}")
 
 
-class _Archive:
-    """numpy's lazy .npz archive, each array checked against ARTIFACTS as a stage takes it."""
-
-    def __init__(self, path, archive, fields):
-        _check_names(path, archive.files, fields)
-        self.path, self.archive, self.fields = path, archive, fields
-
-    def __getitem__(self, key):
-        array = self.archive[key]
-        kind, ranks = self.fields[key]
-        if array.dtype.kind != kind or array.ndim not in ranks:
-            got = f"got {array.dtype} of rank {array.ndim}"
-            raise FormatError(f"{self.path} {key!r} must be kind {kind!r}, rank in {ranks}; {got}")
-        return array
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.archive.close()
-
-
 def _read(run_dir, name: str):
-    """The run artifact `name`: a .ckpt as its net, a .npz as an `_Archive`,
-    a .json parsed. A missing file raises ContractError naming the command
-    that makes it; one that cannot be parsed, or whose fields are not those
-    ARTIFACTS declares, raises FormatError."""
+    """The run artifact `name`: a .ckpt as its net, a .npz as a dict of its
+    arrays, a .json parsed. A missing file raises ContractError naming the
+    command that makes it; one that cannot be parsed, including a damaged
+    archive member, or whose fields are not those ARTIFACTS declares, raises
+    FormatError naming its path."""
     path = _path(run_dir, name)
     artifact = ARTIFACTS[name]
     if not os.path.exists(path):
@@ -236,14 +217,21 @@ def _read(run_dir, name: str):
         if name.endswith(".ckpt"):
             return load_checkpoint(path)
         if name.endswith(".npz"):
-            content = np.load(path)
+            with np.load(path) as archive:
+                content = {key: archive[key] for key in archive.files}
         else:
             with open(path) as fh:
                 content = json.load(fh)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if name.endswith(".npz"):
-        return _Archive(path, content, artifact.fields)
+        _check_names(path, content, artifact.fields)
+        for key, array in content.items():
+            kind, ranks = artifact.fields[key]
+            if array.dtype.kind != kind or array.ndim not in ranks:
+                got = f"got {array.dtype} of rank {array.ndim}"
+                raise FormatError(f"{path} {key!r} must be kind {kind!r}, rank in {ranks}; {got}")
+        return content
     for key, kind in artifact.fields.items():
         json_field(content, key, kind, path)
     _check_names(path, content, artifact.fields)
@@ -469,11 +457,8 @@ def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
 
 def _query_batch(run_dir) -> RecordBatch:
     """The answered queries with their estimated exit labels."""
-    with _read(run_dir, "queries.npz") as q:
-        inputs, probs = q["query_x"], q["query_probs"]
-    with _read(run_dir, "labels.npz") as labels:
-        exits = labels["query_exits"]
-    return RecordBatch(inputs, probs, exits)
+    q = _read(run_dir, "queries.npz")
+    return RecordBatch(q["query_x"], q["query_probs"], _read(run_dir, "labels.npz")["query_exits"])
 
 
 def _attack_config(cfg: ExperimentConfig) -> AttackConfig:

@@ -178,10 +178,18 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, en
     `take`, `batch_loss(bound, take)` builds the loss on a fresh tape from
     the parameters bound as nodes (in `params` order); the update is
     p -= lr * g, with g replaced by the velocity momentum * v + g only when
-    momentum > 0; `momentum` must lie in [0, 1). `end_epoch(epoch)` runs
+    momentum > 0. `epochs` must be >= 0, `lr` positive and finite,
+    `batch_size` >= 1 and `momentum` in [0, 1). `end_epoch(epoch)` runs
     after each epoch's last update.
     """
-    if not 0.0 <= momentum < 1.0:  # chained, so NaN fails too
+    # each check is a comparison that NaN fails
+    if not epochs >= 0:
+        raise ContractError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < lr < np.inf:
+        raise ContractError(f"lr must be positive and finite, got {lr}")
+    if not batch_size >= 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    if not 0.0 <= momentum < 1.0:
         raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
     rng = np.random.default_rng(seed)
     velocity = [np.zeros_like(p) for p in params] if momentum > 0.0 else None

@@ -129,12 +129,6 @@ def train_victim(
         raise ContractError("training needs a non-empty batch of inputs")
     if y.shape != (x.shape[0],):
         raise ContractError("labels must be 1-D and match the inputs")
-    if epochs < 0:
-        raise ContractError("epochs must be >= 0")
-    if lr <= 0.0:
-        raise ContractError("lr must be positive")
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
 
     def batch_loss(bound, take):
         return nm.cross_entropy_sum(net.forward_exit_logits(x[take], params=bound), y[take])

@@ -3,10 +3,12 @@ the config turns off, a damaged artifact or a usage error, 2 when the
 strategy search overruns its branch budget."""
 
 import json
+import shutil
 
 import pytest
 
 from exitsteal import search
+from exitsteal.harness.experiment import ARTIFACTS
 from exitsteal.harness.cli import main
 from exitsteal.harness.config import load_config, parse_config_text
 
@@ -17,6 +19,7 @@ from test_experiment import (
     TINY,
     TOY_CFG,
     _valid_report,
+    damage_member,
     queries_npz,
     run_stages_before,
 )
@@ -43,6 +46,16 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", dict(TINY, **{"victim.exits": "1"}))
     assert main(["run-experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert "victim.exits must be >= 2" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    # numpy's generators take no negative seed; the config refuses one
+    # before any stage starts
+    cfg = write_config(tmp_path / "tiny.cfg", TINY)
+    argv = ["train-victim", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, "seed.dataset must be >= 0")
+    assert not (tmp_path / "run").exists()
 
 
 def test_search_over_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -110,6 +123,43 @@ def test_damaged_queries_exit_1(tmp_path, capsys, content, field):
     assert main(["estimate-exits", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     names = [str(tmp_path / "run" / "queries.npz")] + [field] * (field is not None)
     assert_one_error_line(capsys.readouterr().err, *names)
+
+
+@pytest.fixture(scope="module")
+def finished_tiny_run(tmp_path_factory):
+    """(config path, run directory) of a finished TINY run; copy it before
+    changing it."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = write_config(root / "tiny.cfg", TINY)
+    assert main(["run-experiment", "--config", cfg, "--out", str(root / "run")]) == 0
+    return cfg, root / "run"
+
+
+# each archive: the command of the first stage that reads it, and an output
+# of that stage, removed so that the stage runs again
+ARCHIVE_READERS = {
+    "dataset.npz": ("train-victim", "victim.ckpt"),
+    "queries.npz": ("estimate-exits", "labels.npz"),
+    "labels.npz": ("train-substitute", "sub_ours.ckpt"),
+}
+
+
+@pytest.mark.parametrize(
+    "archive, member",
+    [(archive, member) for archive in ARCHIVE_READERS for member in ARTIFACTS[archive].fields],
+)
+def test_damaged_archive_member_exits_1(finished_tiny_run, tmp_path, capsys, archive, member):
+    cfg, finished = finished_tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(finished, run)
+    command, output = ARCHIVE_READERS[archive]
+    (run / output).unlink()
+    path = run / archive
+    path.write_bytes(damage_member(path.read_bytes(), f"{member}.npy"))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(run)]) == 1
+    message = f"cannot read {path}: Bad CRC-32 for file '{member}.npy'"
+    assert_one_error_line(capsys.readouterr().err, message)
 
 
 @pytest.mark.parametrize(

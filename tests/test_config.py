@@ -48,6 +48,7 @@ BROKEN = {
         {"unrelated.kind": "uniform", "unrelated.low": "1", "unrelated.high": "1"},
         "unrelated.low must be < unrelated.high",
     ),
+    "negative_seed": ({"seed.noise": "-1"}, "seed.noise must be >= 0"),
 }
 
 

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -324,19 +326,39 @@ def queries_npz(**changes) -> bytes:
     return buf.getvalue()
 
 
+def damage_member(content: bytes, member: str) -> bytes:
+    """`content`, an uncompressed zip as np.savez writes it, with the last
+    data byte of `member` flipped: the zip still opens, and reading that
+    member fails its CRC check."""
+    info = zipfile.ZipFile(io.BytesIO(content)).getinfo(member)
+    assert info.compress_type == zipfile.ZIP_STORED and info.compress_size > 0
+    at = info.header_offset  # the local header: 30 bytes, the name, the extra field
+    name_len, extra_len = struct.unpack("<HH", content[at + 26 : at + 30])
+    damaged = bytearray(content)
+    damaged[at + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    return bytes(damaged)
+
+
 @pytest.mark.parametrize(
-    "changes, message",
+    "content, message",
     [
-        ({"calib_runtimes": None}, "lacks 'calib_runtimes'"),
-        ({"extra": np.zeros(1)}, "has undeclared 'extra'"),
-        ({"calib_runtimes": np.arange(3)}, "'calib_runtimes' must be kind 'f'"),
-        ({"calib_runtimes": np.zeros((3, 1))}, r"'calib_runtimes' .* got float64 of rank 2"),
+        (queries_npz(calib_runtimes=None), " lacks 'calib_runtimes'"),
+        (queries_npz(extra=np.zeros(1)), " has undeclared 'extra'"),
+        (queries_npz(calib_runtimes=np.arange(3)), " 'calib_runtimes' must be kind 'f'"),
+        (
+            queries_npz(calib_runtimes=np.zeros((3, 1))),
+            r" 'calib_runtimes' .* got float64 of rank 2",
+        ),
+        (
+            damage_member(queries_npz(), "calib_runtimes.npy"),
+            ": Bad CRC-32 for file 'calib_runtimes.npy'",
+        ),
     ],
-    ids=["missing", "undeclared", "int_dtype", "rank_2"],
+    ids=["missing", "undeclared", "int_dtype", "rank_2", "crc"],
 )
-def test_damaged_queries_is_a_format_error(tmp_path, changes, message):
-    (tmp_path / "queries.npz").write_bytes(queries_npz(**changes))
-    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "queries.npz")) + " " + message):
+def test_damaged_queries_is_a_format_error(tmp_path, content, message):
+    (tmp_path / "queries.npz").write_bytes(content)
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "queries.npz")) + message):
         run_stage("estimate_exits", load_config(TOY_CFG, TINY), tmp_path)
 
 

@@ -93,6 +93,25 @@ def test_sgd_rejects_momentum_outside_0_1(momentum):
     assert float(p) == 0.25
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("epochs", -1),
+        ("lr", 0.0),
+        ("lr", -1.0),
+        ("lr", float("inf")),
+        ("lr", float("nan")),
+        ("batch_size", 0),
+    ],
+)
+def test_sgd_rejects_bad_hyperparameters(knob, value):
+    p = np.array(0.25)
+    knobs = {"epochs": 1, "lr": 0.1, "batch_size": 2, knob: value}
+    with pytest.raises(ContractError, match=f"{knob} must be "):
+        nm.sgd([p], 5, None, seed=3, **knobs)
+    assert float(p) == 0.25
+
+
 def test_unused_parameter_gets_zero_gradient():
     tape = nm.GradTape()
     a = tape.param(np.array([1.0, 2.0]))

@@ -129,6 +129,8 @@ def test_training_validates_arguments():
     with pytest.raises(ContractError):
         train_victim(small_net(), x, y, epochs=1, lr=0.0, seed=0)
     with pytest.raises(ContractError):
+        train_victim(small_net(), x, y, epochs=1, lr=float("nan"), seed=0)
+    with pytest.raises(ContractError):
         train_victim(small_net(), x, y, epochs=1, lr=0.1, seed=0, batch_size=0)
 
 
