@@ -1,4 +1,5 @@
-"""Experiment harness: datasets, config files, the staged pipeline, CLI."""
+"""Experiment harness: datasets, config files, the staged pipeline, the
+experiment grid over it, CLI."""
 
 from .config import ExperimentConfig, build_config, load_config, seed_overrides
 from .datasets import (
@@ -9,7 +10,7 @@ from .datasets import (
     load_idx_dataset,
     load_idx_file,
 )
-from .experiment import run_experiment, run_stage, run_lambda_sweep, run_exit_sweep
+from .experiment import run_experiment, run_grid, run_stage
 
 __all__ = [
     "ExperimentConfig",
@@ -22,8 +23,7 @@ __all__ = [
     "load_idx_dataset",
     "load_idx_file",
     "run_experiment",
-    "run_exit_sweep",
-    "run_lambda_sweep",
+    "run_grid",
     "run_stage",
     "seed_overrides",
 ]

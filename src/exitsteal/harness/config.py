@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
+from ..changepoint import MIN_SEGMENT
 from ..errors import ContractError, FormatError
 
 
@@ -310,14 +311,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError("tiered blobs are 1-D; conv backbones need dataset.kind = idx")
     if v.tau is not None and not (0.0 < v.tau <= 1.0):
         raise ContractError("victim.tau must lie in (0, 1] or be 'auto'")
-    for name, val in (
-        ("dataset.n_train", d.n_train),
-        ("dataset.n_calibration", d.n_calibration),
-        ("dataset.n_test", d.n_test),
-        ("dataset.n_iid_pool", d.n_iid_pool),
+    for name, val, least in (
+        ("dataset.n_train", d.n_train, 1),
+        # estimate_exits splits the calibration runtimes into segments
+        ("dataset.n_calibration", d.n_calibration, 2 * MIN_SEGMENT),
+        ("dataset.n_test", d.n_test, 1),
+        ("dataset.n_iid_pool", d.n_iid_pool, 1),
     ):
-        if val < 1:
-            raise ContractError(f"{name} must be >= 1")
+        if val < least:
+            raise ContractError(f"{name} must be >= {least}")
     if a.n_iid > d.n_iid_pool:
         raise ContractError(
             f"attack.n_iid = {a.n_iid} exceeds dataset.n_iid_pool = {d.n_iid_pool}"

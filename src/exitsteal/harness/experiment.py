@@ -12,10 +12,17 @@ stages whose outputs already exist, so an interrupted run resumes where it
 stopped. The status file pins the config hash; running a different
 config against the same directory is refused rather than silently mixing
 artifacts.
+
+The experiment grid, `run_grid`, is the one entry point of a multi-run study: a
+resumable `run_experiment` per point of the product of its axes (config
+keys, and `seed` for master seeds expanded as --seed does), and grid.csv
+with one row per point and variant, written by `_write_csv` like reports.csv.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import json
 import os
 import shutil
@@ -55,7 +62,7 @@ from ..victimlab import (
     select_traditional_strategy,
     train_victim,
 )
-from .config import ExperimentConfig, NetCfg, build_config
+from .config import ExperimentConfig, NetCfg, build_config, seed_overrides
 from .datasets import (
     generate_tiered_dataset,
     generate_unrelated_blobs,
@@ -187,12 +194,13 @@ def _write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, column: str, rows) -> None:
-    """One line per (key, report) of `rows` under `column` and CSV_COLUMNS."""
-    with open(path, "w") as fh:
-        fh.write(",".join((column,) + CSV_COLUMNS) + "\n")
-        for key, report in rows:
-            fh.write(",".join([key] + report.csv_row()) + "\n")
+def _write_csv(path, lead: tuple[str, ...], rows) -> None:
+    """A header of the `lead` columns and CSV_COLUMNS, then one line per
+    (lead values, report) of `rows`; a value holding a comma is quoted."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(lead + CSV_COLUMNS)
+        out.writerows(values + tuple(report.csv_row()) for values, report in rows)
 
 
 def _check_names(path, names, fields) -> None:
@@ -217,7 +225,10 @@ def _read(run_dir, name: str):
         if name.endswith(".ckpt"):
             return load_checkpoint(path)
         if name.endswith(".npz"):
-            with np.load(path) as archive:
+            archive = np.load(path)  # a plain .npy file loads as one ndarray
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
                 content = {key: archive[key] for key in archive.files}
         else:
             with open(path) as fh:
@@ -590,12 +601,12 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
     test_x, test_y = data["test_x"], data["test_y"]
     victim = cascade(dep.net, test_x, dep.strategy)
     rows = [
-        (name, make_report(net, strategies[name], test_x, test_y, victim))
+        ((name,), make_report(net, strategies[name], test_x, test_y, victim))
         for name, net in nets.items()
     ]
-    for name, report in rows:
+    for (name,), report in rows:
         _write_text(_path(run_dir, f"report_{name}.json"), report.to_json())
-    _write_csv(_path(run_dir, "reports.csv"), "model", rows)
+    _write_csv(_path(run_dir, "reports.csv"), ("model",), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -682,35 +693,41 @@ def load_reports(run_dir) -> dict[str, EvalReport]:
 
 
 # ---------------------------------------------------------------------------
-# sweep recipes
+# the experiment grid
 
 
-def _sweep(base_values, key: str, cast, settings, root_dir, column: str, csv_name: str):
-    """One full experiment per setting of config `key`, each in the
-    subdirectory <column>_<setting>; returns (setting, 'ours' report) pairs
-    and writes them to `csv_name` at the root."""
-    rows = []
-    for setting in settings:
-        cfg = build_config({**base_values, key: repr(cast(setting))})
-        reports = run_experiment(cfg, os.path.join(root_dir, f"{column}_{setting}"))
-        rows.append((cast(setting), reports["ours"]))
-    _write_csv(os.path.join(root_dir, csv_name), column, [(repr(v), r) for v, r in rows])
-    return rows
+def _point_values(point: dict[str, str]) -> dict[str, str]:
+    """The config values a grid point sets; its `seed` expands as --seed does,
+    and a `seed.<stream>` axis of its own overrides that stream."""
+    values = dict(point)
+    if "seed" in values:
+        values = {**seed_overrides(int(values.pop("seed"))), **values}
+    return values
 
 
-def run_lambda_sweep(
-    base_values: dict[str, str], lambdas, root_dir
-) -> list[tuple[float, EvalReport]]:
-    """One full experiment per strategy-loss weight; writes lambda_sweep.csv."""
-    return _sweep(
-        base_values, "attack.lambda", float, lambdas, root_dir, "lambda", "lambda_sweep.csv"
-    )
-
-
-def run_exit_sweep(
-    base_values: dict[str, str], exit_counts, root_dir
-) -> list[tuple[int, EvalReport]]:
-    """One full experiment per victim exit count; writes exit_sweep.csv."""
-    return _sweep(
-        base_values, "victim.exits", int, exit_counts, root_dir, "exits", "exit_sweep.csv"
-    )
+def run_grid(
+    base_values: dict[str, str], axes: dict[str, list], root_dir
+) -> list[tuple[dict[str, str], dict[str, EvalReport]]]:
+    """One resumable `run_experiment` per point of the Cartesian product of
+    `axes`, in axes order, each in the subdirectory of `root_dir` named by
+    its key=value pairs; every point's config is built first. Returns
+    (point, reports) pairs, a point mapping axis keys to raw values."""
+    if not axes:
+        raise ContractError("a grid needs at least one axis")
+    raw_axes = {key: [str(v) for v in values] for key, values in axes.items()}
+    for key, raws in raw_axes.items():
+        if not raws or len(set(raws)) != len(raws):
+            raise ContractError(f"grid axis {key!r} needs distinct values, got {raws}")
+        if any("/" in raw for raw in raws):
+            raise ContractError(f"grid axis {key!r}: a value with '/' would leave {root_dir}")
+        if key == "seed" and not all(raw.isdecimal() for raw in raws):
+            raise ContractError(f"grid axis 'seed' takes master seeds >= 0, got {raws}")
+    points = [dict(zip(raw_axes, combo)) for combo in itertools.product(*raw_axes.values())]
+    configs = [build_config({**base_values, **_point_values(point)}) for point in points]
+    results = []
+    for point, cfg in zip(points, configs):
+        subdir = "_".join(f"{key}={raw}" for key, raw in point.items())
+        results.append((point, run_experiment(cfg, os.path.join(root_dir, subdir))))
+    rows = [((*p.values(), name), r) for p, reports in results for name, r in reports.items()]
+    _write_csv(os.path.join(root_dir, "grid.csv"), (*raw_axes, "model"), rows)
+    return results

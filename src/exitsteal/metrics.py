@@ -46,10 +46,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
     def csv_row(self) -> list[str]:
         """Values in CSV_COLUMNS order: ACC, CLO, CC (GFLOPs), CC-ratio."""
         return [repr(getattr(self, column)) for column in CSV_COLUMNS]

@@ -16,7 +16,9 @@ travel as one C-contiguous (K, batch, classes) stack from the heads on
 (`stack` makes it, and one `softmax` runs over it):
 
 - `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none),
-  and `conv2d(x, w, b, stride, activation)` for its conv -> relu/tanh;
+  and `conv2d(x, w, b, stride, activation)` for its conv -> relu/tanh
+  (the `tanh` record, which no src code calls, is kept with the tests'
+  references in tests/_utils.py, as is `sum_all`);
 - `mean_kl(target, probs)` for the sum over the exits of a probability
   stack of mean_all(kl_div(target, probs[k])), added left to right like a
   chain of `add`s;
@@ -316,16 +318,6 @@ def relu(x):
     return _emit(_tape_of(xn), out, (xn,), backward)
 
 
-def tanh(x):
-    xn, xv = _split(x)
-    out = np.tanh(xv)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _emit(_tape_of(xn), out, (xn,), backward)
-
-
 def _activate(z: Array, activation) -> None:
     """Apply `activation` ("relu", "tanh" or None) to `z` in place; `z` is
     the caller's own fresh array."""
@@ -390,16 +382,6 @@ def stack(xs):
 
     nodes = tuple(n for n, _ in split)
     return _emit(_tape_of(*nodes), out, nodes, backward)
-
-
-def sum_all(x):
-    xn, xv = _split(x)
-    out = xv.sum()
-
-    def backward(g):
-        return (np.broadcast_to(g, xv.shape).astype(np.float64, copy=False),)
-
-    return _emit(_tape_of(xn), out, (xn,), backward)
 
 
 def mean_all(x):

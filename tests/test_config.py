@@ -4,6 +4,7 @@ hashes that existing run directories pin stay as they are."""
 
 import pytest
 
+from exitsteal.changepoint import MIN_SEGMENT
 from exitsteal.errors import ContractError
 from exitsteal.harness import build_config, load_config
 
@@ -31,6 +32,10 @@ BROKEN = {
     ),
     "tau_range": ({"victim.tau": "1.5"}, "victim.tau must lie in"),
     "sizes_positive": ({"dataset.n_train": "0"}, "dataset.n_train must be >= 1"),
+    "calibration_set": (
+        {"dataset.n_calibration": str(2 * MIN_SEGMENT - 1)},
+        f"dataset.n_calibration must be >= {2 * MIN_SEGMENT}",
+    ),
     "iid_pool": ({"attack.n_iid": "2001"}, "exceeds dataset.n_iid_pool"),
     "unrelated_pool": ({"attack.n_unrelated": "9001"}, "exceeds unrelated.n"),
     "query_budget": ({"attack.n_iid": "0", "attack.n_unrelated": "0"}, "budget must be positive"),

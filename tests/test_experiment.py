@@ -1,7 +1,8 @@
 """Staged-pipeline checks: a tiny end-to-end run pinned byte for byte,
 resume and config pinning, the run directory against its declaration,
-loud failures, and the sweep recipes."""
+loud failures, and the experiment grid."""
 
+import csv
 import io
 import json
 import os
@@ -16,10 +17,10 @@ from exitsteal.errors import ContractError, FormatError
 from exitsteal.harness import (
     experiment,
     load_config,
-    run_exit_sweep,
     run_experiment,
-    run_lambda_sweep,
+    run_grid,
     run_stage,
+    seed_overrides,
 )
 from exitsteal.harness.config import parse_config_text
 from exitsteal.metrics import EvalReport
@@ -52,6 +53,16 @@ TINY = {
 }
 
 
+def record_stage_runs(monkeypatch) -> list:
+    """Replace every stage by one that only appends its name to the list
+    returned."""
+    ran = []
+    for name, stage in experiment.STAGES.items():
+        run = stage._replace(run=lambda *args, name=name: ran.append(name))
+        monkeypatch.setitem(experiment.STAGES, name, run)
+    return ran
+
+
 def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     cfg = load_config(TOY_CFG, TINY)
     reports = run_experiment(cfg, tmp_path)
@@ -61,10 +72,7 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "changepoints.json").read_text())["exit_count"] == 2
 
     # every stage is done, so a second call runs none of them
-    ran = []
-    for name, stage in experiment.STAGES.items():
-        run = stage._replace(run=lambda *args, name=name: ran.append(name))
-        monkeypatch.setitem(experiment.STAGES, name, run)
+    ran = record_stage_runs(monkeypatch)
     assert run_experiment(cfg, tmp_path) == reports
     assert ran == []
 
@@ -148,13 +156,13 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
             rng.integers(0, 256, size=(n, 3, 2), dtype=np.uint8),
             rng.integers(0, 10, size=n, dtype=np.uint8),
         )
-        for split, n in (("train", 9), ("test", 5))
+        for split, n in (("train", 16), ("test", 5))
     }
     overrides = {
         "dataset.kind": "idx",
         "dataset.idx_duplicate_channels": duplicate,
         "dataset.n_train": "4",
-        "dataset.n_calibration": "2",
+        "dataset.n_calibration": "10",
         "dataset.n_test": "3",
         "dataset.n_iid_pool": "2",
         "unrelated.kind": "uniform",
@@ -183,12 +191,12 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
         "train_x": train_x[:4],
         "train_y": train_y[:4],
         "train_tier": np.ones(4, dtype=np.int64),
-        "calib_x": train_x[4:6],
-        "calib_y": train_y[4:6],
+        "calib_x": train_x[4:14],
+        "calib_y": train_y[4:14],
         "test_x": test_x[:3],
         "test_y": test_y[:3],
-        "iid_x": train_x[6:8],
-        "iid_y": train_y[6:8],
+        "iid_x": train_x[14:16],
+        "iid_y": train_y[14:16],
         # the uniform pool in the inputs' own shape, from seed.dataset + 1
         "unrelated_x": np.random.default_rng(cfg.seed.dataset + 1).uniform(
             cfg.unrelated.low, cfg.unrelated.high, size=(7,) + shape
@@ -326,6 +334,13 @@ def queries_npz(**changes) -> bytes:
     return buf.getvalue()
 
 
+def npy_bytes(array) -> bytes:
+    """`array` as np.save writes it: a plain .npy file, not an archive."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def damage_member(content: bytes, member: str) -> bytes:
     """`content`, an uncompressed zip as np.savez writes it, with the last
     data byte of `member` flipped: the zip still opens, and reading that
@@ -353,8 +368,9 @@ def damage_member(content: bytes, member: str) -> bytes:
             damage_member(queries_npz(), "calib_runtimes.npy"),
             ": Bad CRC-32 for file 'calib_runtimes.npy'",
         ),
+        (npy_bytes(np.arange(3.0)), ": not an .npz archive"),
     ],
-    ids=["missing", "undeclared", "int_dtype", "rank_2", "crc"],
+    ids=["missing", "undeclared", "int_dtype", "rank_2", "crc", "not_an_archive"],
 )
 def test_damaged_queries_is_a_format_error(tmp_path, content, message):
     (tmp_path / "queries.npz").write_bytes(content)
@@ -461,22 +477,91 @@ def test_strategy_json_shape():
     assert frag["fallback"] is True and frag["thresholds"] == [SENTINEL]
 
 
-@pytest.mark.parametrize(
-    "sweep, settings, column, csv_name",
-    [
-        (run_lambda_sweep, [0.0, 0.5], "lambda", "lambda_sweep.csv"),
-        (run_exit_sweep, [2, 3], "exits", "exit_sweep.csv"),
-    ],
-)
-def test_sweep_runs_one_experiment_per_setting(tmp_path, sweep, settings, column, csv_name):
+def tiny_values() -> dict[str, str]:
     with open(TOY_CFG) as fh:
-        values = dict(parse_config_text(fh.read()), **TINY)
-    rows = sweep(values, settings, tmp_path)
-    assert [value for value, _ in rows] == settings
-    subdirs = [f"{column}_{setting}" for setting in settings]
-    assert sorted(os.listdir(tmp_path)) == sorted(subdirs + [csv_name])
-    lines = (tmp_path / csv_name).read_text().splitlines()
-    assert lines[0] == f"{column},acc,clo,cc_gflops,cc_ratio"
-    assert len(lines) == 1 + len(settings)
-    for subdir, (_, report) in zip(subdirs, rows):
-        assert report == EvalReport.from_json((tmp_path / subdir / "report_ours.json").read_text())
+        return dict(parse_config_text(fh.read()), **TINY)
+
+
+def assert_grid_rows(root, results, axes) -> None:
+    """grid.csv is each point's reports.csv, its rows led by the point's
+    values, in run order; each point's reports are those in its directory."""
+    lines = (root / "grid.csv").read_text().splitlines()
+    assert lines[0] == ",".join(list(axes) + ["model", "acc", "clo", "cc_gflops", "cc_ratio"])
+    want = []
+    for point, reports in results:
+        subdir = root / "_".join(f"{key}={raw}" for key, raw in point.items())
+        assert reports == experiment.load_reports(subdir)
+        assert list(reports) == list(experiment.VARIANTS)
+        for row in (subdir / "reports.csv").read_text().splitlines()[1:]:
+            want.append(",".join(list(point.values()) + [row]))
+    assert lines[1:] == want
+
+
+@pytest.mark.parametrize(
+    "key, settings",
+    [("attack.lambda", [0.0, 0.5]), ("victim.exits", [2, 3])],
+    ids=["lambda", "exits"],
+)
+def test_grid_runs_one_experiment_per_setting(tmp_path, key, settings):
+    results = run_grid(tiny_values(), {key: settings}, tmp_path)
+    assert [point for point, _ in results] == [{key: str(s)} for s in settings]
+    subdirs = [f"{key}={setting}" for setting in settings]
+    assert sorted(os.listdir(tmp_path)) == sorted(subdirs + ["grid.csv"])
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(settings) * len(experiment.VARIANTS)
+    assert_grid_rows(tmp_path, results, [key])
+
+
+def test_seed_by_lambda_grid_expands_seeds_and_resumes(tmp_path, monkeypatch):
+    axes = {"seed": [1, 2], "attack.lambda": ["0.0", "0.5"]}
+    results = run_grid(tiny_values(), axes, tmp_path)
+    points = [point for point, _ in results]
+    assert points == [
+        {"seed": s, "attack.lambda": lam} for s in ("1", "2") for lam in ("0.0", "0.5")
+    ]
+    for point in points:
+        subdir = tmp_path / f"seed={point['seed']}_attack.lambda={point['attack.lambda']}"
+        resolved = parse_config_text((subdir / "config.resolved.cfg").read_text())
+        want = dict(seed_overrides(int(point["seed"])), **{"attack.lambda": point["attack.lambda"]})
+        assert {key: resolved[key] for key in want} == want
+    assert_grid_rows(tmp_path, results, axes)
+    # an axis over one seed stream overrides that stream of the expansion
+    point = experiment._point_values({"seed.noise": "9", "seed": "1"})
+    assert point == dict(seed_overrides(1), **{"seed.noise": "9"})
+
+    # every point is done, so a second call runs no stage and writes the
+    # same grid.csv again
+    grid = (tmp_path / "grid.csv").read_bytes()
+    (tmp_path / "grid.csv").unlink()
+    ran = record_stage_runs(monkeypatch)
+    assert run_grid(tiny_values(), axes, tmp_path) == results
+    assert ran == []
+    assert (tmp_path / "grid.csv").read_bytes() == grid
+
+
+def test_grid_quotes_a_value_with_commas(tmp_path):
+    results = run_grid(tiny_values(), {"attack.widths": ["12,12,12"]}, tmp_path)
+    with open(tmp_path / "grid.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["attack.widths", "model"]
+    assert [row[:2] for row in rows[1:]] == [["12,12,12", name] for name in results[0][1]]
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ({}, "at least one axis"),
+        ({"attack.lambda": []}, "'attack.lambda' needs distinct values"),
+        ({"attack.lambda": [0.5, "0.5"]}, "'attack.lambda' needs distinct values"),
+        ({"attack.warm_start": ["../victim.ckpt"]}, "a value with '/' would leave"),
+        ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
+        ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
+        ({"attack.lambda": [0.5], "no.such_key": [1]}, "unknown config keys: no.such_key"),
+    ],
+    ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",
+         "bad_seed", "unknown_key"],
+)
+def test_grid_refuses_bad_axes_before_making_a_directory(tmp_path, axes, message):
+    with pytest.raises(ContractError, match=message):
+        run_grid(tiny_values(), axes, tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()

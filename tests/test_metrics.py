@@ -2,6 +2,8 @@
 self-comparison exactness, and report serialization. Every count goes
 through `make_report`, the one metrics path."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ def test_report_json_roundtrip_is_byte_stable():
         sample_count=16,
     )
     text = rep.to_json()
-    again = EvalReport.from_json(text)
+    again = EvalReport(**json.loads(text))
     assert again == rep
     assert again.to_json() == text
     # keys are sorted, so the exact byte layout is reproducible

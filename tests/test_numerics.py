@@ -21,6 +21,8 @@ from _utils import (
     chain_softmax,
     check_grads,
     fused_vs_chain,
+    sum_all,
+    tanh,
 )
 
 # hand values: ln 2 = 0.6931471805599453, ln 3 = 1.0986122886681098
@@ -43,7 +45,7 @@ def test_grad_requires_scalar_loss():
 def test_tape_serves_one_backward_pass():
     tape = nm.GradTape()
     a = tape.param(np.array([1.0, 2.0]))
-    loss = nm.sum_all(nm.mul(a, a))
+    loss = sum_all(nm.mul(a, a))
     assert np.array_equal(nm.grad(loss, tape)[a], [2.0, 4.0])
     # the replay released the records: a second grad must not quietly
     # return zero gradients, and the tape takes no new records
@@ -61,7 +63,7 @@ def test_sgd_matches_hand_rolled_steps():
 
     def batch_loss(bound, take):
         d = nm.add(bound[0], -t[take])
-        return nm.sum_all(nm.mul(d, d))
+        return sum_all(nm.mul(d, d))
 
     for momentum in (0.0, 0.5):
         p = np.array(0.25)
@@ -116,7 +118,7 @@ def test_unused_parameter_gets_zero_gradient():
     tape = nm.GradTape()
     a = tape.param(np.array([1.0, 2.0]))
     b = tape.param(np.array([3.0]))
-    loss = nm.sum_all(nm.mul(a, a))
+    loss = sum_all(nm.mul(a, a))
     grads = nm.grad(loss, tape)
     assert np.array_equal(grads[b], np.zeros(1))
     assert np.allclose(grads[a], [2.0, 4.0])
@@ -139,7 +141,7 @@ def test_operator_sugar_matches_functions():
     a = tape.param(np.array([1.0, -2.0]))
     out = 2.0 * a + 1.0 - (-a)
     assert np.allclose(nm.value_of(out), [4.0, -5.0])
-    grads = nm.grad(nm.sum_all(out), tape)
+    grads = nm.grad(sum_all(out), tape)
     assert np.allclose(grads[a], [3.0, 3.0])
 
 
@@ -232,13 +234,13 @@ def test_hinge_values_and_kink():
     tape = nm.GradTape()
     v = tape.param(np.array([0.90]))
     # below the bar: hinge(0.95, 0.90) = 0.05, gradient -1
-    loss = nm.sum_all(nm.hinge(0.95, v))
+    loss = sum_all(nm.hinge(0.95, v))
     assert nm.value_of(loss) == pytest.approx(0.05, abs=1e-12)
     assert np.allclose(nm.grad(loss, tape)[v], [-1.0])
     # at the kink the subgradient is 0
     tape2 = nm.GradTape()
     v2 = tape2.param(np.array([0.95]))
-    loss2 = nm.sum_all(nm.hinge(0.95, v2))
+    loss2 = sum_all(nm.hinge(0.95, v2))
     assert nm.value_of(loss2) == 0.0
     assert np.array_equal(nm.grad(loss2, tape2)[v2], [0.0])
 
@@ -246,7 +248,7 @@ def test_hinge_values_and_kink():
 def test_hinge_excess_values_and_kink():
     tape = nm.GradTape()
     v = tape.param(np.array([0.93, 0.80]))
-    loss = nm.sum_all(nm.hinge_excess(v, 0.90))
+    loss = sum_all(nm.hinge_excess(v, 0.90))
     assert nm.value_of(loss) == pytest.approx(0.03, abs=1e-12)
     g = nm.grad(loss, tape)[v]
     assert np.array_equal(g, [1.0, 0.0])
@@ -257,7 +259,7 @@ def test_max_last_takes_first_argmax():
     x = tape.param(np.array([[0.2, 0.5, 0.5]]))
     m = nm.max_last(x)
     assert nm.value_of(m) == pytest.approx(0.5)
-    g = nm.grad(nm.sum_all(m), tape)[x]
+    g = nm.grad(sum_all(m), tape)[x]
     assert np.array_equal(g, [[0.0, 1.0, 0.0]])
 
 
@@ -265,7 +267,7 @@ def test_take_rows_accumulates_duplicates():
     tape = nm.GradTape()
     x = tape.param(np.arange(6.0).reshape(3, 2))
     picked = nm.take_rows(x, np.array([0, 0, 2]))
-    loss = nm.sum_all(picked)
+    loss = sum_all(picked)
     g = nm.grad(loss, tape)[x]
     assert np.array_equal(g, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -292,7 +294,7 @@ def test_grad_matmul_chain():
 
     def build(nodes):
         h = nm.relu(nm.matmul(x, nodes[0]))
-        return nm.sum_all(nm.tanh(nm.matmul(h, nodes[1])))
+        return sum_all(tanh(nm.matmul(h, nodes[1])))
 
     check_grads(build, [w1, w2])
 
@@ -339,7 +341,7 @@ def test_grad_max_last_and_take_rows():
     idx = np.array([1, 1, 3])
 
     def build(nodes):
-        return nm.sum_all(nm.max_last(nm.take_rows(nodes[0], idx)))
+        return sum_all(nm.max_last(nm.take_rows(nodes[0], idx)))
 
     check_grads(build, [x])
 
@@ -352,7 +354,7 @@ def test_grad_conv2d_and_gap():
 
     def build(nodes):
         out = nm.relu(nm.conv2d(nodes[0], nodes[1], nodes[2], stride=1))
-        return nm.sum_all(nm.global_avg_pool(out))
+        return sum_all(nm.global_avg_pool(out))
 
     check_grads(build, [x, w, b])
 
@@ -364,7 +366,7 @@ def test_grad_conv2d_stride_two():
     b = np.zeros(2)
 
     def build(nodes):
-        return nm.sum_all(nm.conv2d(nodes[0], nodes[1], nodes[2], stride=2))
+        return sum_all(nm.conv2d(nodes[0], nodes[1], nodes[2], stride=2))
 
     check_grads(build, [x, w, b])
 
@@ -375,7 +377,7 @@ def test_grad_broadcast_add_bias():
     b = rng.normal(size=(4,))
 
     def build(nodes):
-        return nm.sum_all(nm.tanh(nm.add(x, nodes[0])))
+        return sum_all(tanh(nm.add(x, nodes[0])))
 
     check_grads(build, [b])
 
@@ -622,7 +624,7 @@ def test_stack_gives_each_input_its_slab():
     assert out.value.flags.c_contiguous
     assert_bitwise(out.value, np.stack(parts))
     weights = rng.normal(size=(3, 3, 2))
-    grads = nm.grad(nm.sum_all(nm.mul(out, weights)), tape)
+    grads = nm.grad(sum_all(nm.mul(out, weights)), tape)
     assert_bitwise(grads[nodes[0]], weights[0])
     assert_bitwise(grads[nodes[2]], weights[2])
     assert_bitwise(nm.stack(parts), np.stack(parts))
