@@ -1,10 +1,12 @@
 """Experiment configuration: a flat `key = value` file with dotted sections.
 
 Every key is declared once, as a field of the section dataclasses below: the
-field's annotation gives its type and `_key` its raw default. Unknown keys are
-rejected so typos fail loudly, and all cross-field contracts (phi1 >= phi2,
-exit counts, increasing tier noise, referenced files existing) are checked
-at load time, before any compute starts.
+field's annotation gives its type, and `_key` its raw default and what values
+it admits (`within`: a range such as "[1, inf)" or "(0, 1]", or the allowed
+strings). Unknown keys are rejected so typos fail loudly; each value is
+checked against its key's `within` as it is parsed, and the contracts between
+keys (phi1 >= phi2, exit counts, increasing tier noise, referenced files
+existing) right after, all at load time, before any compute starts.
 
 Randomness is organized into five named seed streams: `seed.dataset`
 (dataset + unrelated pool), `seed.victim` (victim initialization),
@@ -25,14 +27,18 @@ from typing import get_type_hints
 
 from ..changepoint import MIN_SEGMENT
 from ..errors import ContractError, FormatError
+from ..multiexit import ACTIVATIONS
 
 
-def _key(default: str, *, key: str = "", parse=None):
+def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
     """A field read from one config key. `default` is the raw text recorded
-    in `resolved` when the file omits the key; `key` names the key when it is
-    not `<section>.<field>`; `parse` is a (kind, parser) pair replacing the
-    one the field's type selects."""
-    return field(metadata={"default": default, "key": key, "parse": parse})
+    in `resolved` when the file omits the key (a NetCfg field has none: `_net`
+    gives it per section); `key` names the key when it is not
+    `<section>.<field>`; `parse` is a (kind, parser) pair replacing the one
+    the field's type selects; `within` is what the key admits: a range such
+    as "[1, inf)" or "(0, 1]", checked on every entry of a tuple and skipped
+    for None, or a tuple of the allowed strings."""
+    return field(metadata={"default": default, "key": key, "parse": parse, "within": within})
 
 
 def _net(**defaults: str):
@@ -61,16 +67,17 @@ def _sigma(raw: str) -> float | None:
 
 @dataclass(frozen=True)
 class DatasetCfg:
-    kind: str = _key("tiered")
-    dim: int = _key("16")
-    classes: int = _key("4")
-    tiers: int = _key("4")
-    noise: tuple[float, ...] = _key("0.1,0.35,0.7,1.1")
+    kind: str = _key("tiered", within=("tiered", "idx"))
+    dim: int = _key("16", within="[1, inf)")
+    classes: int = _key("4", within="[2, inf)")
+    tiers: int = _key("4", within="[1, inf)")
+    noise: tuple[float, ...] = _key("0.1,0.35,0.7,1.1", within="(0, inf)")
     center_scale: float = _key("3.0")
-    n_train: int = _key("6000")
-    n_calibration: int = _key("1000")
-    n_test: int = _key("2000")
-    n_iid_pool: int = _key("2000")
+    n_train: int = _key("6000", within="[1, inf)")
+    # estimate_exits splits the calibration runtimes into segments
+    n_calibration: int = _key("1000", within=f"[{2 * MIN_SEGMENT}, inf)")
+    n_test: int = _key("2000", within="[1, inf)")
+    n_iid_pool: int = _key("2000", within="[1, inf)")
     idx_train_images: str = _key("")
     idx_train_labels: str = _key("")
     idx_test_images: str = _key("")
@@ -80,22 +87,22 @@ class DatasetCfg:
 
 @dataclass(frozen=True)
 class UnrelatedCfg:
-    kind: str = _key("blobs")
-    classes: int = _key("6")
-    noise: float = _key("0.8")
-    n: int = _key("9000")
+    kind: str = _key("blobs", within=("blobs", "uniform"))
+    classes: int = _key("6", within="[2, inf)")
+    noise: float = _key("0.8", within="(0, inf)")
+    n: int = _key("9000", within="[1, inf)")
     low: float = _key("-4.5")
     high: float = _key("4.5")
 
 
 @dataclass(frozen=True)
 class NetCfg:
-    backbone: str
-    widths: tuple[int, ...]
-    channels: tuple[int, ...]
-    kernel: int
-    stride: int
-    activation: str
+    backbone: str = _key(within=("dense", "conv"))
+    widths: tuple[int, ...] = _key(within="[1, inf)")
+    channels: tuple[int, ...] = _key(within="[1, inf)")
+    kernel: int = _key(within="[1, inf)")
+    stride: int = _key(within="[1, inf)")
+    activation: str = _key(within=ACTIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -108,34 +115,34 @@ class VictimCfg:
         stride="1",
         activation="relu",
     )
-    exits: int = _key("4")
+    exits: int = _key("4", within="[2, inf)")
     # None means "auto": pick with select_traditional_strategy
-    tau: float | None = _key("0.9", parse=("float", _tau))
-    tau_slack: float = _key("0.01")
-    epochs: int = _key("40")
-    lr: float = _key("0.05")
-    batch_size: int = _key("128")
-    momentum: float = _key("0.0")
+    tau: float | None = _key("0.9", parse=("float", _tau), within="(0, 1]")
+    tau_slack: float = _key("0.01", within="[0, inf)")
+    epochs: int = _key("40", within="[0, inf)")
+    lr: float = _key("0.05", within="(0, inf)")
+    batch_size: int = _key("128", within="[1, inf)")
+    momentum: float = _key("0.0", within="[0, 1)")
 
 
 @dataclass(frozen=True)
 class TimingCfg:
-    per_flop: float = _key("1e-6")
-    noise_over_gap: float = _key("0.1")
+    per_flop: float = _key("1e-6", within="(0, inf)")
+    noise_over_gap: float = _key("0.1", within="[0, inf)")
     # explicit sigma when set (>= 0), else derived from the exit gap
     noise_sigma: float | None = _key("-1", parse=("float", _sigma))
 
 
 @dataclass(frozen=True)
 class AttackStageCfg:
-    n_iid: int = _key("1000")
-    n_unrelated: int = _key("7000")
-    phi1: float = _key("0.95")
-    phi2: float = _key("0.90")
-    lam: float = _key("0.5", key="attack.lambda")
-    epochs: int = _key("40")
-    lr: float = _key("0.05")
-    batch_size: int = _key("128")
+    n_iid: int = _key("1000", within="[0, inf)")
+    n_unrelated: int = _key("7000", within="[0, inf)")
+    phi1: float = _key("0.95", within="(0, 1]")
+    phi2: float = _key("0.90", within="(0, 1]")
+    lam: float = _key("0.5", key="attack.lambda", within="[0, inf)")
+    epochs: int = _key("40", within="[0, inf)")
+    lr: float = _key("0.05", within="(0, inf)")
+    batch_size: int = _key("128", within="[1, inf)")
     net: NetCfg = _net(
         backbone="dense",
         widths="64,64,64,64,64,64",
@@ -144,20 +151,21 @@ class AttackStageCfg:
         stride="1",
         activation="relu",
     )
-    delta: float = _key("0.02")
+    delta: float = _key("0.02", within="[0, inf)")
     # calibration points fed to the threshold search; 0 = all
-    n_search: int = _key("0")
+    n_search: int = _key("0", within="[0, inf)")
     warm_start: str = _key("")
-    baseline_arch: str = _key("attacker")
+    baseline_arch: str = _key("attacker", within=("attacker", "victim"))
 
 
 @dataclass(frozen=True)
 class SeedCfg:
-    dataset: int = _key("101")
-    victim: int = _key("202")
-    noise: int = _key("303")
-    attacker: int = _key("404")
-    shuffle: int = _key("505")
+    # numpy's generators take no negative seed
+    dataset: int = _key("101", within="[0, inf)")
+    victim: int = _key("202", within="[0, inf)")
+    noise: int = _key("303", within="[0, inf)")
+    attacker: int = _key("404", within="[0, inf)")
+    shuffle: int = _key("505", within="[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,9 @@ def _hints(cls) -> dict:
 
 
 def _declared(cls, path: tuple[str, ...] = (), net: dict[str, str] | None = None):
-    """(key, field path, raw default, (kind, parser)) for every config key
-    read into `cls`; the path names the fields from ExperimentConfig down."""
+    """(key, field path, raw default, (kind, parser), within) for every
+    config key read into `cls`; the path names the fields from
+    ExperimentConfig down."""
     hints = _hints(cls)
     for f in fields(cls):
         where = path + (f.name,)
@@ -222,11 +231,29 @@ def _declared(cls, path: tuple[str, ...] = (), net: dict[str, str] | None = None
         elif f.name != "resolved":
             key = f.metadata.get("key") or f"{path[0]}.{f.name}"
             default = net[f.name] if net else f.metadata["default"]
-            yield key, where, default, f.metadata.get("parse") or _PARSERS[hints[f.name]]
+            parser = f.metadata.get("parse") or _PARSERS[hints[f.name]]
+            yield key, where, default, parser, f.metadata.get("within")
 
 
-# config key -> (field path, raw default, (kind, parser))
+# config key -> (field path, raw default, (kind, parser), within)
 _KEYS = {key: rest for key, *rest in _declared(ExperimentConfig)}
+
+
+@functools.cache
+def _admits(within) -> tuple:
+    """(test of one value, what a key must be) for a `_key` `within`."""
+    if isinstance(within, tuple):
+        return within.__contains__, "must be " + " or ".join(within)
+    low, high = within[1:-1].split(",")
+    lo, hi = float(low), float(high)
+    lo_open, hi_open = within[0] == "(", within[-1] == ")"
+
+    def test(x) -> bool:
+        return (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
+
+    if hi == math.inf:
+        return test, f"must be {'>' if lo_open else '>='} {low}"
+    return test, f"must lie in {within}"
 
 
 def _assemble(cls, path: tuple[str, ...], typed: dict):
@@ -263,26 +290,16 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    d, u, v, t, a = cfg.dataset, cfg.unrelated, cfg.victim, cfg.timing, cfg.attack
-    if d.kind not in ("tiered", "idx"):
-        raise ContractError(f"dataset.kind must be tiered or idx, got {d.kind!r}")
-    if u.kind not in ("blobs", "uniform"):
-        raise ContractError(f"unrelated.kind must be blobs or uniform, got {u.kind!r}")
-    if v.exits < 2:
-        raise ContractError("victim.exits must be >= 2")
+    """The contracts between keys; each key's own range was checked as it was
+    parsed (`within`)."""
+    d, u, v, a = cfg.dataset, cfg.unrelated, cfg.victim, cfg.attack
     if a.phi1 < a.phi2:
         raise ContractError("attack.phi1 must be >= attack.phi2")
-    if not (0.0 < a.phi1 <= 1.0 and 0.0 < a.phi2 <= 1.0):
-        raise ContractError("attack.phi1/phi2 must lie in (0, 1]")
-    if a.lam < 0.0:
-        raise ContractError("attack.lambda must be >= 0")
     if d.kind == "tiered":
         if len(d.noise) != d.tiers:
             raise ContractError(
                 f"dataset.noise has {len(d.noise)} entries for {d.tiers} tiers"
             )
-        if any(s <= 0 for s in d.noise):
-            raise ContractError("dataset.noise entries must be positive")
         if any(b <= x for x, b in zip(d.noise, d.noise[1:])):
             raise ContractError("dataset.noise must be strictly increasing")
     else:
@@ -298,8 +315,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             if not os.path.exists(path):
                 raise ContractError(f"dataset.{key}: no such file: {path}")
     for name, net, exits in (("victim", v.net, v.exits), ("attack", a.net, None)):
-        if net.backbone not in ("dense", "conv"):
-            raise ContractError(f"{name}.backbone must be dense or conv")
         blocks = len(net.widths) if net.backbone == "dense" else len(net.channels)
         if blocks < 2:
             raise ContractError(f"{name} backbone needs at least 2 blocks")
@@ -309,17 +324,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError("victim and attacker backbones must share a kind")
     if d.kind == "tiered" and v.net.backbone == "conv":
         raise ContractError("tiered blobs are 1-D; conv backbones need dataset.kind = idx")
-    if v.tau is not None and not (0.0 < v.tau <= 1.0):
-        raise ContractError("victim.tau must lie in (0, 1] or be 'auto'")
-    for name, val, least in (
-        ("dataset.n_train", d.n_train, 1),
-        # estimate_exits splits the calibration runtimes into segments
-        ("dataset.n_calibration", d.n_calibration, 2 * MIN_SEGMENT),
-        ("dataset.n_test", d.n_test, 1),
-        ("dataset.n_iid_pool", d.n_iid_pool, 1),
-    ):
-        if val < least:
-            raise ContractError(f"{name} must be >= {least}")
     if a.n_iid > d.n_iid_pool:
         raise ContractError(
             f"attack.n_iid = {a.n_iid} exceeds dataset.n_iid_pool = {d.n_iid_pool}"
@@ -328,48 +332,33 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError(f"attack.n_unrelated = {a.n_unrelated} exceeds unrelated.n = {u.n}")
     if a.n_iid + a.n_unrelated < 1:
         raise ContractError("the query budget must be positive")
-    if a.n_search < 0 or a.n_search > d.n_calibration:
+    if a.n_search > d.n_calibration:
         raise ContractError(
             f"attack.n_search = {a.n_search} must lie in [0, dataset.n_calibration]"
         )
-    for name, val in (("victim.lr", v.lr), ("attack.lr", a.lr), ("timing.per_flop", t.per_flop)):
-        if val <= 0:
-            raise ContractError(f"{name} must be positive")
-    if v.epochs < 0 or a.epochs < 0:
-        raise ContractError("epochs must be >= 0")
-    if v.batch_size < 1 or a.batch_size < 1:
-        raise ContractError("batch sizes must be >= 1")
-    if t.noise_over_gap < 0:
-        raise ContractError("timing.noise_over_gap must be >= 0")
-    if not 0.0 <= v.momentum < 1.0:
-        raise ContractError("victim.momentum must lie in [0, 1)")
-    for name, val in (("victim.tau_slack", v.tau_slack), ("attack.delta", a.delta)):
-        if val < 0:
-            raise ContractError(f"{name} must be >= 0")
     if a.warm_start and not os.path.exists(a.warm_start):
         raise ContractError(f"attack.warm_start: no such file: {a.warm_start}")
-    if a.baseline_arch not in ("attacker", "victim"):
-        raise ContractError("attack.baseline_arch must be attacker or victim")
     if u.kind == "uniform" and u.high <= u.low:
         raise ContractError("unrelated.low must be < unrelated.high")
-    for f in fields(SeedCfg):
-        if getattr(cfg.seed, f.name) < 0:  # numpy's generators take no negative seed
-            raise ContractError(f"seed.{f.name} must be >= 0")
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
     unknown = sorted(set(values) - set(_KEYS))
     if unknown:
         raise ContractError(f"unknown config keys: {', '.join(unknown)}")
-    resolved = {k: values.get(k, default) for k, (_, default, _) in _KEYS.items()}
+    resolved = {k: values.get(k, default) for k, (_, default, *_) in _KEYS.items()}
     typed: dict = {("resolved",): resolved}
-    for key, (path, _, (kind, parse)) in _KEYS.items():
+    for key, (path, _, (kind, parse), within) in _KEYS.items():
         try:
-            typed[path] = parse(resolved[key])
+            value = typed[path] = parse(resolved[key])
         except ValueError as exc:
             raise ContractError(
                 f"config key {key!r}: cannot parse {resolved[key]!r} as {kind}"
             ) from exc
+        if within is not None and value is not None:
+            test, must = _admits(within)
+            if not all(map(test, value if isinstance(value, tuple) else (value,))):
+                raise ContractError(f"{key} {must}, got {resolved[key]!r}")
     cfg = _assemble(ExperimentConfig, (), typed)
     _validate(cfg)
     return cfg

@@ -485,7 +485,9 @@ def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
     )
 
 
-def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiExitNet:
+def _estimated_exits(cfg: ExperimentConfig, run_dir) -> tuple[int, MultiExitNet | None]:
+    """The exit count the timing channel estimated, and the attack.warm_start
+    net when one is set, whose exit count must match it."""
     exit_count = _read(run_dir, "changepoints.json")["exit_count"]
     if exit_count < 2:
         raise ContractError(
@@ -493,37 +495,61 @@ def _fresh_substitute(cfg: ExperimentConfig, run_dir, net_cfg: NetCfg) -> MultiE
             "channel did not separate any exits, so there are no exit labels "
             "to train a multi-exit substitute on"
         )
-    blocks = len(net_cfg.widths) if net_cfg.backbone == "dense" else len(net_cfg.channels)
+    warm = None
+    if cfg.attack.warm_start:
+        warm = load_checkpoint(cfg.attack.warm_start)
+        if warm.exit_count != exit_count:
+            raise ContractError(
+                f"attack.warm_start {cfg.attack.warm_start} has {warm.exit_count} exits "
+                f"but the timing channel estimated {exit_count}"
+            )
+    return exit_count, warm
+
+
+def _fresh_substitute(
+    cfg: ExperimentConfig, estimated, batch: RecordBatch, arch: str = "attacker"
+) -> MultiExitNet:
+    """The net to train on `batch` for `arch` (attack.baseline_arch's
+    values): the warm start for the attacker's architecture when one is set,
+    else one built from attack.* or victim.*. `estimated` is what
+    `_estimated_exits` returned."""
+    exit_count, warm = estimated
+    section = "victim" if arch == "victim" else "attack"
+    net_cfg = getattr(cfg, section).net
+    blocks_key = "widths" if net_cfg.backbone == "dense" else "channels"
+    blocks = len(getattr(net_cfg, blocks_key))
     if exit_count > blocks:
         raise ContractError(
             f"estimated {exit_count} exits but the substitute backbone has "
-            f"only {blocks} blocks; widen attack.widths"
+            f"only {blocks} blocks; lengthen {section}.{blocks_key}"
         )
-    if cfg.attack.warm_start:
-        net = load_checkpoint(cfg.attack.warm_start)
-        if net.exit_count != exit_count:
-            raise ContractError(
-                f"attack.warm_start {cfg.attack.warm_start} has {net.exit_count} exits "
-                f"but the timing channel estimated {exit_count}"
-            )
-        return net
-    sample = _read(run_dir, "queries.npz")["query_x"][:1]
-    return _build_net(
-        net_cfg, exit_count, cfg.dataset.classes, cfg.seed.attacker, sample
-    )
+    if warm is None or arch == "victim":
+        return _build_net(
+            net_cfg, exit_count, cfg.dataset.classes, cfg.seed.attacker, batch.inputs[:1]
+        )
+    classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
+    if (warm.class_count, warm.input_shape) != (classes, shape):
+        raise ContractError(
+            f"attack.warm_start {cfg.attack.warm_start} takes inputs of shape "
+            f"{warm.input_shape} to {warm.class_count} classes, but the queries "
+            f"have shape {shape} and {classes} classes"
+        )
+    return warm
 
 
 def _stage_train_substitute(cfg: ExperimentConfig, run_dir) -> None:
-    net = _fresh_substitute(cfg, run_dir, cfg.attack.net)
-    net, trace = train_substitute(net, _query_batch(run_dir), _attack_config(cfg))
+    estimated = _estimated_exits(cfg, run_dir)
+    batch = _query_batch(run_dir)
+    net = _fresh_substitute(cfg, estimated, batch)
+    net, trace = train_substitute(net, batch, _attack_config(cfg))
     save_checkpoint(net, _path(run_dir, "sub_ours.ckpt"))
     write_loss_trace(trace, _path(run_dir, "trace_ours.csv"))
 
 
 def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
-    arch = cfg.victim.net if cfg.attack.baseline_arch == "victim" else cfg.attack.net
-    net = _fresh_substitute(cfg, run_dir, arch)
+    estimated = _estimated_exits(cfg, run_dir)
     batch = _query_batch(run_dir)
+    net = _fresh_substitute(cfg, estimated, batch, cfg.attack.baseline_arch)
     acfg = _attack_config(cfg)
     net, trace = train_baseline(net, batch, acfg)
     save_checkpoint(net, _path(run_dir, "sub_baseline.ckpt"))
@@ -537,7 +563,7 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
             src, dst = (_path(run_dir, pattern.format(n)) for n in ("baseline", "nostrategy"))
             shutil.copyfile(src, dst)
         return
-    net2 = _fresh_substitute(cfg, run_dir, cfg.attack.net)
+    net2 = _fresh_substitute(cfg, estimated, batch)
     net2, trace2 = train_baseline(net2, batch, acfg)
     save_checkpoint(net2, _path(run_dir, "sub_nostrategy.ckpt"))
     write_loss_trace(trace2, _path(run_dir, "trace_nostrategy.csv"))

@@ -19,8 +19,9 @@ m -> n costs 2*m*n + n (multiply-adds plus bias), a conv costs
 Ho*Wo*Cout*(2*Cin*kh*kw) + Ho*Wo*Cout, a global average pool costs C*H*W.
 Activations are free. The cost of stopping at exit k charges every backbone
 block up to and including the exit's block plus every head evaluated on the
-way (heads 1..k). A net carries these as `block_flops`, `head_flops` and
-`exit_flops`.
+way (heads 1..k); `exit_costs` is the one implementation of that rule. A net
+carries these as `block_flops`, `head_flops` and `exit_flops`, and the
+victim's timing model applies the same rule to its block and head costs.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class ConvBlockSpec:
 BlockSpec = Union[DenseBlockSpec, ConvBlockSpec]
 
 # activation names, applied by numerics.dense and numerics.conv2d
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class BackboneSpec:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ContractError("backbone needs at least one block")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
         kinds = {type(b) for b in self.blocks}
         if len(kinds) != 1:
@@ -226,6 +227,14 @@ def param_shapes(
     return shapes
 
 
+def exit_costs(block_costs, head_costs, exit_indices: Sequence[int]) -> Array:
+    """The cost of stopping at each exit, shallowest first: every block up
+    to and including the exit's block, plus heads 1..k."""
+    cum_blocks = np.cumsum(block_costs)
+    cum_heads = np.cumsum(head_costs)
+    return cum_blocks[np.asarray(exit_indices) - 1] + cum_heads[: len(exit_indices)]
+
+
 def _check_exit_indices(exit_indices: Sequence[int], block_count: int) -> None:
     """At least 2 exit heads sit at strictly increasing 1-based block
     indices, the last one after the final block."""
@@ -298,10 +307,8 @@ class MultiExitNet:
             + (int(np.prod(dims[bi - 1])) if backbone.kind == "conv" else 0)
             for bi in exit_indices
         )
-        cum_blocks = np.cumsum(self.block_flops)
-        cum_heads = np.cumsum(self.head_flops)
         self.exit_flops = tuple(
-            int(cum_blocks[bi - 1] + cum_heads[k]) for k, bi in enumerate(exit_indices)
+            int(c) for c in exit_costs(self.block_flops, self.head_flops, exit_indices)
         )
 
     # -- parameter access ------------------------------------------------------
@@ -329,13 +336,17 @@ class MultiExitNet:
 
     # -- forward ---------------------------------------------------------------
 
-    def _check_input(self, x: Array) -> Array:
-        """The input, which must be a batch: (B, d) or (B, C, H, W)."""
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The shape of one input: (d,) or (C, H, W)."""
         first = self.backbone.blocks[0]
         if self.backbone.kind == "dense":
-            want = (first.in_width,)
-        else:
-            want = (first.in_channels, *self.input_hw)
+            return (first.in_width,)
+        return (first.in_channels, *self.input_hw)
+
+    def _check_input(self, x: Array) -> Array:
+        """The input, which must be a batch: (B, d) or (B, C, H, W)."""
+        want = self.input_shape
         if x.shape[1:] != want:
             dims = ", ".join(map(str, want))
             raise ContractError(f"input must be a (B, {dims}) batch, got shape {x.shape}")

@@ -20,6 +20,7 @@ from .multiexit import (
     MultiExitNet,
     OutputStrategy,
     cascade,
+    exit_costs,
     forward_all_exits,
     taken_exits,
 )
@@ -75,10 +76,7 @@ def exit_base_times(net: MultiExitNet, timing: TimingModel) -> Array:
         raise ContractError(
             f"timing has {len(timing.head_costs)} head costs, net has {net.exit_count} exits"
         )
-    cb = np.cumsum(timing.block_costs)
-    ch = np.cumsum(timing.head_costs)
-    idx = np.asarray(net.exit_indices) - 1
-    return cb[idx] + ch[: net.exit_count]
+    return exit_costs(timing.block_costs, timing.head_costs, net.exit_indices)
 
 
 class VictimDeployment:

@@ -1,12 +1,17 @@
-"""Config validation: every `_validate` branch reachable by editing a key of
-configs/toy.cfg raises ContractError with its own message, and the config
-hashes that existing run directories pin stay as they are."""
+"""Config validation: every `_validate` branch and every key's declared
+range reachable by editing a key of configs/toy.cfg raises ContractError with
+its own message, every numeric key declares a range that admits its default
+and refuses a value just outside it, and the config hashes that existing run
+directories pin stay as they are."""
+
+import math
+import re
 
 import pytest
 
 from exitsteal.changepoint import MIN_SEGMENT
 from exitsteal.errors import ContractError
-from exitsteal.harness import build_config, load_config
+from exitsteal.harness import build_config, config, load_config
 
 from test_experiment import TOY_CFG
 
@@ -19,7 +24,7 @@ BROKEN = {
     "phi_range": ({"attack.phi1": "1.5"}, r"must lie in \(0, 1\]"),
     "negative_lambda": ({"attack.lambda": "-0.1"}, "attack.lambda must be >= 0"),
     "noise_per_tier": ({"dataset.tiers": "3"}, "dataset.noise has 4 entries for 3 tiers"),
-    "noise_positive": ({"dataset.noise": "0,0.35,0.7,1.1"}, "entries must be positive"),
+    "noise_positive": ({"dataset.noise": "0,0.35,0.7,1.1"}, "dataset.noise must be > 0"),
     "noise_increasing": ({"dataset.noise": "0.1,0.7,0.35,1.1"}, "must be strictly increasing"),
     "idx_files": ({"dataset.kind": "idx"}, "dataset.idx_train_images is required"),
     "backbone_kind": ({"victim.backbone": "rnn"}, "victim.backbone must be dense or conv"),
@@ -41,9 +46,9 @@ BROKEN = {
     "query_budget": ({"attack.n_iid": "0", "attack.n_unrelated": "0"}, "budget must be positive"),
     "n_search_range": ({"dataset.n_calibration": "50", "attack.n_search": "60"},
                        r"must lie in \[0, dataset.n_calibration\]"),
-    "lr_positive": ({"victim.lr": "0"}, "victim.lr must be positive"),
+    "lr_positive": ({"victim.lr": "0"}, "victim.lr must be > 0"),
     "epochs": ({"attack.epochs": "-1"}, "epochs must be >= 0"),
-    "batch_size": ({"victim.batch_size": "0"}, "batch sizes must be >= 1"),
+    "batch_size": ({"victim.batch_size": "0"}, "victim.batch_size must be >= 1"),
     "noise_over_gap": ({"timing.noise_over_gap": "-0.1"}, "noise_over_gap must be >= 0"),
     "momentum_negative": ({"victim.momentum": "-0.5"}, r"victim.momentum must lie in \[0, 1\)"),
     "momentum_one": ({"victim.momentum": "1"}, r"victim.momentum must lie in \[0, 1\)"),
@@ -54,6 +59,24 @@ BROKEN = {
         "unrelated.low must be < unrelated.high",
     ),
     "negative_seed": ({"seed.noise": "-1"}, "seed.noise must be >= 0"),
+    "dataset_classes": ({"dataset.classes": "1"}, "dataset.classes must be >= 2"),
+    "dataset_dim": ({"dataset.dim": "0"}, "dataset.dim must be >= 1"),
+    "dataset_tiers": ({"dataset.tiers": "0"}, "dataset.tiers must be >= 1"),
+    "unrelated_classes": ({"unrelated.classes": "1"}, "unrelated.classes must be >= 2"),
+    "unrelated_noise": ({"unrelated.noise": "0"}, "unrelated.noise must be > 0"),
+    "unrelated_n": ({"unrelated.n": "0"}, "unrelated.n must be >= 1"),
+    "n_iid": ({"attack.n_iid": "-5"}, "attack.n_iid must be >= 0"),
+    "n_unrelated": ({"attack.n_unrelated": "-1"}, "attack.n_unrelated must be >= 0"),
+    "victim_widths": ({"victim.widths": "48,0,48,48"}, "victim.widths must be >= 1"),
+    "attack_widths": ({"attack.widths": "64,64,-64"}, "attack.widths must be >= 1"),
+    "victim_channels": ({"victim.channels": "8,0,16"}, "victim.channels must be >= 1"),
+    "attack_channels": ({"attack.channels": "0,16"}, "attack.channels must be >= 1"),
+    "victim_kernel": ({"victim.kernel": "0"}, "victim.kernel must be >= 1"),
+    "attack_kernel": ({"attack.kernel": "-3"}, "attack.kernel must be >= 1"),
+    "victim_stride": ({"victim.stride": "0"}, "victim.stride must be >= 1"),
+    "attack_stride": ({"attack.stride": "0"}, "attack.stride must be >= 1"),
+    "victim_activation": ({"victim.activation": "gelu"}, "victim.activation must be relu or tanh"),
+    "attack_activation": ({"attack.activation": "gelu"}, "attack.activation must be relu or tanh"),
 }
 
 
@@ -95,3 +118,48 @@ def test_non_finite_float_is_a_parse_error(case):
     overrides, key, kind = NON_FINITE[case]
     with pytest.raises(ContractError, match=f"config key '{key}': cannot parse .* as {kind}$"):
         load_config(TOY_CFG, overrides)
+
+
+# numeric keys that declare no range: every finite value has a meaning
+# (a negative timing.noise_sigma asks for the derived one), or the contract
+# is between keys (unrelated.low < unrelated.high)
+UNBOUNDED = {"dataset.center_scale", "unrelated.low", "unrelated.high", "timing.noise_sigma"}
+
+
+def _range(within: str):
+    """(low, high, low open, high open) of a range such as "[1, inf)"."""
+    low, high = (float(end) for end in within[1:-1].split(","))
+    return low, high, within[0] == "(", within[-1] == ")"
+
+
+def _just_outside(within, integral: bool) -> list[str]:
+    """Raw values just outside `within`: past each finite end of a range,
+    or a string it does not list."""
+    if isinstance(within, tuple):
+        return ["-".join(within) + "x"]
+    low, high, low_open, high_open = _range(within)
+    step = (lambda x, to: x + (1 if to > x else -1)) if integral else math.nextafter
+    values = [low if low_open else step(low, -math.inf)]
+    if high != math.inf:
+        values.append(high if high_open else step(high, math.inf))
+    return [str(int(v)) if integral else repr(v) for v in values]
+
+
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_each_key_declares_what_it_admits(key):
+    # a new numeric key without a range fails here, not at a later stage
+    _, default, (kind, parse), within = config._KEYS[key]
+    if kind in ("int", "float", "ints", "floats") and key not in UNBOUNDED:
+        assert within is not None, f"{key} declares no range"
+    if within is None:
+        return
+    value = parse(default)
+    if isinstance(within, tuple):
+        assert value in within
+    else:
+        low, high, low_open, high_open = _range(within)
+        for x in value if isinstance(value, tuple) else (value,):
+            assert (low < x if low_open else low <= x) and (x < high if high_open else x <= high)
+    for raw in _just_outside(within, kind in ("int", "ints")):
+        with pytest.raises(ContractError, match=f"^{re.escape(key)} must "):
+            build_config({key: raw})

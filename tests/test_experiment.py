@@ -138,10 +138,21 @@ def test_auto_tau_and_victim_arch_baseline(tmp_path):
     assert experiment._strategy(deployment) == chosen
 
     def widths(name):
-        return tuple(b.out_width for b in load_checkpoint(tmp_path / name).backbone.blocks)
+        return backbone_widths(tmp_path / name)
 
     assert widths("sub_baseline.ckpt") == widths("victim.ckpt") == (16, 16, 16, 16)
     assert widths("sub_nostrategy.ckpt") == widths("sub_ours.ckpt") == (12, 12, 12)
+
+
+def backbone_widths(path) -> tuple[int, ...]:
+    """The block widths of the dense net checkpointed at `path`."""
+    return tuple(b.out_width for b in load_checkpoint(path).backbone.blocks)
+
+
+def run_stages_through(last: str, cfg, run_dir) -> None:
+    """Run the pipeline's stages in order up to and including `last`."""
+    for name in experiment.STAGE_ORDER[: experiment.STAGE_ORDER.index(last) + 1]:
+        run_stage(name, cfg, run_dir)
 
 
 @pytest.mark.parametrize(
@@ -252,6 +263,43 @@ def test_warm_start_with_another_exit_count_fails_loudly(tmp_path, stage):
     (run_dir / "changepoints.json").write_text(json.dumps(CHANGEPOINTS))
     with pytest.raises(ContractError, match="has 3 exits but the timing channel estimated 2"):
         run_stage(stage, cfg, run_dir)
+
+
+def test_warm_start_seeds_only_the_attackers_architecture(tmp_path):
+    # attack.baseline_arch = victim builds the baseline on the victim's
+    # widths, as without a warm start; both nets on the attacker's
+    # architecture start from the warm checkpoint's 12-wide blocks
+    warm = tmp_path / "warm.ckpt"
+    save_checkpoint(dense_net(widths=(16, 12, 12, 12), exits=2, classes=4), warm)
+    overrides = {"attack.baseline_arch": "victim", "attack.warm_start": str(warm)}
+    run_dir = tmp_path / "run"
+    run_stages_through("train_baseline", load_config(TOY_CFG, dict(TINY, **overrides)), run_dir)
+    assert backbone_widths(run_dir / "sub_baseline.ckpt") == (16, 16, 16, 16)
+    assert backbone_widths(run_dir / "victim.ckpt") == (16, 16, 16, 16)
+    for name in ("sub_ours.ckpt", "sub_nostrategy.ckpt"):
+        assert backbone_widths(run_dir / name) == (12, 12, 12), name
+
+
+def test_warm_start_with_other_classes_or_inputs_fails_by_name(tmp_path):
+    # TINY's queries are 16-wide rows of 4 classes
+    mismatched = [
+        (dense_net(widths=(16, 8, 8), classes=3), r"shape \(16,\) to 3 classes"),
+        (dense_net(widths=(10, 8, 8), classes=4), r"shape \(10,\) to 4 classes"),
+    ]
+    warm = tmp_path / "warm.ckpt"
+    save_checkpoint(mismatched[0][0], warm)
+    cfg = load_config(TOY_CFG, dict(TINY, **{"attack.warm_start": str(warm)}))
+    run_dir = tmp_path / "run"
+    run_stages_through("estimate_exits", cfg, run_dir)
+    for net, takes in mismatched:
+        save_checkpoint(net, warm)
+        message = (
+            f"^attack.warm_start {re.escape(str(warm))} takes inputs of {takes}, "
+            r"but the queries have shape \(16,\) and 4 classes$"
+        )
+        for stage in ("train_substitute", "train_baseline"):
+            with pytest.raises(ContractError, match=message):
+                run_stage(stage, cfg, run_dir)
 
 
 # the first missing input of each stage run on an empty directory, and the
