@@ -1,5 +1,10 @@
 """Command-line front end for the experiment pipeline.
 
+Every run trains two substitutes, `train-substitute --mode ours` (with the
+strategy loss) and `--mode baseline` (soft labels only; `--mode
+no-strategy-loss` names the same net), and `evaluate` and `report` show all
+five variants scored from them and the victim.
+
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
 missing artifact, which the message names, and a damaged one, a
 FormatError naming its path and the field at fault, or the archive member
@@ -16,7 +21,7 @@ from ..metrics import CSV_COLUMNS, EvalReport
 from . import experiment
 from .config import load_config, seed_overrides
 
-# the soft-label ablation net is trained by the baseline stage
+# the soft-label net that no_strategy_loss scores is the baseline stage's
 _MODE_ALIAS = {"no-strategy-loss": "baseline"}
 
 
@@ -55,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("ours", "baseline", "no-strategy-loss"),
         default="ours",
-        help="which training objective/architecture to use",
+        help="which training objective to use",
     )
 
     search_sub = sub.add_parser("search-strategy", help="choose output thresholds")
@@ -95,10 +100,6 @@ def _dispatch(args) -> int:
     if args.command == "run-experiment":
         _print_report(experiment.run_experiment(cfg, args.out))
         return 0
-    if getattr(args, "mode", None) == "no-strategy-loss" and not cfg.ablations:
-        raise ContractError(
-            "--mode no-strategy-loss trains the ablation net; set experiment.ablations = true"
-        )
     command = args.command
     if hasattr(args, "mode"):
         command += f" --mode {_MODE_ALIAS.get(args.mode, args.mode)}"

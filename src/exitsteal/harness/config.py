@@ -60,11 +60,6 @@ def _tau(raw: str) -> float | None:
     return None if raw == "auto" else _finite(raw)
 
 
-def _sigma(raw: str) -> float | None:
-    sigma = _finite(raw)
-    return None if sigma < 0 else sigma
-
-
 @dataclass(frozen=True)
 class DatasetCfg:
     kind: str = _key("tiered", within=("tiered", "idx"))
@@ -128,9 +123,8 @@ class VictimCfg:
 @dataclass(frozen=True)
 class TimingCfg:
     per_flop: float = _key("1e-6", within="(0, inf)")
+    # the timing noise's sigma over the smallest gap between exit base times
     noise_over_gap: float = _key("0.1", within="[0, inf)")
-    # explicit sigma when set (>= 0), else derived from the exit gap
-    noise_sigma: float | None = _key("-1", parse=("float", _sigma))
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,6 @@ class AttackStageCfg:
     # calibration points fed to the threshold search; 0 = all
     n_search: int = _key("0", within="[0, inf)")
     warm_start: str = _key("")
-    baseline_arch: str = _key("attacker", within=("attacker", "victim"))
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,6 @@ class ExperimentConfig:
     victim: VictimCfg
     timing: TimingCfg
     attack: AttackStageCfg
-    ablations: bool = _key("true", key="experiment.ablations")
     seed: SeedCfg
     resolved: dict[str, str]  # every config key with its effective raw value
 

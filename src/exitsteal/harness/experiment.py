@@ -13,6 +13,11 @@ stopped. The status file pins the config hash; running a different
 config against the same directory is refused rather than silently mixing
 artifacts.
 
+Every run trains two substitutes, sub_ours.ckpt (performance + strategy
+loss) and sub_baseline.ckpt (soft labels only), on the attacker's
+architecture, and scores five variants (VARIANTS): the victim, and each
+substitute under searched and under traditional thresholds.
+
 The experiment grid, `run_grid`, is the one entry point of a multi-run study: a
 resumable `run_experiment` per point of the product of its axes (config
 keys, and `seed` for master seeds expanded as --seed does), and grid.csv
@@ -25,7 +30,6 @@ import csv
 import itertools
 import json
 import os
-import shutil
 import time
 import zipfile
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -41,7 +45,7 @@ from ..attack import (
     write_loss_trace,
 )
 from ..changepoint import assign_exits, detect_changepoints
-from ..errors import ContractError, FormatError
+from ..errors import BudgetError, ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport, make_report
 from ..multiexit import (
     BackboneSpec,
@@ -49,6 +53,7 @@ from ..multiexit import (
     OutputStrategy,
     build_evenly_partitioned,
     cascade,
+    feature_dims,
     json_field,
     load_checkpoint,
     save_checkpoint,
@@ -75,27 +80,26 @@ CONFIG_FILE = "config.resolved.cfg"
 
 
 class Variant(NamedTuple):
-    checkpoint: str  # the network scored
+    checkpoint: str  # the network scored: the victim or one of the two substitutes
     # how its thresholds are picked: "deployed" (the victim's own, in
     # deployment.json), "searched" or "traditional" (strategy_<name>.json)
     strategy: str
-    ablation: bool  # scored only when experiment.ablations is on
 
 
-# the scored models, in the row order of reports.csv
+# the scored models, in the row order of reports.csv: the victim, and each
+# substitute under both kinds of threshold, so every run scores all five
 VARIANTS = {
-    "victim": Variant("victim.ckpt", "deployed", False),
-    "baseline": Variant("sub_baseline.ckpt", "traditional", False),
-    "ours": Variant("sub_ours.ckpt", "searched", False),
-    "no_strategy_loss": Variant("sub_nostrategy.ckpt", "searched", True),
-    "no_search": Variant("sub_ours.ckpt", "traditional", True),
+    "victim": Variant("victim.ckpt", "deployed"),
+    "baseline": Variant("sub_baseline.ckpt", "traditional"),
+    "ours": Variant("sub_ours.ckpt", "searched"),
+    "no_strategy_loss": Variant("sub_baseline.ckpt", "searched"),
+    "no_search": Variant("sub_ours.ckpt", "traditional"),
 }
 
 
 class Artifact(NamedTuple):
     stage: str | None  # the stage that writes it; None: the stage driver
     fields: dict = {}  # .npz: array -> (dtype kind, ranks); .json: key -> type
-    ablation: bool = False  # written only when experiment.ablations is on
 
 
 _INPUTS, _PROBS = ("f", (2, 4)), ("f", (2,))  # (n, d) or (n, C, H, W); (n, classes)
@@ -146,19 +150,12 @@ ARTIFACTS = {
     "trace_ours.csv": Artifact("train_substitute"),  # per-epoch losses
     "sub_baseline.ckpt": Artifact("train_baseline"),  # trained on soft labels only
     "trace_baseline.csv": Artifact("train_baseline"),
-    "sub_nostrategy.ckpt": Artifact("train_baseline", ablation=True),  # ditto, attacker arch
-    "trace_nostrategy.csv": Artifact("train_baseline", ablation=True),
     **{
-        f"strategy_{name}.json": Artifact(
-            f"search_{v.strategy}", {**_STRATEGY, "agreement": float}, v.ablation
-        )
+        f"strategy_{name}.json": Artifact(f"search_{v.strategy}", {**_STRATEGY, "agreement": float})
         for name, v in VARIANTS.items()
         if v.strategy != "deployed"
     },
-    **{
-        f"report_{name}.json": Artifact("evaluate", _REPORT, v.ablation)
-        for name, v in VARIANTS.items()
-    },
+    **{f"report_{name}.json": Artifact("evaluate", _REPORT) for name in VARIANTS},
     "reports.csv": Artifact("evaluate"),  # one row per variant
 }
 
@@ -266,13 +263,12 @@ def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
 # networks from config
 
 
-def _build_net(
-    net_cfg: NetCfg, exit_count: int, class_count: int, seed: int, sample_input: np.ndarray
-) -> MultiExitNet:
+def _backbone(net_cfg: NetCfg, sample_input: np.ndarray) -> tuple[BackboneSpec, tuple | None]:
+    """The backbone `net_cfg` builds on inputs shaped like `sample_input`,
+    and their (h, w) for a conv one."""
     if net_cfg.backbone == "dense":
         widths = (int(sample_input.shape[-1]),) + net_cfg.widths
-        spec = BackboneSpec.dense(widths, activation=net_cfg.activation)
-        return build_evenly_partitioned(spec, exit_count, class_count, seed)
+        return BackboneSpec.dense(widths, activation=net_cfg.activation), None
     channels, height, width = (int(n) for n in sample_input.shape[-3:])
     spec = BackboneSpec.conv(
         (channels,) + net_cfg.channels,
@@ -280,7 +276,14 @@ def _build_net(
         stride=net_cfg.stride,
         activation=net_cfg.activation,
     )
-    return build_evenly_partitioned(spec, exit_count, class_count, seed, input_hw=(height, width))
+    return spec, (height, width)
+
+
+def _build_net(
+    net_cfg: NetCfg, exit_count: int, class_count: int, seed: int, sample_input: np.ndarray
+) -> MultiExitNet:
+    spec, input_hw = _backbone(net_cfg, sample_input)
+    return build_evenly_partitioned(spec, exit_count, class_count, seed, input_hw=input_hw)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,13 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         elif train_x.ndim == 3:
             train_x = train_x[:, None]
             test_x = test_x[:, None]
+        for section in ("victim", "attack"):
+            spec, hw = _backbone(getattr(cfg, section).net, train_x[:1])
+            try:
+                feature_dims(spec, hw)
+            except ContractError as exc:
+                keys = f"{section}.kernel, {section}.stride and {section}.channels"
+                raise ContractError(f"{keys} shrink {hw[0]}x{hw[1]} images below 1x1") from exc
         # [train | calibration | test | iid pool], as sliced below
         fit = d.n_train + d.n_calibration
         x = np.concatenate([train_x[:fit], test_x[: d.n_test], train_x[fit:need]])
@@ -393,12 +403,7 @@ def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
             net, data["train_x"], data["train_y"], accuracy_slack=v.tau_slack
         )
     quiet = TimingModel.proportional(net, t.per_flop, 0.0, cfg.seed.noise)
-    base = exit_base_times(net, quiet)
-    if t.noise_sigma is not None:
-        sigma = t.noise_sigma
-    else:
-        gaps = np.diff(base)
-        sigma = float(t.noise_over_gap * gaps.min()) if gaps.size else 0.0
+    sigma = float(t.noise_over_gap * np.diff(exit_base_times(net, quiet)).min())
     timing = TimingModel(quiet.block_costs, quiet.head_costs, sigma, cfg.seed.noise)
     _write_json(
         _path(run_dir, "deployment.json"),
@@ -466,15 +471,46 @@ def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
     )
 
 
-def _query_batch(run_dir) -> RecordBatch:
-    """The answered queries with their estimated exit labels."""
-    q = _read(run_dir, "queries.npz")
-    return RecordBatch(q["query_x"], q["query_probs"], _read(run_dir, "labels.npz")["query_exits"])
-
-
-def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
+def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
+    """Train a substitute with `trainer` on the answered queries and their
+    estimated exit labels, and write sub_<name>.ckpt and trace_<name>.csv.
+    The net is the attack.warm_start checkpoint when one is set, else one
+    built from attack.*; either way it has the K-hat exits that
+    changepoints.json records."""
+    exit_count = _read(run_dir, "changepoints.json")["exit_count"]
+    if exit_count < 2:
+        raise ContractError(
+            f"changepoint detection estimated {exit_count} exit: the timing "
+            "channel did not separate any exits, so there are no exit labels "
+            "to train a multi-exit substitute on"
+        )
     a = cfg.attack
-    return AttackConfig(
+    net = load_checkpoint(a.warm_start) if a.warm_start else None
+    if a.warm_start and net.exit_count != exit_count:
+        raise ContractError(
+            f"attack.warm_start {a.warm_start} has {net.exit_count} exits "
+            f"but the timing channel estimated {exit_count}"
+        )
+    q = _read(run_dir, "queries.npz")
+    batch = RecordBatch(q["query_x"], q["query_probs"], _read(run_dir, "labels.npz")["query_exits"])
+    blocks_key = "widths" if a.net.backbone == "dense" else "channels"
+    blocks = len(getattr(a.net, blocks_key))
+    if exit_count > blocks:
+        raise ContractError(
+            f"estimated {exit_count} exits but the substitute backbone has "
+            f"only {blocks} blocks; lengthen attack.{blocks_key}"
+        )
+    classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
+    if a.warm_start and (net.class_count, net.input_shape) != (classes, shape):
+        raise ContractError(
+            f"attack.warm_start {a.warm_start} takes inputs of shape "
+            f"{net.input_shape} to {net.class_count} classes, but the queries "
+            f"have shape {shape} and {classes} classes"
+        )
+    if not a.warm_start:
+        sample = batch.inputs[:1]
+        net = _build_net(a.net, exit_count, cfg.dataset.classes, cfg.seed.attacker, sample)
+    config = AttackConfig(
         phi1=a.phi1,
         phi2=a.phi2,
         lambda_strategy=a.lam,
@@ -483,90 +519,17 @@ def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
         batch_size=a.batch_size,
         seed=cfg.seed.shuffle + 1,
     )
-
-
-def _estimated_exits(cfg: ExperimentConfig, run_dir) -> tuple[int, MultiExitNet | None]:
-    """The exit count the timing channel estimated, and the attack.warm_start
-    net when one is set, whose exit count must match it."""
-    exit_count = _read(run_dir, "changepoints.json")["exit_count"]
-    if exit_count < 2:
-        raise ContractError(
-            f"changepoint detection estimated {exit_count} exit: the timing "
-            "channel did not separate any exits, so there are no exit labels "
-            "to train a multi-exit substitute on"
-        )
-    warm = None
-    if cfg.attack.warm_start:
-        warm = load_checkpoint(cfg.attack.warm_start)
-        if warm.exit_count != exit_count:
-            raise ContractError(
-                f"attack.warm_start {cfg.attack.warm_start} has {warm.exit_count} exits "
-                f"but the timing channel estimated {exit_count}"
-            )
-    return exit_count, warm
-
-
-def _fresh_substitute(
-    cfg: ExperimentConfig, estimated, batch: RecordBatch, arch: str = "attacker"
-) -> MultiExitNet:
-    """The net to train on `batch` for `arch` (attack.baseline_arch's
-    values): the warm start for the attacker's architecture when one is set,
-    else one built from attack.* or victim.*. `estimated` is what
-    `_estimated_exits` returned."""
-    exit_count, warm = estimated
-    section = "victim" if arch == "victim" else "attack"
-    net_cfg = getattr(cfg, section).net
-    blocks_key = "widths" if net_cfg.backbone == "dense" else "channels"
-    blocks = len(getattr(net_cfg, blocks_key))
-    if exit_count > blocks:
-        raise ContractError(
-            f"estimated {exit_count} exits but the substitute backbone has "
-            f"only {blocks} blocks; lengthen {section}.{blocks_key}"
-        )
-    if warm is None or arch == "victim":
-        return _build_net(
-            net_cfg, exit_count, cfg.dataset.classes, cfg.seed.attacker, batch.inputs[:1]
-        )
-    classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
-    if (warm.class_count, warm.input_shape) != (classes, shape):
-        raise ContractError(
-            f"attack.warm_start {cfg.attack.warm_start} takes inputs of shape "
-            f"{warm.input_shape} to {warm.class_count} classes, but the queries "
-            f"have shape {shape} and {classes} classes"
-        )
-    return warm
+    net, trace = trainer(net, batch, config)
+    save_checkpoint(net, _path(run_dir, f"sub_{name}.ckpt"))
+    write_loss_trace(trace, _path(run_dir, f"trace_{name}.csv"))
 
 
 def _stage_train_substitute(cfg: ExperimentConfig, run_dir) -> None:
-    estimated = _estimated_exits(cfg, run_dir)
-    batch = _query_batch(run_dir)
-    net = _fresh_substitute(cfg, estimated, batch)
-    net, trace = train_substitute(net, batch, _attack_config(cfg))
-    save_checkpoint(net, _path(run_dir, "sub_ours.ckpt"))
-    write_loss_trace(trace, _path(run_dir, "trace_ours.csv"))
+    _train(cfg, run_dir, train_substitute, "ours")  # performance + strategy loss
 
 
 def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
-    estimated = _estimated_exits(cfg, run_dir)
-    batch = _query_batch(run_dir)
-    net = _fresh_substitute(cfg, estimated, batch, cfg.attack.baseline_arch)
-    acfg = _attack_config(cfg)
-    net, trace = train_baseline(net, batch, acfg)
-    save_checkpoint(net, _path(run_dir, "sub_baseline.ckpt"))
-    write_loss_trace(trace, _path(run_dir, "trace_baseline.csv"))
-    if not cfg.ablations:
-        return
-    if cfg.attack.baseline_arch == "attacker":
-        # same architecture and the same soft-label objective: the ablation
-        # net is the baseline net, so reuse the checkpoint byte for byte
-        for pattern in ("sub_{}.ckpt", "trace_{}.csv"):
-            src, dst = (_path(run_dir, pattern.format(n)) for n in ("baseline", "nostrategy"))
-            shutil.copyfile(src, dst)
-        return
-    net2 = _fresh_substitute(cfg, estimated, batch)
-    net2, trace2 = train_baseline(net2, batch, acfg)
-    save_checkpoint(net2, _path(run_dir, "sub_nostrategy.ckpt"))
-    write_loss_trace(trace2, _path(run_dir, "trace_nostrategy.csv"))
+    _train(cfg, run_dir, train_baseline, "baseline")  # soft labels only
 
 
 def _calibration_targets(run_dir):
@@ -575,18 +538,14 @@ def _calibration_targets(run_dir):
     return data["calib_x"], exits
 
 
-def _nets(cfg: ExperimentConfig, run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
-    """The net of each variant scored under `cfg`; with `strategy`, of each
-    whose thresholds it picks."""
-    return {
-        name: _read(run_dir, v.checkpoint)
-        for name, v in VARIANTS.items()
-        if (cfg.ablations or not v.ablation) and strategy in (None, v.strategy)
-    }
+def _nets(run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
+    """The net of each variant; with `strategy`, of each whose thresholds it picks."""
+    names = [name for name, v in VARIANTS.items() if strategy in (None, v.strategy)]
+    return {name: _read(run_dir, VARIANTS[name].checkpoint) for name in names}
 
 
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
-    nets = _nets(cfg, run_dir, "searched")
+    nets = _nets(run_dir, "searched")
     calib_x, calib_exits = _calibration_targets(run_dir)
     # the branch-and-bound walk visits far fewer branches than the candidate
     # product, but both grow with the probe count and the walk is capped
@@ -603,7 +562,7 @@ def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
-    nets = _nets(cfg, run_dir, "traditional")
+    nets = _nets(run_dir, "traditional")
     # the attacker has no labels for its calibration probes; it uses the
     # victim's answers (pseudo-labels) for the conventional selection
     calib_x, calib_exits = _calibration_targets(run_dir)
@@ -620,7 +579,7 @@ def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
-    nets = _nets(cfg, run_dir)
+    nets = _nets(run_dir)
     strategies = {name: _strategy(_read(run_dir, _strategy_file(name))) for name in nets}
     dep = _load_deployment(run_dir)
     data = _read(run_dir, "dataset.npz")
@@ -661,15 +620,10 @@ STAGES = {
 STAGE_ORDER = tuple(STAGES)
 
 
-def _stage_done(name: str, cfg: ExperimentConfig, run_dir, status: dict) -> bool:
-    entry = status["stages"].get(name)
-    if not entry or entry.get("state") != "done":
-        return False
-    return all(
-        os.path.exists(_path(run_dir, out))
-        for out, artifact in ARTIFACTS.items()
-        if artifact.stage == name and (cfg.ablations or not artifact.ablation)
-    )
+def _stage_done(name: str, run_dir, status: dict) -> bool:
+    outputs = [out for out, artifact in ARTIFACTS.items() if artifact.stage == name]
+    done = status["stages"].get(name, {}).get("state") == "done"
+    return done and all(os.path.exists(_path(run_dir, out)) for out in outputs)
 
 
 def run_stage(name: str, cfg: ExperimentConfig, run_dir) -> bool:
@@ -683,7 +637,7 @@ def run_stage(name: str, cfg: ExperimentConfig, run_dir) -> bool:
     status = _load_status(run_dir, cfg)
     if not os.path.exists(_path(run_dir, CONFIG_FILE)):
         _write_text(_path(run_dir, CONFIG_FILE), cfg.canonical_text)
-    if _stage_done(name, cfg, run_dir, status):
+    if _stage_done(name, run_dir, status):
         return False
     t0 = time.perf_counter()
     try:
@@ -709,13 +663,9 @@ def run_experiment(cfg: ExperimentConfig, run_dir) -> dict[str, EvalReport]:
 
 
 def load_reports(run_dir) -> dict[str, EvalReport]:
-    """Every variant's report under `run_dir`, in VARIANTS order. The config
-    hash pins which variants a directory holds, so none is required; with no
-    report at all this raises ContractError, and `_read` checks the fields."""
-    names = [n for n in VARIANTS if os.path.exists(_path(run_dir, f"report_{n}.json"))]
-    if not names:
-        raise ContractError(f"no report_*.json under {run_dir}; run 'exitsteal evaluate' first")
-    return {name: EvalReport(**_read(run_dir, f"report_{name}.json")) for name in names}
+    """Every variant's report under `run_dir`, in VARIANTS order; `_read`
+    names a missing one and checks the fields of each."""
+    return {name: EvalReport(**_read(run_dir, f"report_{name}.json")) for name in VARIANTS}
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +703,10 @@ def run_grid(
     results = []
     for point, cfg in zip(points, configs):
         subdir = "_".join(f"{key}={raw}" for key, raw in point.items())
-        results.append((point, run_experiment(cfg, os.path.join(root_dir, subdir))))
+        try:
+            results.append((point, run_experiment(cfg, os.path.join(root_dir, subdir))))
+        except (ContractError, FormatError, BudgetError) as exc:
+            raise type(exc)(f"grid point {subdir}: {exc}") from exc
     rows = [((*p.values(), name), r) for p, reports in results for name, r in reports.items()]
     _write_csv(os.path.join(root_dir, "grid.csv"), (*raw_axes, "model"), rows)
     return results

@@ -1,6 +1,7 @@
-"""CLI exit codes: 0 on a finished run, 1 on an invalid config, a mode
-the config turns off, a damaged artifact or a usage error, 2 when the
-strategy search overruns its branch budget."""
+"""CLI exit codes: 0 on a finished run, which trains two substitutes and
+reports all five variants, 1 on an invalid config, a missing or damaged
+artifact or a usage error, 2 when the strategy search overruns its branch
+budget."""
 
 import json
 import shutil
@@ -22,6 +23,7 @@ from test_experiment import (
     damage_member,
     queries_npz,
     run_stages_before,
+    write_valid_reports,
 )
 
 
@@ -67,18 +69,17 @@ def test_search_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "exceeds the cap of 0" in capsys.readouterr().err
 
 
-def test_no_strategy_loss_without_ablations_exits_1(tmp_path, capsys):
-    # the ablation net is trained only when experiment.ablations is on, so
-    # the mode must fail loudly instead of finishing without its checkpoint
-    cfg = write_config(tmp_path / "tiny.cfg", dict(TINY, **{"experiment.ablations": "false"}))
+def test_no_strategy_loss_mode_trains_the_baseline_net(tmp_path, capsys):
+    # no_strategy_loss scores the soft-label net that the baseline stage trains
+    cfg = write_config(tmp_path / "tiny.cfg", TINY)
     run = str(tmp_path / "run")
     for command in ("train-victim", "deploy", "query", "estimate-exits"):
         assert main([command, "--config", cfg, "--out", run]) == 0
     capsys.readouterr()
     argv = ["train-substitute", "--mode", "no-strategy-loss", "--config", cfg, "--out", run]
-    assert main(argv) == 1
-    assert "experiment.ablations" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "sub_nostrategy.ckpt").exists()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "train_baseline: done\n"
+    assert (tmp_path / "run" / "sub_baseline.ckpt").exists()
 
 
 def assert_one_error_line(err: str, *names: str) -> None:
@@ -94,6 +95,7 @@ def assert_one_error_line(err: str, *names: str) -> None:
     ids=["not_json", "no_clo", "clo_not_a_number"],
 )
 def test_damaged_report_exits_1(tmp_path, capsys, damage, field):
+    write_valid_reports(tmp_path)
     report = _valid_report()
     text = {
         "not_json": "not json",
@@ -204,6 +206,16 @@ def test_damaged_run_file_exits_1(tmp_path, capsys, name, text, command, field):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     names = [str(tmp_path / "run" / name)] + [field] * (field is not None)
     assert_one_error_line(capsys.readouterr().err, *names)
+
+
+def test_report_without_a_variant_report_exits_1(finished_tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_tiny_run[1], run)
+    (run / "report_no_search.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 1
+    path = run / "report_no_search.json"
+    assert_one_error_line(capsys.readouterr().err, f"missing artifact {path}", "exitsteal evaluate")
 
 
 def test_report_takes_only_out(tmp_path, capsys):

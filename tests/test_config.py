@@ -86,18 +86,18 @@ NON_FINITE = {
     "floats_nan": ({"dataset.noise": "0.1,nan,0.6,0.8"}, "dataset.noise", "floats"),
     "floats_inf_last": ({"dataset.noise": "0.1,0.35,0.7,inf"}, "dataset.noise", "floats"),
     "tau": ({"victim.tau": "nan"}, "victim.tau", "float"),
-    "sigma": ({"timing.noise_sigma": "-inf"}, "timing.noise_sigma", "float"),
 }
 
 
 def test_config_hashes_are_pinned():
     # run directories pin these hashes (status.json), so the resolved raw
-    # values may not change
+    # values may not change; they move only when a key is deliberately
+    # removed, and CHANGES.md says so
     assert load_config(TOY_CFG).sha256 == (
-        "e3d83b5317940a83441db67b14b75021320540878087635a4e7b6d34f8b57b6f"
+        "e1ee1b51abc86065d13380b59fc5078c5bebdcd105cce6f70f5db149f3a0df61"
     )
     assert build_config({}).sha256 == (
-        "1ca051aaa2ca6404eae687ae55c9ca19a20829a206229d86c75878b783bf2934"
+        "e20c9444b0baecd9327c02caa116f1868a61d42078fab0aca7db71e5f09d51cd"
     )
 
 
@@ -120,10 +120,9 @@ def test_non_finite_float_is_a_parse_error(case):
         load_config(TOY_CFG, overrides)
 
 
-# numeric keys that declare no range: every finite value has a meaning
-# (a negative timing.noise_sigma asks for the derived one), or the contract
-# is between keys (unrelated.low < unrelated.high)
-UNBOUNDED = {"dataset.center_scale", "unrelated.low", "unrelated.high", "timing.noise_sigma"}
+# numeric keys that declare no range: every finite value has a meaning, or
+# the contract is between keys (unrelated.low < unrelated.high)
+UNBOUNDED = {"dataset.center_scale", "unrelated.low", "unrelated.high"}
 
 
 def _range(within: str):

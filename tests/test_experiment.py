@@ -82,15 +82,11 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
         run_experiment(changed, tmp_path)
 
 
-def assert_run_matches_artifacts(cfg, run_dir) -> None:
-    """A finished run holds exactly the files ARTIFACTS declares for `cfg`;
-    each .npz holds exactly its declared arrays, of their dtype kind and
-    rank, and each JSON file exactly its declared keys."""
-    declared = {
-        name: artifact.fields
-        for name, artifact in experiment.ARTIFACTS.items()
-        if cfg.ablations or not artifact.ablation
-    }
+def assert_run_matches_artifacts(run_dir) -> None:
+    """A finished run holds exactly the files ARTIFACTS declares; each .npz
+    holds exactly its declared arrays, of their dtype kind and rank, and each
+    JSON file exactly its declared keys."""
+    declared = {name: artifact.fields for name, artifact in experiment.ARTIFACTS.items()}
     assert sorted(os.listdir(run_dir)) == sorted(declared)
     for name, fields in declared.items():
         path = os.path.join(run_dir, name)
@@ -106,27 +102,21 @@ def assert_run_matches_artifacts(cfg, run_dir) -> None:
             assert fields == {}, name
 
 
-@pytest.mark.parametrize("ablations", ["true", "false"])
-def test_run_directory_is_what_artifacts_declares(tmp_path, ablations):
-    cfg = load_config(TOY_CFG, dict(TINY, **{"experiment.ablations": ablations}))
-    run_experiment(cfg, tmp_path)
-    assert_run_matches_artifacts(cfg, tmp_path)
+@pytest.mark.parametrize("auto_tau", [True, False], ids=["true", "false"])
+def test_run_directory_is_what_artifacts_declares(tmp_path, auto_tau):
+    # auto_tau runs victim.tau = auto on a 3-exit victim, else plain TINY
+    overrides = {"victim.tau": "auto", "victim.exits": "3"} if auto_tau else {}
+    run_experiment(load_config(TOY_CFG, dict(TINY, **overrides)), tmp_path)
+    assert_run_matches_artifacts(tmp_path)
 
 
-def test_auto_tau_and_victim_arch_baseline(tmp_path):
-    # victim.tau = auto selects the victim's thresholds in deploy, and
-    # attack.baseline_arch = victim trains the baseline on the victim's
-    # widths and the soft-label ablation net apart, on the attacker's
-    overrides = {
-        "victim.tau": "auto",
-        "attack.baseline_arch": "victim",
-        "attack.widths": "12,12,12",
-    }
+def test_auto_tau_selects_the_victims_thresholds(tmp_path):
+    # victim.tau = auto picks the victim's thresholds in deploy
+    overrides = {"victim.tau": "auto", "attack.widths": "12,12,12"}
     cfg = load_config(TOY_CFG, dict(TINY, **overrides))
     reports = run_experiment(cfg, tmp_path)
     assert list(reports) == list(experiment.VARIANTS)
     assert reports["victim"].clo == reports["victim"].cc_ratio == 1.0
-    assert_run_matches_artifacts(cfg, tmp_path)
 
     deployment = json.loads((tmp_path / "deployment.json").read_text())
     victim = load_checkpoint(tmp_path / "victim.ckpt")
@@ -136,12 +126,9 @@ def test_auto_tau_and_victim_arch_baseline(tmp_path):
         )
     assert deployment["tau"] is None
     assert experiment._strategy(deployment) == chosen
-
-    def widths(name):
-        return backbone_widths(tmp_path / name)
-
-    assert widths("sub_baseline.ckpt") == widths("victim.ckpt") == (16, 16, 16, 16)
-    assert widths("sub_nostrategy.ckpt") == widths("sub_ours.ckpt") == (12, 12, 12)
+    # both substitutes are built on the attacker's architecture
+    for name in ("sub_ours.ckpt", "sub_baseline.ckpt"):
+        assert backbone_widths(tmp_path / name) == (12, 12, 12), name
 
 
 def backbone_widths(path) -> tuple[int, ...]:
@@ -183,6 +170,9 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
         "attack.n_search": "0",
         "victim.backbone": backbone,
         "attack.backbone": backbone,
+        # 1x1 kernels keep the 3x2 images' size through every conv block
+        "victim.kernel": "1",
+        "attack.kernel": "1",
     }
     for split, (images, labels) in sources.items():
         overrides[f"dataset.idx_{split}_images"] = write_images(tmp_path / f"{split}-x.idx", images)
@@ -219,6 +209,35 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
             got = data[name]
             assert got.dtype == arr.dtype and got.shape == arr.shape, name
             assert got.tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("section", ["victim", "attack"])
+def test_conv_net_too_deep_for_the_images_fails_at_the_dataset_stage(tmp_path, section):
+    rng = np.random.default_rng(3)
+    overrides = {
+        "dataset.kind": "idx",
+        "dataset.n_train": "4",
+        "dataset.n_calibration": "10",
+        "dataset.n_test": "3",
+        "dataset.n_iid_pool": "2",
+        "unrelated.kind": "uniform",
+        "attack.n_iid": "2",
+        "victim.backbone": "conv",
+        "attack.backbone": "conv",
+        "victim.kernel": "1",
+        "attack.kernel": "1",
+        f"{section}.kernel": "9",
+    }
+    for split, n in (("train", 16), ("test", 3)):
+        images = rng.integers(0, 256, size=(n, 4, 4), dtype=np.uint8)
+        labels = rng.integers(0, 4, size=n, dtype=np.uint8)
+        overrides[f"dataset.idx_{split}_images"] = write_images(tmp_path / f"{split}-x.idx", images)
+        overrides[f"dataset.idx_{split}_labels"] = write_labels(tmp_path / f"{split}-y.idx", labels)
+    cfg = load_config(TOY_CFG, overrides)
+    keys = f"{section}.kernel, {section}.stride and {section}.channels"
+    with pytest.raises(ContractError, match=f"^{re.escape(keys)} shrink 4x4 images below 1x1$"):
+        run_stage("dataset", cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "dataset.npz").exists()
 
 
 @pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
@@ -266,17 +285,16 @@ def test_warm_start_with_another_exit_count_fails_loudly(tmp_path, stage):
 
 
 def test_warm_start_seeds_only_the_attackers_architecture(tmp_path):
-    # attack.baseline_arch = victim builds the baseline on the victim's
-    # widths, as without a warm start; both nets on the attacker's
-    # architecture start from the warm checkpoint's 12-wide blocks
+    # the warm checkpoint seeds both substitutes, sub_ours and sub_baseline:
+    # they keep its 12-wide blocks, not attack.widths (TINY's 16-wide ones),
+    # and the victim is built as without a warm start
     warm = tmp_path / "warm.ckpt"
     save_checkpoint(dense_net(widths=(16, 12, 12, 12), exits=2, classes=4), warm)
-    overrides = {"attack.baseline_arch": "victim", "attack.warm_start": str(warm)}
+    overrides = {"attack.warm_start": str(warm)}
     run_dir = tmp_path / "run"
     run_stages_through("train_baseline", load_config(TOY_CFG, dict(TINY, **overrides)), run_dir)
-    assert backbone_widths(run_dir / "sub_baseline.ckpt") == (16, 16, 16, 16)
     assert backbone_widths(run_dir / "victim.ckpt") == (16, 16, 16, 16)
-    for name in ("sub_ours.ckpt", "sub_nostrategy.ckpt"):
+    for name in ("sub_ours.ckpt", "sub_baseline.ckpt"):
         assert backbone_widths(run_dir / name) == (12, 12, 12), name
 
 
@@ -345,15 +363,14 @@ def run_stages_before(stage, cfg, run_dir) -> None:
     "stage, artifact, command",
     [
         ("search_traditional", "sub_ours.ckpt", "train-substitute --mode ours"),
-        ("search_searched", "sub_nostrategy.ckpt", "train-substitute --mode baseline"),
-        ("evaluate", "sub_nostrategy.ckpt", "train-substitute --mode baseline"),
+        ("search_searched", "sub_baseline.ckpt", "train-substitute --mode baseline"),
+        ("evaluate", "sub_baseline.ckpt", "train-substitute --mode baseline"),
         ("evaluate", "strategy_no_search.json", "search-strategy --mode traditional"),
         ("evaluate", "strategy_no_strategy_loss.json", "search-strategy --mode search"),
     ],
 )
 def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifact, command):
     cfg = load_config(TOY_CFG, TINY)
-    assert cfg.ablations
     run_stages_before(stage, cfg, tmp_path)
     (tmp_path / artifact).unlink()
     with pytest.raises(ContractError) as err:
@@ -487,6 +504,12 @@ def _valid_report() -> dict:
     return json.loads(EvalReport(0.5, 0.25, 10, 1e-8, 1.0, (1, 2), 4).to_json())
 
 
+def write_valid_reports(run_dir) -> None:
+    """A valid report_<name>.json for every variant."""
+    for name in experiment.VARIANTS:
+        (run_dir / f"report_{name}.json").write_text(json.dumps(_valid_report()))
+
+
 @pytest.mark.parametrize(
     "damage", ["not_json", "no_clo", "unknown_field", "not_an_object", "clo_not_a_number"]
 )
@@ -499,21 +522,25 @@ def test_damaged_report_is_a_format_error(tmp_path, damage):
         "not_an_object": json.dumps([report]),
         "clo_not_a_number": json.dumps(dict(report, clo="x")),
     }[damage]
-    (tmp_path / "report_victim.json").write_text(json.dumps(report))
+    write_valid_reports(tmp_path)
     (tmp_path / "report_ours.json").write_text(text)
     with pytest.raises(FormatError, match=re.escape(str(tmp_path / "report_ours.json"))):
         experiment.load_reports(tmp_path)
 
 
-def test_load_reports_reads_the_reports_present(tmp_path):
-    with pytest.raises(ContractError, match="run 'exitsteal evaluate' first"):
-        experiment.load_reports(tmp_path)
-    report = _valid_report()
-    for name in ("no_search", "victim"):
-        (tmp_path / f"report_{name}.json").write_text(json.dumps(report))
+def test_load_reports_requires_every_variant(tmp_path):
+    write_valid_reports(tmp_path)
     reports = experiment.load_reports(tmp_path)
-    assert list(reports) == ["victim", "no_search"]
-    assert reports["victim"] == EvalReport(**report)
+    assert list(reports) == list(experiment.VARIANTS)
+    assert reports["victim"] == EvalReport(**_valid_report())
+    for name in experiment.VARIANTS:
+        path = tmp_path / f"report_{name}.json"
+        text = path.read_text()
+        path.unlink()
+        with pytest.raises(ContractError) as err:
+            experiment.load_reports(tmp_path)
+        assert str(err.value) == f"missing artifact {path}; run 'exitsteal evaluate' first"
+        path.write_text(text)
 
 
 def test_strategy_json_shape():
@@ -595,6 +622,17 @@ def test_grid_quotes_a_value_with_commas(tmp_path):
     assert [row[:2] for row in rows[1:]] == [["12,12,12", name] for name in results[0][1]]
 
 
+def test_failing_grid_point_is_named(tmp_path):
+    # at noise/gap 50 the timing channel separates no exits
+    axes = {"timing.noise_over_gap": ["0.1", "50"]}
+    with pytest.raises(ContractError) as err:
+        run_grid(tiny_values(), axes, tmp_path)
+    assert str(err.value).startswith(
+        "grid point timing.noise_over_gap=50: changepoint detection estimated 1 exit: "
+    )
+    assert (tmp_path / "timing.noise_over_gap=0.1" / "reports.csv").exists()
+
+
 @pytest.mark.parametrize(
     "axes, message",
     [
@@ -604,7 +642,13 @@ def test_grid_quotes_a_value_with_commas(tmp_path):
         ({"attack.warm_start": ["../victim.ckpt"]}, "a value with '/' would leave"),
         ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
         ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
-        ({"attack.lambda": [0.5], "no.such_key": [1]}, "unknown config keys: no.such_key"),
+        # with three retired keys, which a config may no longer set
+        (
+            {"attack.lambda": [0.5], "no.such_key": [1], "experiment.ablations": ["true"],
+             "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"]},
+            "unknown config keys: attack.baseline_arch, experiment.ablations, no.such_key, "
+            "timing.noise_sigma$",
+        ),
     ],
     ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",
          "bad_seed", "unknown_key"],
