@@ -27,7 +27,7 @@ from typing import get_type_hints
 
 from ..changepoint import MIN_SEGMENT
 from ..errors import ContractError, FormatError
-from ..multiexit import ACTIVATIONS
+from ..multiexit import ACTIVATIONS, KINDS
 
 
 def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
@@ -42,8 +42,8 @@ def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
 
 
 def _net(**defaults: str):
-    """A NetCfg read from the enclosing section's six backbone keys
-    (`<section>.backbone`, ...), with these raw defaults."""
+    """A NetCfg read from the enclosing section's five backbone keys
+    (`<section>.widths`, ...), with these raw defaults."""
     return field(metadata={"net": defaults})
 
 
@@ -65,7 +65,6 @@ class DatasetCfg:
     kind: str = _key("tiered", within=("tiered", "idx"))
     dim: int = _key("16", within="[1, inf)")
     classes: int = _key("4", within="[2, inf)")
-    tiers: int = _key("4", within="[1, inf)")
     noise: tuple[float, ...] = _key("0.1,0.35,0.7,1.1", within="(0, inf)")
     center_scale: float = _key("3.0")
     n_train: int = _key("6000", within="[1, inf)")
@@ -92,7 +91,6 @@ class UnrelatedCfg:
 
 @dataclass(frozen=True)
 class NetCfg:
-    backbone: str = _key(within=("dense", "conv"))
     widths: tuple[int, ...] = _key(within="[1, inf)")
     channels: tuple[int, ...] = _key(within="[1, inf)")
     kernel: int = _key(within="[1, inf)")
@@ -102,8 +100,9 @@ class NetCfg:
 
 @dataclass(frozen=True)
 class VictimCfg:
+    # the backbone kind of every net in the run, the attacker's too
+    backbone: str = _key("dense", within=KINDS)
     net: NetCfg = _net(
-        backbone="dense",
         widths="48,48,48,48,48,48,48,48",
         channels="8,16,16,32",
         kernel="3",
@@ -138,7 +137,6 @@ class AttackStageCfg:
     lr: float = _key("0.05", within="(0, inf)")
     batch_size: int = _key("128", within="[1, inf)")
     net: NetCfg = _net(
-        backbone="dense",
         widths="64,64,64,64,64,64",
         channels="8,16,16,32",
         kernel="3",
@@ -288,10 +286,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     if a.phi1 < a.phi2:
         raise ContractError("attack.phi1 must be >= attack.phi2")
     if d.kind == "tiered":
-        if len(d.noise) != d.tiers:
-            raise ContractError(
-                f"dataset.noise has {len(d.noise)} entries for {d.tiers} tiers"
-            )
         if any(b <= x for x, b in zip(d.noise, d.noise[1:])):
             raise ContractError("dataset.noise must be strictly increasing")
     else:
@@ -307,14 +301,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             if not os.path.exists(path):
                 raise ContractError(f"dataset.{key}: no such file: {path}")
     for name, net, exits in (("victim", v.net, v.exits), ("attack", a.net, None)):
-        blocks = len(net.widths) if net.backbone == "dense" else len(net.channels)
+        blocks = len(net.widths) if v.backbone == "dense" else len(net.channels)
         if blocks < 2:
             raise ContractError(f"{name} backbone needs at least 2 blocks")
         if exits is not None and exits > blocks:
             raise ContractError(f"{name}.exits = {exits} exceeds {blocks} blocks")
-    if v.net.backbone != a.net.backbone:
-        raise ContractError("victim and attacker backbones must share a kind")
-    if d.kind == "tiered" and v.net.backbone == "conv":
+    if d.kind == "tiered" and v.backbone == "conv":
         raise ContractError("tiered blobs are 1-D; conv backbones need dataset.kind = idx")
     if a.n_iid > d.n_iid_pool:
         raise ContractError(

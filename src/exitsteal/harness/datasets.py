@@ -50,7 +50,6 @@ def _check_count(name: str, value) -> None:
 
 def generate_tiered_dataset(
     class_count: int,
-    tier_count: int,
     noise_schedule,
     sample_count: int,
     seed: int,
@@ -60,25 +59,23 @@ def generate_tiered_dataset(
 ) -> TieredDataset:
     """Gaussian class blobs with per-tier centers and per-tier noise.
 
-    Tier sizes are balanced to within one sample; classes are uniform. The
-    noise schedule must be strictly increasing and positive, one entry per
-    tier. Same seed, same dataset, bit for bit.
+    One tier per entry of the noise schedule, which must be non-empty,
+    strictly increasing and positive. Tier sizes are balanced to within one
+    sample; classes are uniform. Same seed, same dataset, bit for bit.
     """
     schedule = tuple(float(s) for s in noise_schedule)
+    n_tiers = len(schedule)
     _check_count("class_count", class_count)
-    _check_count("tier_count", tier_count)
     _check_count("sample_count", sample_count)
     _check_count("dim", dim)
     if class_count < 2:
         raise ContractError("class_count must be >= 2")
     if not np.isfinite(center_scale):
         raise ContractError("center_scale must be finite")
-    if sample_count < tier_count:
+    if not schedule:
+        raise ContractError("noise schedule needs at least one tier")
+    if sample_count < n_tiers:
         raise ContractError("sample_count must cover every tier")
-    if len(schedule) != tier_count:
-        raise ContractError(
-            f"noise schedule has {len(schedule)} entries for {tier_count} tiers"
-        )
     if not np.all(np.isfinite(schedule)):
         raise ContractError("noise scales must be finite")
     if any(s <= 0.0 for s in schedule):
@@ -86,12 +83,12 @@ def generate_tiered_dataset(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ContractError("noise schedule must be strictly increasing")
     rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 1.0, (class_count, tier_count, dim)) * (
+    centers = rng.normal(0.0, 1.0, (class_count, n_tiers, dim)) * (
         center_scale / np.sqrt(dim)
     )
-    base, extra = divmod(sample_count, tier_count)
-    counts = [base + (1 if t < extra else 0) for t in range(tier_count)]
-    tiers = rng.permutation(np.repeat(np.arange(1, tier_count + 1), counts))
+    base, extra = divmod(sample_count, n_tiers)
+    counts = [base + (1 if t < extra else 0) for t in range(n_tiers)]
+    tiers = rng.permutation(np.repeat(np.arange(1, n_tiers + 1), counts))
     labels = rng.integers(0, class_count, size=sample_count)
     sigma = np.asarray(schedule)[tiers - 1]
     inputs = centers[labels, tiers - 1] + sigma[:, None] * rng.standard_normal(
@@ -113,7 +110,6 @@ def generate_unrelated_blobs(
     in for a public surrogate dataset the attacker can query with."""
     ds = generate_tiered_dataset(
         class_count=class_count,
-        tier_count=1,
         noise_schedule=(noise,),
         sample_count=sample_count,
         seed=seed,

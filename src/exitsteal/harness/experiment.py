@@ -263,13 +263,13 @@ def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
 # networks from config
 
 
-def _backbone(net_cfg: NetCfg, sample_input: np.ndarray) -> tuple[BackboneSpec, tuple | None]:
-    """The backbone `net_cfg` builds on inputs shaped like `sample_input`,
+def _backbone(kind: str, net_cfg: NetCfg, sample: np.ndarray) -> tuple[BackboneSpec, tuple | None]:
+    """The `kind` backbone `net_cfg` builds on inputs shaped like `sample`,
     and their (h, w) for a conv one."""
-    if net_cfg.backbone == "dense":
-        widths = (int(sample_input.shape[-1]),) + net_cfg.widths
+    if kind == "dense":
+        widths = (int(sample.shape[-1]),) + net_cfg.widths
         return BackboneSpec.dense(widths, activation=net_cfg.activation), None
-    channels, height, width = (int(n) for n in sample_input.shape[-3:])
+    channels, height, width = (int(n) for n in sample.shape[-3:])
     spec = BackboneSpec.conv(
         (channels,) + net_cfg.channels,
         kernel=net_cfg.kernel,
@@ -280,9 +280,9 @@ def _backbone(net_cfg: NetCfg, sample_input: np.ndarray) -> tuple[BackboneSpec, 
 
 
 def _build_net(
-    net_cfg: NetCfg, exit_count: int, class_count: int, seed: int, sample_input: np.ndarray
+    kind: str, net_cfg: NetCfg, exit_count: int, class_count: int, seed: int, sample: np.ndarray
 ) -> MultiExitNet:
-    spec, input_hw = _backbone(net_cfg, sample_input)
+    spec, input_hw = _backbone(kind, net_cfg, sample)
     return build_evenly_partitioned(spec, exit_count, class_count, seed, input_hw=input_hw)
 
 
@@ -296,7 +296,6 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         total = d.n_train + d.n_calibration + d.n_test + d.n_iid_pool
         ds = generate_tiered_dataset(
             class_count=d.classes,
-            tier_count=d.tiers,
             noise_schedule=d.noise,
             sample_count=total,
             seed=s.dataset,
@@ -321,14 +320,14 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
             raise ContractError(
                 f"idx test set has {test_x.shape[0]} samples, need {d.n_test}"
             )
-        if cfg.victim.net.backbone == "dense":
+        if cfg.victim.backbone == "dense":
             train_x = train_x.reshape(train_x.shape[0], -1)
             test_x = test_x.reshape(test_x.shape[0], -1)
         elif train_x.ndim == 3:
             train_x = train_x[:, None]
             test_x = test_x[:, None]
         for section in ("victim", "attack"):
-            spec, hw = _backbone(getattr(cfg, section).net, train_x[:1])
+            spec, hw = _backbone(cfg.victim.backbone, getattr(cfg, section).net, train_x[:1])
             try:
                 feature_dims(spec, hw)
             except ContractError as exc:
@@ -339,6 +338,8 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         x = np.concatenate([train_x[:fit], test_x[: d.n_test], train_x[fit:need]])
         y = np.concatenate([train_y[:fit], test_y[: d.n_test], train_y[fit:need]])
         tiers = np.ones(x.shape[0], dtype=np.int64)
+        if y.max() >= d.classes:
+            raise ContractError(f"idx labels reach {y.max()}, past dataset.classes = {d.classes}")
 
     b, c, e, f = np.cumsum([d.n_train, d.n_calibration, d.n_test, d.n_iid_pool])
     if u.kind == "blobs":
@@ -377,7 +378,7 @@ def _stage_train_victim(cfg: ExperimentConfig, run_dir) -> None:
     data = _read(run_dir, "dataset.npz")
     v = cfg.victim
     net = _build_net(
-        v.net, v.exits, cfg.dataset.classes, cfg.seed.victim, data["train_x"][:1]
+        v.backbone, v.net, v.exits, cfg.dataset.classes, cfg.seed.victim, data["train_x"][:1]
     )
     train_victim(
         net,
@@ -493,13 +494,7 @@ def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
         )
     q = _read(run_dir, "queries.npz")
     batch = RecordBatch(q["query_x"], q["query_probs"], _read(run_dir, "labels.npz")["query_exits"])
-    blocks_key = "widths" if a.net.backbone == "dense" else "channels"
-    blocks = len(getattr(a.net, blocks_key))
-    if exit_count > blocks:
-        raise ContractError(
-            f"estimated {exit_count} exits but the substitute backbone has "
-            f"only {blocks} blocks; lengthen attack.{blocks_key}"
-        )
+    # the attacker sees the victim's class count only in its answers
     classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
     if a.warm_start and (net.class_count, net.input_shape) != (classes, shape):
         raise ContractError(
@@ -508,8 +503,15 @@ def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
             f"have shape {shape} and {classes} classes"
         )
     if not a.warm_start:
-        sample = batch.inputs[:1]
-        net = _build_net(a.net, exit_count, cfg.dataset.classes, cfg.seed.attacker, sample)
+        kind = cfg.victim.backbone
+        blocks_key = "widths" if kind == "dense" else "channels"
+        blocks = len(getattr(a.net, blocks_key))
+        if exit_count > blocks:
+            raise ContractError(
+                f"estimated {exit_count} exits but the substitute backbone has "
+                f"only {blocks} blocks; lengthen attack.{blocks_key}"
+            )
+        net = _build_net(kind, a.net, exit_count, classes, cfg.seed.attacker, batch.inputs[:1])
     config = AttackConfig(
         phi1=a.phi1,
         phi2=a.phi2,

@@ -30,7 +30,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass
-from typing import Sequence, Union, get_args, get_origin
+from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -46,76 +46,45 @@ SENTINEL = 2.0
 _CHECKPOINT_MAGIC = b"MXCKPT01"
 
 
-@dataclass(frozen=True)
-class DenseBlockSpec:
-    in_width: int
-    out_width: int
-
-    def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ContractError("dense block widths must be >= 1")
-
-
-@dataclass(frozen=True)
-class ConvBlockSpec:
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
-            raise ContractError("conv block fields must be >= 1")
-
-
-BlockSpec = Union[DenseBlockSpec, ConvBlockSpec]
-
-# activation names, applied by numerics.dense and numerics.conv2d
+# backbone kinds, and the activations numerics.dense and numerics.conv2d apply
+KINDS = ("dense", "conv")
 ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    """Ordered block descriptors plus the shared activation tag."""
+    """A chain of blocks of one kind: `widths` = (input, w1, ..., wB) are
+    the widths (channels, for conv) into the first block and out of each
+    block. Every conv block has the same square `kernel` and `stride`; a
+    dense spec has kernel = stride = 1. One activation follows every block."""
 
-    blocks: tuple[BlockSpec, ...]
+    kind: str
+    widths: tuple[int, ...]
+    kernel: int = 1
+    stride: int = 1
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ContractError("backbone needs at least one block")
+        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if self.kind not in KINDS:
+            raise ContractError(f"unknown backbone kind {self.kind!r}")
+        if len(self.widths) < 2:
+            raise ContractError(f"{self.kind} backbone needs an input width and one block")
+        if min(self.widths + (self.kernel, self.stride)) < 1:
+            raise ContractError("backbone widths, kernel and stride must be >= 1")
+        if self.kind == "dense" and (self.kernel, self.stride) != (1, 1):
+            raise ContractError("a dense backbone has kernel = stride = 1")
         if self.activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
-        kinds = {type(b) for b in self.blocks}
-        if len(kinds) != 1:
-            raise ContractError("backbone blocks must be all dense or all conv")
-        for prev, cur in zip(self.blocks, self.blocks[1:]):
-            if isinstance(prev, DenseBlockSpec):
-                if prev.out_width != cur.in_width:
-                    raise ContractError(
-                        f"block widths do not compose: {prev.out_width} -> {cur.in_width}"
-                    )
-            else:
-                if prev.out_channels != cur.in_channels:
-                    raise ContractError(
-                        f"block channels do not compose: {prev.out_channels} -> {cur.in_channels}"
-                    )
 
     @property
-    def kind(self) -> str:
-        return "dense" if isinstance(self.blocks[0], DenseBlockSpec) else "conv"
+    def block_count(self) -> int:
+        return len(self.widths) - 1
 
     @classmethod
     def dense(cls, widths: Sequence[int], activation: str = "relu") -> "BackboneSpec":
         """Chain of dense blocks: widths = (input, w1, w2, ..., wB)."""
-        widths = [int(w) for w in widths]
-        if len(widths) < 2:
-            raise ContractError("dense backbone needs an input width and one block")
-        blocks = tuple(
-            DenseBlockSpec(widths[i], widths[i + 1]) for i in range(len(widths) - 1)
-        )
-        return cls(blocks=blocks, activation=activation)
+        return cls("dense", tuple(widths), activation=activation)
 
     @classmethod
     def conv(
@@ -126,14 +95,7 @@ class BackboneSpec:
         activation: str = "relu",
     ) -> "BackboneSpec":
         """Chain of conv blocks: channels = (input, c1, ..., cB)."""
-        channels = [int(c) for c in channels]
-        if len(channels) < 2:
-            raise ContractError("conv backbone needs input channels and one block")
-        blocks = tuple(
-            ConvBlockSpec(channels[i], channels[i + 1], int(kernel), int(stride))
-            for i in range(len(channels) - 1)
-        )
-        return cls(blocks=blocks, activation=activation)
+        return cls("conv", tuple(channels), int(kernel), int(stride), activation)
 
 
 @dataclass(frozen=True)
@@ -184,17 +146,17 @@ def feature_dims(spec: BackboneSpec, input_hw: tuple[int, int] | None = None) ->
     """Feature description after each block: width for dense backbones,
     (channels, h, w) for conv ones, which need the input's (h, w)."""
     if spec.kind == "dense":
-        return [blk.out_width for blk in spec.blocks]
+        return list(spec.widths[1:])
     if input_hw is None:
         raise ContractError("conv backbones need input_hw")
     h, w = input_hw
     dims = []
-    for blk in spec.blocks:
-        h = (h - blk.kernel) // blk.stride + 1
-        w = (w - blk.kernel) // blk.stride + 1
+    for c in spec.widths[1:]:
+        h = (h - spec.kernel) // spec.stride + 1
+        w = (w - spec.kernel) // spec.stride + 1
         if h < 1 or w < 1:
             raise ContractError("conv backbone shrinks features below 1x1")
-        dims.append((blk.out_channels, h, w))
+        dims.append((c, h, w))
     return dims
 
 
@@ -213,13 +175,9 @@ def param_shapes(
     """Parameter array shapes in declaration order: (W, b) per backbone
     block, then (W, b) per exit head at the given 1-based block indices."""
     shapes = []
-    for blk in spec.blocks:
-        if isinstance(blk, DenseBlockSpec):
-            shapes.append((blk.in_width, blk.out_width))
-            shapes.append((blk.out_width,))
-        else:
-            shapes.append((blk.out_channels, blk.in_channels, blk.kernel, blk.kernel))
-            shapes.append((blk.out_channels,))
+    for m, n in zip(spec.widths, spec.widths[1:]):
+        shapes.append((m, n) if spec.kind == "dense" else (n, m, spec.kernel, spec.kernel))
+        shapes.append((n,))
     dims = feature_dims(spec, input_hw)
     for bi in exit_indices:
         shapes.append((_head_width(dims[bi - 1]), class_count))
@@ -270,7 +228,7 @@ class MultiExitNet:
         class_count = int(class_count)
         if class_count < 2:
             raise ContractError("class_count must be >= 2")
-        _check_exit_indices(exit_indices, len(backbone.blocks))
+        _check_exit_indices(exit_indices, backbone.block_count)
         if backbone.kind == "conv" and input_hw is not None:
             input_hw = (int(input_hw[0]), int(input_hw[1]))
 
@@ -295,11 +253,11 @@ class MultiExitNet:
 
         dims = feature_dims(backbone, self.input_hw)
         if backbone.kind == "dense":
-            self.block_flops = tuple(_dense_flops(b.in_width, b.out_width) for b in backbone.blocks)
+            self.block_flops = tuple(_dense_flops(m, n) for m, n in zip(backbone.widths, dims))
         else:
             self.block_flops = tuple(
-                h * w * c * (2 * b.in_channels * b.kernel * b.kernel) + h * w * c
-                for b, (c, h, w) in zip(backbone.blocks, dims)
+                h * w * c * (2 * m * backbone.kernel**2) + h * w * c
+                for m, (c, h, w) in zip(backbone.widths, dims)
             )
         # a head is a dense map, after a global average pool on conv features
         self.head_flops = tuple(
@@ -339,10 +297,9 @@ class MultiExitNet:
     @property
     def input_shape(self) -> tuple[int, ...]:
         """The shape of one input: (d,) or (C, H, W)."""
-        first = self.backbone.blocks[0]
         if self.backbone.kind == "dense":
-            return (first.in_width,)
-        return (first.in_channels, *self.input_hw)
+            return self.backbone.widths[:1]
+        return (self.backbone.widths[0], *self.input_hw)
 
     def _check_input(self, x: Array) -> Array:
         """The input, which must be a batch: (B, d) or (B, C, H, W)."""
@@ -362,16 +319,16 @@ class MultiExitNet:
         p = self._params if params is None else list(params)
         activation = self.backbone.activation
         dense_kind = self.backbone.kind == "dense"
-        nblocks = len(self.backbone.blocks)
+        nblocks = self.backbone.block_count
         exit_at = {bi: k for k, bi in enumerate(self.exit_indices)}
         logits: list = [None] * self.exit_count
         h = x
-        for i, blk in enumerate(self.backbone.blocks):
+        for i in range(nblocks):
             w, b = p[2 * i], p[2 * i + 1]
             if dense_kind:
                 h = nm.dense(h, w, b, activation)
             else:
-                h = nm.conv2d(h, w, b, stride=blk.stride, activation=activation)
+                h = nm.conv2d(h, w, b, stride=self.backbone.stride, activation=activation)
             k = exit_at.get(i + 1)
             if k is not None:
                 # no name is bound to the head's input, so a block's output
@@ -382,7 +339,7 @@ class MultiExitNet:
 
     def __repr__(self):
         return (
-            f"MultiExitNet(kind={self.backbone.kind}, blocks={len(self.backbone.blocks)}, "
+            f"MultiExitNet(kind={self.backbone.kind}, blocks={self.backbone.block_count}, "
             f"exits={self.exit_indices}, classes={self.class_count})"
         )
 
@@ -441,7 +398,7 @@ def build_evenly_partitioned(
     exit_count = int(exit_count)
     if exit_count < 2:
         raise ContractError("exit_count must be >= 2")
-    b = len(backbone.blocks)
+    b = backbone.block_count
     if exit_count > b:
         raise ContractError(f"cannot place {exit_count} exits on {b} blocks")
     indices = sorted({-(-j * b // exit_count) for j in range(1, exit_count + 1)})
@@ -468,20 +425,13 @@ def build_evenly_partitioned(
 
 
 def _backbone_to_json(spec: BackboneSpec):
-    blocks = []
-    for blk in spec.blocks:
-        if isinstance(blk, DenseBlockSpec):
-            blocks.append({"kind": "dense", "in": blk.in_width, "out": blk.out_width})
-        else:
-            blocks.append(
-                {
-                    "kind": "conv",
-                    "in": blk.in_channels,
-                    "out": blk.out_channels,
-                    "kernel": blk.kernel,
-                    "stride": blk.stride,
-                }
-            )
+    """The v1 descriptor: one entry per block, so every checkpoint written
+    since v1 reads back."""
+    conv = {"kernel": spec.kernel, "stride": spec.stride} if spec.kind == "conv" else {}
+    blocks = [
+        {"kind": spec.kind, "in": m, "out": n, **conv}
+        for m, n in zip(spec.widths, spec.widths[1:])
+    ]
     return {"activation": spec.activation, "blocks": blocks}
 
 
@@ -509,18 +459,26 @@ def json_field(obj, key: str, kind, label: str = "checkpoint descriptor"):
 
 
 def _backbone_from_json(obj) -> BackboneSpec:
-    blocks = []
+    """The spec of a v1 descriptor, whose blocks must share one kind, kernel
+    and stride and chain their widths (else ContractError)."""
+    blocks = []  # (kind, kernel, stride, in, out)
     for b in json_field(obj, "blocks", list):
         kind = json_field(b, "kind", str)
-        if kind == "dense":
-            blocks.append(DenseBlockSpec(json_field(b, "in", int), json_field(b, "out", int)))
-        elif kind == "conv":
-            blocks.append(
-                ConvBlockSpec(*(json_field(b, k, int) for k in ("in", "out", "kernel", "stride")))
-            )
-        else:
+        if kind not in KINDS:
             raise FormatError(f"unknown block kind {kind!r}")
-    return BackboneSpec(blocks=tuple(blocks), activation=json_field(obj, "activation", str))
+        geometry = [json_field(b, k, int) for k in ("kernel", "stride") if kind == "conv"]
+        in_out = (json_field(b, "in", int), json_field(b, "out", int))
+        blocks.append((kind, *(geometry or (1, 1)), *in_out))
+    if not blocks:
+        raise ContractError("backbone needs at least one block")
+    if len({b[:3] for b in blocks}) > 1:
+        raise ContractError("backbone blocks must share one kind, kernel and stride")
+    for prev, cur in zip(blocks, blocks[1:]):
+        if prev[4] != cur[3]:
+            raise ContractError(f"block widths do not chain: {prev[4]} -> {cur[3]}")
+    kind, kernel, stride, first, _ = blocks[0]
+    widths = (first, *(b[4] for b in blocks))
+    return BackboneSpec(kind, widths, kernel, stride, json_field(obj, "activation", str))
 
 
 def _descriptor_fields(desc):
@@ -539,7 +497,7 @@ def _descriptor_fields(desc):
             raise FormatError(f"checkpoint descriptor 'input_hw' must hold 2 integers, got {input_hw}")
     try:
         backbone = _backbone_from_json(backbone_obj)
-        _check_exit_indices(exit_indices, len(backbone.blocks))
+        _check_exit_indices(exit_indices, backbone.block_count)
         shapes = param_shapes(backbone, exit_indices, class_count, input_hw)
     except ContractError as exc:
         raise FormatError(f"bad checkpoint descriptor: {exc}") from exc

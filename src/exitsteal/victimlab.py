@@ -68,9 +68,10 @@ class TimingModel:
 
 def exit_base_times(net: MultiExitNet, timing: TimingModel) -> Array:
     """Noise-free runtime of stopping at each exit, shallowest first."""
-    if len(timing.block_costs) != len(net.backbone.blocks):
+    if len(timing.block_costs) != net.backbone.block_count:
         raise ContractError(
-            f"timing has {len(timing.block_costs)} block costs, net has {len(net.backbone.blocks)} blocks"
+            f"timing has {len(timing.block_costs)} block costs, "
+            f"net has {net.backbone.block_count} blocks"
         )
     if len(timing.head_costs) != net.exit_count:
         raise ContractError(

@@ -17,7 +17,7 @@ from exitsteal.harness.datasets import (
     load_idx_file,
 )
 
-TIERED = dict(class_count=3, tier_count=3, noise_schedule=(0.1, 0.5, 1.0), sample_count=10)
+TIERED = dict(class_count=3, noise_schedule=(0.1, 0.5, 1.0), sample_count=10)
 
 
 def test_same_seed_same_dataset_with_balanced_tiers():
@@ -37,9 +37,10 @@ def test_same_seed_same_dataset_with_balanced_tiers():
     "overrides, message",
     [
         ({"class_count": 1}, "class_count must be >= 2"),
-        ({"tier_count": 0, "noise_schedule": ()}, "tier_count must be >= 1"),
+        ({"noise_schedule": ()}, "noise schedule needs at least one tier"),
         ({"sample_count": 2}, "sample_count must cover every tier"),
-        ({"noise_schedule": (0.1, 0.5)}, "noise schedule has 2 entries for 3 tiers"),
+        # one tier per schedule entry: 11 tiers need more than 10 samples
+        ({"noise_schedule": [0.1 * t for t in range(1, 12)]}, "sample_count must cover every tier"),
         ({"noise_schedule": (0.0, 0.5, 1.0)}, "noise scales must be positive"),
         ({"noise_schedule": (0.1, 0.5, 0.5)}, "must be strictly increasing"),
         ({"dim": 0}, "dim must be >= 1"),
@@ -50,7 +51,6 @@ def test_same_seed_same_dataset_with_balanced_tiers():
         ({"sample_count": -4}, "sample_count must be >= 1"),
         ({"dim": 2.0}, "dim must be an integer"),
         ({"class_count": 2.5}, "class_count must be an integer"),
-        ({"tier_count": 3.0}, "tier_count must be an integer"),
         ({"center_scale": float("nan")}, "center_scale must be finite"),
     ],
 )

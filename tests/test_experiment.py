@@ -133,7 +133,7 @@ def test_auto_tau_selects_the_victims_thresholds(tmp_path):
 
 def backbone_widths(path) -> tuple[int, ...]:
     """The block widths of the dense net checkpointed at `path`."""
-    return tuple(b.out_width for b in load_checkpoint(path).backbone.blocks)
+    return load_checkpoint(path).backbone.widths[1:]
 
 
 def run_stages_through(last: str, cfg, run_dir) -> None:
@@ -159,6 +159,8 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
     overrides = {
         "dataset.kind": "idx",
         "dataset.idx_duplicate_channels": duplicate,
+        # the sources' labels are digits, 0-9
+        "dataset.classes": "10",
         "dataset.n_train": "4",
         "dataset.n_calibration": "10",
         "dataset.n_test": "3",
@@ -169,7 +171,6 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
         "attack.n_unrelated": "7",
         "attack.n_search": "0",
         "victim.backbone": backbone,
-        "attack.backbone": backbone,
         # 1x1 kernels keep the 3x2 images' size through every conv block
         "victim.kernel": "1",
         "attack.kernel": "1",
@@ -223,7 +224,6 @@ def test_conv_net_too_deep_for_the_images_fails_at_the_dataset_stage(tmp_path, s
         "unrelated.kind": "uniform",
         "attack.n_iid": "2",
         "victim.backbone": "conv",
-        "attack.backbone": "conv",
         "victim.kernel": "1",
         "attack.kernel": "1",
         f"{section}.kernel": "9",
@@ -236,6 +236,32 @@ def test_conv_net_too_deep_for_the_images_fails_at_the_dataset_stage(tmp_path, s
     cfg = load_config(TOY_CFG, overrides)
     keys = f"{section}.kernel, {section}.stride and {section}.channels"
     with pytest.raises(ContractError, match=f"^{re.escape(keys)} shrink 4x4 images below 1x1$"):
+        run_stage("dataset", cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "dataset.npz").exists()
+
+
+@pytest.mark.parametrize("classes", ["4", "9"])
+def test_idx_labels_past_dataset_classes_fail_at_the_dataset_stage(tmp_path, classes):
+    # labels 0-9, with toy.cfg's dataset.classes and with one class too few
+    overrides = {
+        "dataset.kind": "idx",
+        "dataset.classes": classes,
+        "dataset.n_train": "4",
+        "dataset.n_calibration": "10",
+        "dataset.n_test": "3",
+        "dataset.n_iid_pool": "2",
+        "unrelated.kind": "uniform",
+        "attack.n_iid": "2",
+    }
+    rng = np.random.default_rng(4)
+    for split, n in (("train", 16), ("test", 3)):
+        images = rng.integers(0, 256, size=(n, 3, 2), dtype=np.uint8)
+        labels = np.arange(n, dtype=np.uint8) % 10
+        overrides[f"dataset.idx_{split}_images"] = write_images(tmp_path / f"{split}-x.idx", images)
+        overrides[f"dataset.idx_{split}_labels"] = write_labels(tmp_path / f"{split}-y.idx", labels)
+    cfg = load_config(TOY_CFG, overrides)
+    message = f"^idx labels reach 9, past dataset.classes = {classes}$"
+    with pytest.raises(ContractError, match=message):
         run_stage("dataset", cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "dataset.npz").exists()
 
@@ -296,6 +322,24 @@ def test_warm_start_seeds_only_the_attackers_architecture(tmp_path):
     assert backbone_widths(run_dir / "victim.ckpt") == (16, 16, 16, 16)
     for name in ("sub_ours.ckpt", "sub_baseline.ckpt"):
         assert backbone_widths(run_dir / name) == (12, 12, 12), name
+
+
+def test_warm_start_is_not_bound_by_attack_widths(tmp_path):
+    # the timing channel estimates the victim's 3 exits; the warm net's 3
+    # blocks hold them, and attack.widths (2 blocks) describes no net here
+    warm = tmp_path / "warm.ckpt"
+    save_checkpoint(dense_net(widths=(16, 12, 12, 12), exits=3, classes=4), warm)
+    overrides = {
+        "victim.exits": "3",
+        "victim.tau": "auto",
+        "attack.widths": "16,16",
+        "attack.warm_start": str(warm),
+    }
+    run_dir = tmp_path / "run"
+    run_stages_through("train_substitute", load_config(TOY_CFG, dict(TINY, **overrides)), run_dir)
+    assert json.loads((run_dir / "changepoints.json").read_text())["exit_count"] == 3
+    net = load_checkpoint(run_dir / "sub_ours.ckpt")
+    assert net.exit_count == 3 and net.backbone.widths == (16, 12, 12, 12)
 
 
 def test_warm_start_with_other_classes_or_inputs_fails_by_name(tmp_path):

@@ -36,6 +36,12 @@ def test_backbone_spec_validation():
         BackboneSpec.dense((8, 4), activation="sigmoid")
     with pytest.raises(ContractError):
         BackboneSpec.conv((2, 4), kernel=0)
+    with pytest.raises(ContractError, match="unknown backbone kind 'rnn'"):
+        BackboneSpec("rnn", (2, 4))
+    with pytest.raises(ContractError, match="must be >= 1"):
+        BackboneSpec.dense((8, 0, 4))
+    with pytest.raises(ContractError, match="dense backbone has kernel = stride = 1"):
+        BackboneSpec("dense", (8, 4), kernel=3)
 
 
 def test_even_partition_placements():
@@ -322,6 +328,33 @@ def test_checkpoint_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
+def _descriptor_text(path) -> str:
+    """The JSON descriptor of a saved checkpoint, as written."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    return raw[12 : 12 + hlen].decode("utf-8")
+
+
+def test_checkpoint_descriptor_is_pinned(tmp_path):
+    # one entry per block, as every checkpoint since format 1 has it, so old
+    # checkpoints keep loading
+    dense, conv = tmp_path / "dense.ckpt", tmp_path / "conv.ckpt"
+    save_checkpoint(dense_net(), dense)
+    save_checkpoint(conv_net(channels=(2, 4, 4, 8), exits=3, hw=(9, 9)), conv)
+    assert _descriptor_text(dense) == (
+        '{"backbone": {"activation": "relu", "blocks": [{"in": 5, "kind": "dense", "out": 8}, '
+        '{"in": 8, "kind": "dense", "out": 8}, {"in": 8, "kind": "dense", "out": 8}]}, '
+        '"class_count": 3, "exit_indices": [2, 3], "format_version": 1, "input_hw": null}'
+    )
+    assert _descriptor_text(conv) == (
+        '{"backbone": {"activation": "relu", "blocks": ['
+        '{"in": 2, "kernel": 3, "kind": "conv", "out": 4, "stride": 1}, '
+        '{"in": 4, "kernel": 3, "kind": "conv", "out": 4, "stride": 1}, '
+        '{"in": 4, "kernel": 3, "kind": "conv", "out": 8, "stride": 1}]}, '
+        '"class_count": 3, "exit_indices": [1, 2, 3], "format_version": 1, "input_hw": [9, 9]}'
+    )
+
+
 def _rewrite_descriptor(path, edit):
     """Apply `edit` to the JSON descriptor of a saved checkpoint in place."""
     raw = path.read_bytes()
@@ -336,6 +369,19 @@ def _set_exits(indices):
     return lambda desc: desc.__setitem__("exit_indices", indices)
 
 
+def _set_blocks(*fields):
+    """An edit giving block i of the descriptor the fields fields[i] too."""
+
+    def edit(desc):
+        for block, extra in zip(desc["backbone"]["blocks"], fields):
+            block.update(extra)
+
+    return edit
+
+
+_CONV = {"kind": "conv", "kernel": 1, "stride": 1}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -346,9 +392,14 @@ def _set_exits(indices):
         (_set_exits([True, 3]), r"'exit_indices' must be list\[int\], got \[True, 3\]"),
         (lambda desc: desc.pop("backbone"), "lacks 'backbone'"),
         (lambda desc: desc["backbone"]["blocks"][1].pop("in"), "lacks 'in'"),
+        (_set_blocks({}, _CONV), "blocks must share one kind, kernel and stride"),
+        (_set_blocks(_CONV, _CONV, dict(_CONV, kernel=3)), "share one kind, kernel and stride"),
+        (_set_blocks(_CONV, dict(_CONV, stride=2), _CONV), "share one kind, kernel and stride"),
+        (_set_blocks({}, {"in": 7}), "block widths do not chain: 8 -> 7"),
     ],
     ids=["index_past_last_block", "index_zero", "decreasing", "non_integer", "bool_index",
-         "no_backbone", "block_without_in"],
+         "no_backbone", "block_without_in", "mixed_kinds", "mixed_kernels", "mixed_strides",
+         "widths_do_not_chain"],
 )
 def test_checkpoint_malformed_descriptor_is_a_format_error(tmp_path, edit, message):
     path = tmp_path / "net.ckpt"

@@ -35,7 +35,6 @@ def small_net(seed=0, widths=(8, 32, 32), classes=4, exits=2):
 def easy_data(seed=0, n=600, dim=8, classes=4):
     ds = generate_tiered_dataset(
         class_count=classes,
-        tier_count=4,
         noise_schedule=(0.10, 0.20, 0.35, 0.50),
         sample_count=n,
         seed=seed,
