@@ -45,7 +45,12 @@ Memory: `dense` and `conv2d`, the layers of every forward pass, allocate
 one fresh array per call and finish it in place (bias add, activation).
 They never write into their inputs, which may be read-only (a deployed
 victim's parameters are), and their backward passes read the activation's
-derivative from that output, so a tape holds one array per layer.
+derivative from that output, so a tape holds one array per layer. A
+forward pass without a tape (`multiexit.MultiExitNet.forward_exit_logits`)
+runs a dense backbone's layers on row chunks, whose products on 2 or more rows
+are bitwise the full batch's rows with the installed OpenBLAS. A product
+with few output columns, such as a 4-class exit head's, changes bits with
+the row count, so the heads still see the whole batch.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
-"""Shared test helpers: finite-difference gradient checks and tiny nets."""
+"""Shared test helpers: finite-difference gradient checks, tiny nets, the
+references fused and chunked code must equal bit for bit, and traced
+memory peaks."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -88,6 +91,43 @@ def bias_only_net(head_logits, in_dim=3) -> MultiExitNet:
     for j, logits in enumerate(head_logits):
         params[2 * b + 2 * j + 1][...] = logits
     return net
+
+
+def one_batch_exit_logits(net: MultiExitNet, x, params=None):
+    """The (K, B, classes) logits of one tape-free pass over the whole
+    batch: the reference that the chunked pass of
+    `MultiExitNet.forward_exit_logits` must equal bit for bit, with that
+    method's signature (and no tape nodes)."""
+    assert params is None
+    p = net.parameters()
+    activation = net.backbone.activation
+    dense_kind = net.backbone.kind == "dense"
+    nblocks = net.backbone.block_count
+    exit_at = {bi: k for k, bi in enumerate(net.exit_indices)}
+    logits = [None] * net.exit_count
+    h = net._check_input(nm.as_array(x))
+    for i in range(nblocks):
+        w, b = p[2 * i], p[2 * i + 1]
+        if dense_kind:
+            h = nm.dense(h, w, b, activation)
+        else:
+            h = nm.conv2d(h, w, b, stride=net.backbone.stride, activation=activation)
+        k = exit_at.get(i + 1)
+        if k is not None:
+            hw, hb = p[2 * nblocks + 2 * k], p[2 * nblocks + 2 * k + 1]
+            logits[k] = nm.dense(h if dense_kind else nm.global_avg_pool(h), hw, hb)
+    return nm.stack(logits)
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory tracemalloc traces while `call()` runs, in
+    bytes; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def binary_conf_logit(p):

@@ -19,7 +19,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from exitsteal.changepoint import (
     detect_changepoints,
 )
 from exitsteal.errors import ContractError
+
+from _utils import traced_peak
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -384,12 +385,7 @@ def test_detection_memory_is_linear_in_n():
     # terms into fresh arrays for every block peaked at 10.4 MiB.
     for n, bound_mib in ((2000, 24), (3500, 8)):
         x = np.random.default_rng(13).normal(0.0, 1.0, n)
-        tracemalloc.start()
-        try:
-            detect_changepoints(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: detect_changepoints(x))
         assert peak < bound_mib * 2**20, (n, peak)
 
 

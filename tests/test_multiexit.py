@@ -2,7 +2,6 @@
 
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from exitsteal import numerics as nm
 from exitsteal.errors import ContractError, FormatError
 from exitsteal.multiexit import (
+    CHUNK_ROWS,
     SENTINEL,
     BackboneSpec,
     MultiExitNet,
@@ -22,7 +22,15 @@ from exitsteal.multiexit import (
     taken_exits,
 )
 
-from _utils import bias_only_net, binary_conf_logit, conv_net, dense_net
+from _utils import (
+    assert_bitwise,
+    bias_only_net,
+    binary_conf_logit,
+    conv_net,
+    dense_net,
+    one_batch_exit_logits,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +167,21 @@ def test_cascade_fuzz_first_exit_rule():
             assert got[i] == expect
 
 
-def test_cascade_holds_two_backbone_activations():
-    # each block reads its input and allocates its output; nothing else of
-    # the backbone's size stays alive, exit inputs included (tracemalloc
-    # sees numpy's buffers)
-    rows, width = 4000, 128
-    net = build_evenly_partitioned(BackboneSpec.dense((width,) * 7), 3, 4, seed=2)
-    x = np.random.default_rng(3).normal(size=(rows, width))
-    activation = rows * width * 8
-    tracemalloc.start()
-    try:
-        cascade(net, x, OutputStrategy.uniform(0.9, 3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 2 * activation, f"peak is {peak / activation:.2f} activations"
+def test_cascade_holds_one_backbone_activation():
+    # the backbone runs in row chunks into one full-height activation, which
+    # the exit heads read whole; a pass over the whole batch holds a block's
+    # input and output at once (2.08 activations at 4,000 x 128, 34.05 MiB
+    # at 8,500 x 256), the chunked pass 1.34 and 19.45 MiB
+    cases = (  # rows, backbone widths, exits, bound in activations of (rows, width)
+        (4000, (128,) * 7, 3, 1.5),
+        (8500, (16,) + (256,) * 8, 4, 24 * 2**20 / (8500 * 256 * 8)),
+    )
+    for rows, widths, exits, bound in cases:
+        net = build_evenly_partitioned(BackboneSpec.dense(widths), exits, 4, seed=2)
+        x = np.random.default_rng(3).normal(size=(rows, widths[0]))
+        activation = rows * widths[-1] * 8
+        peak = traced_peak(lambda: cascade(net, x, OutputStrategy.uniform(0.9, exits)))
+        assert peak <= bound * activation, (rows, f"peak is {peak / activation:.2f} activations")
 
 
 def test_cascade_runs_on_a_frozen_copy():
@@ -185,6 +193,39 @@ def test_cascade_runs_on_a_frozen_copy():
     frozen = net.copy(frozen=True)
     for got, want in zip(cascade(frozen, x, strategy), cascade(net, x, strategy)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 8500]
+)
+@pytest.mark.parametrize("kind", ["dense_relu", "dense_tanh_widths", "conv_stride2"])
+def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
+    # the tape-free pass runs a dense backbone in row chunks, a 1-row
+    # remainder joined to the chunk before it, and the heads on the whole
+    # batch; a conv backbone runs in one pass. On frozen parameters and a
+    # read-only input each equals one pass over the whole batch byte for
+    # byte, and writes into neither
+    if kind == "dense_relu":
+        net = dense_net(widths=(48,) * 9, exits=4, classes=4, seed=1)  # keeps the input width
+    elif kind == "dense_tanh_widths":  # width changes inside and at the end of a segment
+        spec = BackboneSpec.dense((16, 48, 64, 64, 32, 32, 256), activation="tanh")
+        net = build_evenly_partitioned(spec, 3, 4, seed=2)
+    else:
+        spec = BackboneSpec.conv((2, 4, 6, 6), kernel=3, stride=2)
+        net = build_evenly_partitioned(spec, 3, 4, seed=3, input_hw=(17, 17))
+    net = net.copy(frozen=True)
+    x = np.random.default_rng(rows).normal(size=(rows, *net.input_shape))
+    x.setflags(write=False)
+    before = [a.copy() for a in (x, *net.parameters())]
+    strategy = OutputStrategy.uniform(0.6, net.exit_count)
+    logits = net.forward_exit_logits(x)
+    outcome = cascade(net, x, strategy)
+    for a, copy in zip((x, *net.parameters()), before):
+        assert_bitwise(a, copy)
+    assert_bitwise(logits, one_batch_exit_logits(net, x))
+    monkeypatch.setattr(MultiExitNet, "forward_exit_logits", one_batch_exit_logits)
+    for got, want in zip(outcome, cascade(net, x, strategy)):
+        assert_bitwise(got, want)
 
 
 def test_single_sample_is_rejected():

@@ -1,7 +1,5 @@
 """Victim training, threshold selection, and the timed query surface."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from exitsteal.victimlab import (
     train_victim,
 )
 
-from _utils import bias_only_net
+from _utils import bias_only_net, traced_peak
 
 
 def small_net(seed=0, widths=(8, 32, 32), classes=4, exits=2):
@@ -110,12 +108,7 @@ def test_training_epoch_frees_each_step():
     x = rng.normal(size=(6000, 16))
     y = rng.integers(0, 4, size=6000)
     net = small_net(widths=(16,) + (256,) * 8, classes=4, exits=4)
-    tracemalloc.start()
-    try:
-        train_victim(net, x, y, epochs=1, lr=0.05, seed=0, batch_size=512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: train_victim(net, x, y, epochs=1, lr=0.05, seed=0, batch_size=512))
     assert peak < 96 * 2**20, f"one epoch peaked at {peak / 2**20:.1f} MiB"
 
 
