@@ -76,7 +76,6 @@ class DatasetCfg:
     idx_train_labels: str = _key("")
     idx_test_images: str = _key("")
     idx_test_labels: str = _key("")
-    idx_duplicate_channels: bool = _key("false")
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class VictimCfg:
     epochs: int = _key("40", within="[0, inf)")
     lr: float = _key("0.05", within="(0, inf)")
     batch_size: int = _key("128", within="[1, inf)")
-    momentum: float = _key("0.0", within="[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -179,15 +177,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text.encode("utf-8")).hexdigest()
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 def _parse_tuple(item):
     return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
 
@@ -197,7 +186,6 @@ _PARSERS = {
     int: ("int", int),
     float: ("float", _finite),
     str: ("str", str),
-    bool: ("bool", _parse_bool),
     tuple[int, ...]: ("ints", _parse_tuple(int)),
     tuple[float, ...]: ("floats", _parse_tuple(_finite)),
 }

@@ -168,12 +168,9 @@ def load_idx_file(path) -> Array:
     return data.reshape(dims).astype(np.float64) / 255.0
 
 
-def load_idx_dataset(
-    images_path, labels_path, *, duplicate_channels: bool = False
-) -> tuple[Array, Array]:
+def load_idx_dataset(images_path, labels_path) -> tuple[Array, Array]:
     """Paired images + labels. Images come back as (n, rows, cols) in
-    [0, 1], or (n, 3, rows, cols) when `duplicate_channels` copies the
-    single channel three times (for conv backbones expecting RGB)."""
+    [0, 1]; a conv backbone takes them as one channel."""
     images = load_idx_file(images_path)
     labels = load_idx_file(labels_path)
     if images.ndim != 3:
@@ -184,6 +181,4 @@ def load_idx_dataset(
         raise FormatError(
             f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
         )
-    if duplicate_channels:
-        images = np.repeat(images[:, None, :, :], 3, axis=1)
     return images, labels

@@ -305,7 +305,7 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         x, y, tiers = ds.inputs, ds.labels, ds.tiers
     else:
         (train_x, train_y), (test_x, test_y) = (
-            load_idx_dataset(images, labels, duplicate_channels=d.idx_duplicate_channels)
+            load_idx_dataset(images, labels)
             for images, labels in (
                 (d.idx_train_images, d.idx_train_labels),
                 (d.idx_test_images, d.idx_test_labels),
@@ -323,7 +323,7 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
         if cfg.victim.backbone == "dense":
             train_x = train_x.reshape(train_x.shape[0], -1)
             test_x = test_x.reshape(test_x.shape[0], -1)
-        elif train_x.ndim == 3:
+        else:
             train_x = train_x[:, None]
             test_x = test_x[:, None]
         for section in ("victim", "attack"):
@@ -388,7 +388,6 @@ def _stage_train_victim(cfg: ExperimentConfig, run_dir) -> None:
         lr=v.lr,
         seed=cfg.seed.shuffle,
         batch_size=v.batch_size,
-        momentum=v.momentum,
     )
     save_checkpoint(net, _path(run_dir, "victim.ckpt"))
 

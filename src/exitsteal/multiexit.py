@@ -45,11 +45,12 @@ SENTINEL = 2.0
 
 _CHECKPOINT_MAGIC = b"MXCKPT01"
 
-# Rows per chunk of a forward pass without a tape. A chunk of 1,024 rows is
-# a full-speed BLAS product, and at width 256 it holds 2 MiB, against 16.6 MiB
-# for the 8,500 rows of a wide victim's queries. Products on 2 or more rows
-# are bitwise the full batch's rows; a 1-row product takes numpy's vector
-# path and is not, so a 1-row remainder joins the chunk before it.
+# Rows per chunk of a forward pass without a tape, dense or conv. A chunk of
+# 1,024 rows is a full-speed BLAS product, and at width 256 it holds 2 MiB,
+# against 16.6 MiB for the 8,500 rows of a wide victim's queries. Block
+# products and conv einsums on 2 or more rows are bitwise the full batch's
+# rows; a 1-row product takes numpy's vector path and is not, so a 1-row
+# remainder joins the chunk before it.
 CHUNK_ROWS = 1024
 
 
@@ -267,6 +268,8 @@ class MultiExitNet:
         self._params = owned
 
         dims = feature_dims(backbone, self.input_hw)
+        # one row's shape out of each block, for the forward walker
+        self._block_shapes = tuple(d if isinstance(d, tuple) else (d,) for d in dims)
         if backbone.kind == "dense":
             self.block_flops = tuple(_dense_flops(m, n) for m, n in zip(backbone.widths, dims))
         else:
@@ -330,64 +333,46 @@ class MultiExitNet:
         nodes, in `parameters()` order (see `numerics.sgd`); without it the
         forward pass is plain numpy.
 
-        A dense pass without tape nodes runs the backbone on row chunks of
-        CHUNK_ROWS rows. Each chunk's block products are bitwise the full
-        batch's rows, but a 4-class head's product is not, so the heads
-        alone see the whole batch: each head is the same call on the same
-        (B, width) input as in one pass over the batch, and the backbone
-        holds that one full-height activation."""
+        One walker runs the blocks in order and each exit's head right after
+        its block. A taped pass runs every block once on the whole batch,
+        so the tape holds one record per block and head. A pass without a
+        tape runs each block over the row chunks of `_row_chunks` into one
+        full-height activation, dense or conv alike; a block whose output
+        has its input's shape overwrites that activation in place, a
+        chunk's rows being read before they are written. Block products on
+        2 or more rows are bitwise the full batch's rows, but a 4-class
+        head's product is not, so each head reads the activation whole
+        (after `global_avg_pool`, for conv): the same call on the same
+        input as in one pass over the batch."""
         if not isinstance(x, nm.Node):
             x = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
         taped = isinstance(x, nm.Node) or any(isinstance(a, nm.Node) for a in p)
-        if taped or self.backbone.kind != "dense":
-            return nm.stack(self._logits_in_one_pass(x, p))
-        return nm.stack(self._dense_logits_by_chunk(x, p))
+        logits = []
+        h = x
+        for i, row_shape in enumerate(self._block_shapes):
+            w, b = p[2 * i], p[2 * i + 1]
+            if taped:
+                h = self._block(h, w, b)
+            else:
+                shape = (x.shape[0], *row_shape)
+                out = h if h is not x and h.shape == shape else np.empty(shape)
+                for start, stop in _row_chunks(x.shape[0]):
+                    out[start:stop] = self._block(h[start:stop], w, b)
+                h = out
+            if i + 1 in self.exit_indices:
+                j = 2 * self.backbone.block_count + 2 * len(logits)
+                pooled = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
+                logits.append(nm.dense(pooled, p[j], p[j + 1]))
+        # drop the last activation before the stack is allocated: on a narrow
+        # net the stack outweighs a chunk, so holding both would set the peak
+        h = out = pooled = None
+        return nm.stack(logits)
 
     def _block(self, h, w, b):
         if self.backbone.kind == "dense":
             return nm.dense(h, w, b, self.backbone.activation)
         return nm.conv2d(h, w, b, stride=self.backbone.stride, activation=self.backbone.activation)
-
-    def _head(self, k, h, p):
-        """Exit k's logits (0-based) from its (B, width) input."""
-        j = 2 * self.backbone.block_count + 2 * k
-        return nm.dense(h, p[j], p[j + 1])
-
-    def _logits_in_one_pass(self, x, p):
-        """Each exit's logits from one pass over the whole batch: the taped
-        path, which records each head right after its block, and a conv
-        backbone's."""
-        logits = []
-        h = x
-        for i in range(self.backbone.block_count):
-            h = self._block(h, p[2 * i], p[2 * i + 1])
-            if i + 1 in self.exit_indices:
-                pooled = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
-                logits.append(self._head(len(logits), pooled, p))
-        return logits
-
-    def _dense_logits_by_chunk(self, x, p):
-        """Each exit's logits from a dense backbone run block by block,
-        each block chunk by chunk into one (B, width) array. A block that
-        keeps the width overwrites that array in place, a chunk's rows
-        being read before they are written; one that changes it allocates
-        a new array. A head reads the array before the next block runs."""
-        chunks = _row_chunks(x.shape[0])
-        logits = []
-        h = x
-        for i in range(self.backbone.block_count):
-            w, b = p[2 * i], p[2 * i + 1]
-            if h is x or h.shape[1] != w.shape[1]:
-                out = np.empty((x.shape[0], w.shape[1]))
-            else:
-                out = h
-            for start, stop in chunks:
-                out[start:stop] = self._block(h[start:stop], w, b)
-            h = out
-            if i + 1 in self.exit_indices:
-                logits.append(self._head(len(logits), h, p))
-        return logits
 
     def __repr__(self):
         return (
@@ -399,10 +384,10 @@ class MultiExitNet:
 def forward_all_exits(net: MultiExitNet, x, params=None):
     """Probability vectors from every exit head, shallowest first: one
     softmax over the logits stack gives a (K, batch, classes) stack whose
-    rows sum to 1. A tape node when `params` are bound nodes; otherwise a
-    dense backbone runs in row chunks and the heads and the softmax on the
-    whole batch (see `MultiExitNet.forward_exit_logits`), bit for bit the
-    values of one pass over the batch."""
+    rows sum to 1. A tape node when `params` are bound nodes; otherwise the
+    backbone runs in row chunks and the heads and the softmax on the whole
+    batch (see `MultiExitNet.forward_exit_logits`), bit for bit the values
+    of one pass over the batch."""
     return nm.softmax(net.forward_exit_logits(x, params=params))
 
 
@@ -426,9 +411,9 @@ def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
 
     Returns (exit_idx, predicted, flops, probs): 1-based exits, argmax
     classes, per-sample FLOPs and the taken exit's probability rows, (B, C).
-    A dense backbone runs in row chunks, so besides the (K, B, C) stack it
-    holds one full-height activation; each exit head runs on the whole
-    batch, because its product's bits depend on the row count and the
+    The backbone, dense or conv, runs in row chunks, so besides the (K, B, C)
+    stack it holds one full-height activation; each exit head runs on the
+    whole batch, because its product's bits depend on the row count and the
     outcomes must not.
     """
     if strategy.exit_count != net.exit_count:

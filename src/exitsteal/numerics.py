@@ -45,12 +45,13 @@ Memory: `dense` and `conv2d`, the layers of every forward pass, allocate
 one fresh array per call and finish it in place (bias add, activation).
 They never write into their inputs, which may be read-only (a deployed
 victim's parameters are), and their backward passes read the activation's
-derivative from that output, so a tape holds one array per layer. A
-forward pass without a tape (`multiexit.MultiExitNet.forward_exit_logits`)
-runs a dense backbone's layers on row chunks, whose products on 2 or more rows
-are bitwise the full batch's rows with the installed OpenBLAS. A product
-with few output columns, such as a 4-class exit head's, changes bits with
-the row count, so the heads still see the whole batch.
+derivative from that output, so a tape holds one array per layer. The one
+forward walker (`multiexit.MultiExitNet.forward_exit_logits`) runs a taped
+pass on the whole batch and a pass without a tape on row chunks, dense and
+conv layers alike: their products on 2 or more rows are bitwise the full
+batch's rows with the installed OpenBLAS. A product with few output
+columns, such as a 4-class exit head's, changes bits with the row count,
+so the heads always see the whole batch.
 """
 
 from __future__ import annotations
@@ -177,17 +178,16 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
     return out_map
 
 
-def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, end_epoch=None):
+def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, end_epoch=None):
     """Mini-batch SGD on the arrays `params`, updated in place.
 
     Each epoch draws one permutation of the `n` rows from a generator seeded
     with `seed` and walks it in slices of `batch_size`. For each slice
     `take`, `batch_loss(bound, take)` builds the loss on a fresh tape from
     the parameters bound as nodes (in `params` order); the update is
-    p -= lr * g, with g replaced by the velocity momentum * v + g only when
-    momentum > 0. `epochs` must be >= 0, `lr` positive and finite,
-    `batch_size` >= 1 and `momentum` in [0, 1). `end_epoch(epoch)` runs
-    after each epoch's last update.
+    p -= lr * g. `epochs` must be >= 0, `lr` positive and finite and
+    `batch_size` >= 1. `end_epoch(epoch)` runs after each epoch's last
+    update.
     """
     # each check is a comparison that NaN fails
     if not epochs >= 0:
@@ -196,10 +196,7 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, en
         raise ContractError(f"lr must be positive and finite, got {lr}")
     if not batch_size >= 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    if not 0.0 <= momentum < 1.0:
-        raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
     rng = np.random.default_rng(seed)
-    velocity = [np.zeros_like(p) for p in params] if momentum > 0.0 else None
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -207,12 +204,8 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, momentum=0.0, en
             tape = GradTape()
             bound = [tape.param(p) for p in params]
             grads = grad(batch_loss(bound, take), tape)
-            for i, (arr, node) in enumerate(zip(params, bound)):
-                g = grads[node]
-                if velocity is not None:
-                    velocity[i] = momentum * velocity[i] + g
-                    g = velocity[i]
-                arr -= lr * g
+            for arr, node in zip(params, bound):
+                arr -= lr * grads[node]
         if end_epoch is not None:
             end_epoch(epoch)
 

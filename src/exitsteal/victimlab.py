@@ -116,7 +116,6 @@ def train_victim(
     lr: float,
     seed: int,
     batch_size: int = 128,
-    momentum: float = 0.0,
 ) -> MultiExitNet:
     """Joint training: the cross-entropy losses of all exits are added
     together and minimized by mini-batch SGD. Deterministic for a fixed
@@ -133,7 +132,7 @@ def train_victim(
         return nm.cross_entropy_sum(net.forward_exit_logits(x[take], params=bound), y[take])
 
     nm.sgd(net.parameters(), x.shape[0], batch_loss, epochs=epochs, lr=lr, seed=seed,
-           batch_size=batch_size, momentum=momentum)
+           batch_size=batch_size)
     return net
 
 

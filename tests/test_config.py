@@ -45,8 +45,6 @@ BROKEN = {
     "epochs": ({"attack.epochs": "-1"}, "epochs must be >= 0"),
     "batch_size": ({"victim.batch_size": "0"}, "victim.batch_size must be >= 1"),
     "noise_over_gap": ({"timing.noise_over_gap": "-0.1"}, "noise_over_gap must be >= 0"),
-    "momentum_negative": ({"victim.momentum": "-0.5"}, r"victim.momentum must lie in \[0, 1\)"),
-    "momentum_one": ({"victim.momentum": "1"}, r"victim.momentum must lie in \[0, 1\)"),
     "tau_slack": ({"victim.tau_slack": "-0.01"}, "victim.tau_slack must be >= 0"),
     "delta": ({"attack.delta": "-0.02"}, "attack.delta must be >= 0"),
     "uniform_range": (
@@ -88,10 +86,10 @@ def test_config_hashes_are_pinned():
     # values may not change; they move only when a key is deliberately
     # removed, and CHANGES.md says so
     assert load_config(TOY_CFG).sha256 == (
-        "58fe6e9230ed6886268d90aa6589ac4122e52ed22fb6b6d52888b3ff26436598"
+        "580a5e2924d3135b04b6fb033951079769f29ee2b4d91f843164f048c2b78646"
     )
     assert build_config({}).sha256 == (
-        "20b15dbfb4fa1c990559681f78b2d023da81f289976981e0ec98949a5c450d31"
+        "8d5f4abe6dc349ac28ba6984c1400411d6d364adb7016af83c84e70c78fefac5"
     )
 
 

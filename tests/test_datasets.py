@@ -124,14 +124,6 @@ def test_idx_round_trip(tmp_path):
     assert got_y.tolist() == labels.tolist()
 
 
-def test_idx_duplicate_channels_shape(tmp_path):
-    images, _, images_path, labels_path = idx_pair(tmp_path)
-    got_x, _ = load_idx_dataset(images_path, labels_path, duplicate_channels=True)
-    assert got_x.shape == (4, 3, 3, 2)
-    for c in range(3):
-        assert np.array_equal(got_x[:, c], images / 255.0)
-
-
 @pytest.mark.parametrize(
     "raw, message",
     [

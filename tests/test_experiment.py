@@ -143,11 +143,9 @@ def run_stages_through(last: str, cfg, run_dir) -> None:
 
 
 @pytest.mark.parametrize(
-    "backbone, duplicate, shape",
-    [("dense", "false", (6,)), ("conv", "false", (1, 3, 2)), ("conv", "true", (3, 3, 2))],
-    ids=["dense", "conv", "conv_rgb"],
+    "backbone, shape", [("dense", (6,)), ("conv", (1, 3, 2))], ids=["dense", "conv"]
 )
-def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate, shape):
+def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, shape):
     rng = np.random.default_rng(7)
     sources = {
         split: (
@@ -158,7 +156,6 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
     }
     overrides = {
         "dataset.kind": "idx",
-        "dataset.idx_duplicate_channels": duplicate,
         # the sources' labels are digits, 0-9
         "dataset.classes": "10",
         "dataset.n_train": "4",
@@ -185,7 +182,7 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, duplicate
         x = images / 255.0
         if backbone == "dense":
             return x.reshape(x.shape[0], -1)
-        return np.repeat(x[:, None], shape[0], axis=1)
+        return x[:, None]
 
     train_x, train_y = as_inputs(sources["train"][0]), sources["train"][1].astype(np.int64)
     test_x, test_y = as_inputs(sources["test"][0]), sources["test"][1].astype(np.int64)
@@ -686,12 +683,13 @@ def test_failing_grid_point_is_named(tmp_path):
         ({"attack.warm_start": ["../victim.ckpt"]}, "a value with '/' would leave"),
         ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
         ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
-        # with three retired keys, which a config may no longer set
+        # with five retired keys, which a config may no longer set
         (
             {"attack.lambda": [0.5], "no.such_key": [1], "experiment.ablations": ["true"],
-             "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"]},
-            "unknown config keys: attack.baseline_arch, experiment.ablations, no.such_key, "
-            "timing.noise_sigma$",
+             "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"],
+             "victim.momentum": ["0.5"], "dataset.idx_duplicate_channels": ["true"]},
+            "unknown config keys: attack.baseline_arch, dataset.idx_duplicate_channels, "
+            "experiment.ablations, no.such_key, timing.noise_sigma, victim.momentum$",
         ),
     ],
     ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -171,10 +172,13 @@ def test_cascade_holds_one_backbone_activation():
     # the backbone runs in row chunks into one full-height activation, which
     # the exit heads read whole; a pass over the whole batch holds a block's
     # input and output at once (2.08 activations at 4,000 x 128, 34.05 MiB
-    # at 8,500 x 256), the chunked pass 1.34 and 19.45 MiB
+    # at 8,500 x 256), the chunked pass 1.34 and 19.45 MiB. At width 48 the
+    # logits stack outweighs a chunk: 1.44 activations, 1.67 if the last
+    # activation is still held when the stack is allocated
     cases = (  # rows, backbone widths, exits, bound in activations of (rows, width)
         (4000, (128,) * 7, 3, 1.5),
         (8500, (16,) + (256,) * 8, 4, 24 * 2**20 / (8500 * 256 * 8)),
+        (8500, (16,) + (48,) * 8, 4, 1.55),
     )
     for rows, widths, exits, bound in cases:
         net = build_evenly_partitioned(BackboneSpec.dense(widths), exits, 4, seed=2)
@@ -200,11 +204,10 @@ def test_cascade_runs_on_a_frozen_copy():
 )
 @pytest.mark.parametrize("kind", ["dense_relu", "dense_tanh_widths", "conv_stride2"])
 def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
-    # the tape-free pass runs a dense backbone in row chunks, a 1-row
-    # remainder joined to the chunk before it, and the heads on the whole
-    # batch; a conv backbone runs in one pass. On frozen parameters and a
-    # read-only input each equals one pass over the whole batch byte for
-    # byte, and writes into neither
+    # the tape-free pass runs the backbone, dense or conv, in row chunks, a
+    # 1-row remainder joined to the chunk before it, and the heads on the
+    # whole batch. On frozen parameters and a read-only input it equals one
+    # pass over the whole batch byte for byte, and writes into neither
     if kind == "dense_relu":
         net = dense_net(widths=(48,) * 9, exits=4, classes=4, seed=1)  # keeps the input width
     elif kind == "dense_tanh_widths":  # width changes inside and at the end of a segment
@@ -226,6 +229,39 @@ def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
     monkeypatch.setattr(MultiExitNet, "forward_exit_logits", one_batch_exit_logits)
     for got, want in zip(outcome, cascade(net, x, strategy)):
         assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_forward_walker_calls_each_layer_once_per_chunk(kind, monkeypatch):
+    # a taped pass runs each block and head once on the whole batch; a pass
+    # without a tape runs each block once per row chunk and each head once
+    # on the whole batch. Counted by (layer, rows)
+    calls = Counter()
+
+    def counting(name, real):
+        def layer(x, *args, **kwargs):
+            calls[name, nm.value_of(x).shape[0]] += 1
+            return real(x, *args, **kwargs)
+        return layer
+
+    for name in ("dense", "conv2d"):
+        monkeypatch.setattr(nm, name, counting(name, getattr(nm, name)))
+    if kind == "dense":
+        net = dense_net(widths=(5, 8, 8, 8), exits=2)
+    else:
+        net = conv_net(channels=(2, 4, 4, 4), exits=2, hw=(8, 8))
+    block = "dense" if kind == "dense" else "conv2d"
+    x = np.random.default_rng(0).normal(size=(2 * CHUNK_ROWS + 1, *net.input_shape))
+
+    tape = nm.GradTape()
+    net.forward_exit_logits(x[: CHUNK_ROWS + 1], [tape.param(p) for p in net.parameters()])
+    heads = Counter({("dense", CHUNK_ROWS + 1): 2})
+    assert calls == Counter({(block, CHUNK_ROWS + 1): 3}) + heads
+
+    calls.clear()
+    net.forward_exit_logits(x)
+    blocks = Counter({(block, CHUNK_ROWS): 3, (block, CHUNK_ROWS + 1): 3})
+    assert calls == blocks + Counter({("dense", 2 * CHUNK_ROWS + 1): 2})
 
 
 def test_single_sample_is_rejected():

@@ -57,41 +57,24 @@ def test_tape_serves_one_backward_pass():
 def test_sgd_matches_hand_rolled_steps():
     # one parameter, loss = sum((p - t[take])^2) over each mini-batch:
     # the shared loop must visit the rows in the seeded permutation order
-    # and apply p -= lr * g, with momentum only when it is > 0
+    # and apply p -= lr * g
     t = np.array([1.0, -2.0, 3.0, 0.5, -1.0])
 
     def batch_loss(bound, take):
         d = nm.add(bound[0], -t[take])
         return sum_all(nm.mul(d, d))
 
-    for momentum in (0.0, 0.5):
-        p = np.array(0.25)
-        seen = []
-        nm.sgd(
-            [p], 5, batch_loss, epochs=2, lr=0.1, seed=3, batch_size=2,
-            momentum=momentum, end_epoch=seen.append,
-        )
-        want = 0.25
-        v = 0.0
-        rng = np.random.default_rng(3)
-        for _ in range(2):
-            order = rng.permutation(5)
-            for start in range(0, 5, 2):
-                g = float(np.sum(2.0 * (want - t[order[start : start + 2]])))
-                if momentum > 0.0:
-                    v = momentum * v + g
-                    g = v
-                want -= 0.1 * g
-        assert float(p) == want
-        assert seen == [0, 1]
-
-
-@pytest.mark.parametrize("momentum", [-0.5, 1.0, 1.5, float("nan")])
-def test_sgd_rejects_momentum_outside_0_1(momentum):
     p = np.array(0.25)
-    with pytest.raises(ContractError, match=r"momentum must lie in \[0, 1\)"):
-        nm.sgd([p], 5, None, epochs=1, lr=0.1, seed=3, batch_size=2, momentum=momentum)
-    assert float(p) == 0.25
+    seen = []
+    nm.sgd([p], 5, batch_loss, epochs=2, lr=0.1, seed=3, batch_size=2, end_epoch=seen.append)
+    want = 0.25
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        order = rng.permutation(5)
+        for start in range(0, 5, 2):
+            want -= 0.1 * float(np.sum(2.0 * (want - t[order[start : start + 2]])))
+    assert float(p) == want
+    assert seen == [0, 1]
 
 
 @pytest.mark.parametrize(

@@ -87,18 +87,6 @@ def test_training_bitwise_deterministic():
     )
 
 
-def test_training_with_momentum_changes_result():
-    x, y = easy_data(seed=4, n=200)
-    plain = train_victim(small_net(seed=6), x, y, epochs=3, lr=0.05, seed=1)
-    heavy = train_victim(
-        small_net(seed=6), x, y, epochs=3, lr=0.05, seed=1, momentum=0.9
-    )
-    assert any(
-        not np.array_equal(pa, pb)
-        for pa, pb in zip(plain.parameters(), heavy.parameters())
-    )
-
-
 def test_training_epoch_frees_each_step():
     # one epoch of an 8 x 256 victim, batch 512, 6000 rows: each step's tape
     # holds that step's activations and must be freed when the step ends,
