@@ -52,6 +52,14 @@ conv layers alike: their products on 2 or more rows are bitwise the full
 batch's rows with the installed OpenBLAS. A product with few output
 columns, such as a 4-class exit head's, changes bits with the row count,
 so the heads always see the whole batch.
+
+A training step leaves no reference cycle once `grad` has run. Records
+and nodes point at each other, and every node at its tape, so `grad`
+drops each record as it replays it and then the tape's parameter
+registry. Reference counting, not the cyclic garbage collector, then
+frees each record's arrays and backward closure during the replay, the
+tape and its parameter nodes when `sgd` rebinds them, and a trained net's
+parameter arrays with the net.
 """
 
 from __future__ import annotations
@@ -115,18 +123,22 @@ class GradTape:
     Single-writer: one forward pass per tape. `param` registers an array as
     a differentiable leaf; `grad` replays the records backward, releasing
     them as it goes, and returns one gradient per registered parameter
-    (zeros if the parameter never reached the loss). A replayed tape takes
-    no further records and no second `grad`.
+    (zeros if the parameter never reached the loss). A replayed tape holds
+    neither records nor parameter nodes, so it is in no reference cycle
+    (every node points at its tape); it takes no further records or
+    parameters and no second `grad`.
     """
 
     def __init__(self):
         # Each record is (out_node, input_nodes, backward) where backward
         # maps the output gradient to one gradient per input node (None for
-        # constant inputs). None once `grad` has replayed the tape.
+        # constant inputs). Both are None once `grad` has replayed the tape.
         self._records: list[tuple[Node, tuple, Callable]] | None = []
-        self._params: list[Node] = []
+        self._params: list[Node] | None = []
 
     def param(self, value) -> Node:
+        if self._params is None:
+            raise ContractError("tape was already replayed by grad; register on a new tape")
         arr = np.asarray(value, dtype=np.float64)
         node = Node(arr, self)
         self._params.append(node)
@@ -144,9 +156,12 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
     Replays the tape once, accumulating exactly one contribution per recorded
     use of each node, in reverse record order. Parameters that never fed the
     loss get a zero gradient of their own shape. Each record is dropped as
-    soon as it has been replayed: records and nodes point at each other, so
-    a tape kept whole would wait for the cyclic garbage collector, holding
-    every activation of the step. A second `grad` on the same tape raises.
+    soon as it has been replayed, and the parameter registry at the end:
+    records and nodes point at each other, and every node at the tape, so a
+    tape that kept either would wait for the cyclic garbage collector,
+    holding every activation of the step and the parameter arrays. The
+    returned dict keys the parameter nodes, which the caller keeps. A
+    second `grad` on the same tape raises.
     """
     if not isinstance(loss, Node):
         raise ContractError("loss must be a tape Node")
@@ -154,10 +169,10 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
         raise ContractError("loss was recorded on a different tape")
     if loss.value.shape != ():
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
-    records = tape._records
+    records, params = tape._records, tape._params
     if records is None:
         raise ContractError("tape was already replayed by grad")
-    tape._records = None
+    tape._records = tape._params = None
     acc: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
     while records:
         out, inputs, backward = records.pop()
@@ -170,7 +185,7 @@ def grad(loss: Node, tape: GradTape) -> dict[Node, Array]:
             cur = acc.get(id(node))
             acc[id(node)] = gin if cur is None else cur + gin
     out_map: dict[Node, Array] = {}
-    for p in tape._params:
+    for p in params:
         g = acc.get(id(p))
         if g is None:
             g = np.zeros_like(p.value)
@@ -185,10 +200,13 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, end_epoch=None):
     with `seed` and walks it in slices of `batch_size`. For each slice
     `take`, `batch_loss(bound, take)` builds the loss on a fresh tape from
     the parameters bound as nodes (in `params` order); the update is
-    p -= lr * g. `epochs` must be >= 0, `lr` positive and finite and
-    `batch_size` >= 1. `end_epoch(epoch)` runs after each epoch's last
-    update.
+    p -= lr * g. `epochs` must be an integer >= 0, `lr` positive and
+    finite and `batch_size` an integer >= 1 (a bool is no integer here).
+    `end_epoch(epoch)` runs after each epoch's last update.
     """
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     # each check is a comparison that NaN fails
     if not epochs >= 0:
         raise ContractError(f"epochs must be >= 0, got {epochs}")

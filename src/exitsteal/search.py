@@ -125,60 +125,66 @@ def search_strategy(
     listing the per-exit candidate counts.
     """
     conf, target = _check_points(conf, target)
-    k = conf.shape[1]
-    cands = [candidate_thresholds(conf, target, i) for i in range(1, k)]
-    bottom = np.asarray(cands[-1])
+    walk = _Walk(conf, target, branch_cap)
+    walk.descend(0, np.arange(conf.shape[0]), 0, ())
+    assert walk.best_thresholds is not None
+    return OutputStrategy(thresholds=walk.best_thresholds), walk.best_score / conf.shape[0]
 
-    n = conf.shape[0]
-    best_score = -1
-    best_thresholds: tuple[float, ...] | None = None
-    visited = 0
 
-    def sweep_last(level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
-        nonlocal best_score, best_thresholds
-        c = conf[alive, level]
-        tg = target[alive]
+class _Walk:
+    """The state of one `search_strategy` walk. Its recursion goes through
+    bound methods, so the walk forms no reference cycle and its arrays are
+    freed by reference counting when it returns (a nested function that
+    calls itself holds itself through its closure)."""
+
+    def __init__(self, conf: Array, target: Array, branch_cap: int):
+        self.conf, self.target, self.branch_cap = conf, target, branch_cap
+        self.k = conf.shape[1]
+        self.cands = [candidate_thresholds(conf, target, i) for i in range(1, self.k)]
+        self.bottom = np.asarray(self.cands[-1])
+        self.best_score = -1
+        self.best_thresholds: tuple[float, ...] | None = None
+        self.visited = 0
+
+    def sweep_last(self, level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
+        c = self.conf[alive, level]
+        tg = self.target[alive]
         order = np.argsort(c, kind="stable")
         # here[p] counts targets == this exit among points with c >= the
         # p-th sorted value; later[p] counts targets == the final exit among
         # the p smallest.
         here = np.concatenate([np.cumsum((tg[order] == level + 1)[::-1])[::-1], [0]])
         later = np.concatenate([[0], np.cumsum(tg[order] == level + 2)])
-        pos = np.searchsorted(c[order], bottom, side="left")
+        pos = np.searchsorted(c[order], self.bottom, side="left")
         scores = here[pos] + later[pos]
         first = int(np.argmax(scores))  # the first candidate reaching the max
-        if gained + int(scores[first]) > best_score:
-            best_score = gained + int(scores[first])
-            best_thresholds = prefix + (cands[level][first],)
+        if gained + int(scores[first]) > self.best_score:
+            self.best_score = gained + int(scores[first])
+            self.best_thresholds = prefix + (self.cands[level][first],)
 
-    def descend(level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
-        nonlocal visited
-        visited += 1
-        if visited > branch_cap:
-            counts = " x ".join(str(len(c)) for c in cands)
+    def descend(self, level: int, alive: Array, gained: int, prefix: tuple[float, ...]):
+        self.visited += 1
+        if self.visited > self.branch_cap:
+            counts = " x ".join(str(len(c)) for c in self.cands)
             raise BudgetError(
-                f"the walk of the {counts} candidate product visited {visited} "
-                f"branches, which exceeds the cap of {branch_cap}"
+                f"the walk of the {counts} candidate product visited {self.visited} "
+                f"branches, which exceeds the cap of {self.branch_cap}"
             )
-        tg = target[alive]
+        tg = self.target[alive]
         bound = gained + int((tg > level).sum())  # targets at exit level + 1 or later
-        if bound <= best_score:
+        if bound <= self.best_score:
             return
-        if level == k - 2:
-            sweep_last(level, alive, gained, prefix)
+        if level == self.k - 2:
+            self.sweep_last(level, alive, gained, prefix)
             return
-        col = conf[alive, level]
-        for t in cands[level]:
-            if bound <= best_score:  # an earlier sibling raised the best
+        col = self.conf[alive, level]
+        for t in self.cands[level]:
+            if bound <= self.best_score:  # an earlier sibling raised the best
                 return
             exited = col >= t
-            descend(
+            self.descend(
                 level + 1,
                 alive[~exited],
                 gained + int((tg[exited] == level + 1).sum()),
                 prefix + (t,),
             )
-
-    descend(0, np.arange(n), 0, ())
-    assert best_thresholds is not None
-    return OutputStrategy(thresholds=best_thresholds), best_score / n

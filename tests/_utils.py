@@ -1,7 +1,9 @@
 """Shared test helpers: finite-difference gradient checks, tiny nets, the
-references fused and chunked code must equal bit for bit, and traced
-memory peaks."""
+references fused and chunked code must equal bit for bit, traced memory
+peaks and cyclic garbage."""
 
+import contextlib
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -128,6 +130,28 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def cyclic_garbage():
+    """Run the block with the cyclic garbage collector off and yield a list
+    that, once the block ends, holds every object the block left for that
+    collector: what reference counting alone could not free."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    start = len(gc.garbage)
+    found = []
+    try:
+        yield found
+        gc.collect()
+        found.extend(gc.garbage[start:])
+    finally:
+        del gc.garbage[start:]
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
 
 
 def binary_conf_logit(p):

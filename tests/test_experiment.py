@@ -8,6 +8,7 @@ import json
 import os
 import re
 import struct
+import types
 import zipfile
 
 import numpy as np
@@ -27,7 +28,7 @@ from exitsteal.metrics import EvalReport
 from exitsteal.multiexit import SENTINEL, OutputStrategy, load_checkpoint, save_checkpoint
 from exitsteal.victimlab import select_traditional_strategy
 
-from _utils import dense_net
+from _utils import cyclic_garbage, dense_net
 from test_datasets import write_images, write_labels
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
@@ -80,6 +81,22 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     changed = load_config(TOY_CFG, dict(TINY, **{"attack.epochs": "3"}))
     with pytest.raises(ContractError, match="different config"):
         run_experiment(changed, tmp_path)
+
+
+def test_tiny_pipeline_leaves_no_cyclic_garbage(tmp_path):
+    # every stage's tapes (GradTape, Node), nets, closures and search walks
+    # are freed by reference counting; the cycles that json (indent=), ast
+    # (np.load's header) and inspect make are theirs and are not counted
+    cfg = load_config(TOY_CFG, TINY)
+    with cyclic_garbage() as garbage:
+        run_experiment(cfg, tmp_path)
+    ours = {
+        getattr(o, "__qualname__", type(o).__qualname__)
+        for o in garbage
+        if ((o.__module__ if isinstance(o, types.FunctionType) else type(o).__module__) or "")
+        .startswith("exitsteal")
+    }
+    assert ours == set()
 
 
 def assert_run_matches_artifacts(run_dir) -> None:

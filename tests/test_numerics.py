@@ -4,11 +4,15 @@ Closed-form fixtures are frozen as literals computed by hand; gradients are
 checked against central finite differences.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from exitsteal import numerics as nm
+from exitsteal.attack import AttackConfig, RecordBatch, train_substitute
 from exitsteal.errors import ContractError
+from exitsteal.victimlab import train_victim
 
 from _utils import (
     assert_bitwise,
@@ -18,6 +22,8 @@ from _utils import (
     chain_mean_kl,
     chain_softmax,
     check_grads,
+    cyclic_garbage,
+    dense_net,
     fused_vs_chain,
     sum_all,
     tanh,
@@ -52,6 +58,33 @@ def test_tape_serves_one_backward_pass():
         nm.grad(loss, tape)
     with pytest.raises(ContractError, match="already replayed"):
         nm.mul(a, 2.0)
+    with pytest.raises(ContractError, match="already replayed"):
+        tape.param(np.ones(2))
+
+
+def _train(trainer, net):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, 5))
+    if trainer == "victim":
+        return train_victim(net, x, rng.integers(0, 3, size=40), epochs=2, lr=0.1, seed=1,
+                            batch_size=16)
+    batch = RecordBatch(x, rng.dirichlet(np.ones(3), size=40), rng.integers(1, 3, size=40))
+    cfg = AttackConfig(epochs=2, lr=0.1, batch_size=16, seed=1, lambda_strategy=0.5)
+    return train_substitute(net, batch, cfg)[0]
+
+
+@pytest.mark.parametrize("trainer", ["victim", "substitute"])
+def test_training_leaves_no_cyclic_garbage(trainer):
+    # each step's tape, nodes and closures are freed by reference counting
+    # when sgd moves on, and the trained net's arrays when the net goes
+    with cyclic_garbage() as garbage:
+        net = _train(trainer, dense_net(widths=(5, 8, 8, 8), exits=2, classes=3, seed=0))
+        refs = [weakref.ref(p) for p in net.parameters()]
+        del net
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} parameter arrays outlived the net"
+    left = {type(o).__name__ for o in garbage if isinstance(o, (nm.GradTape, nm.Node))}
+    assert left == set()
 
 
 def test_sgd_matches_hand_rolled_steps():
@@ -86,6 +119,12 @@ def test_sgd_matches_hand_rolled_steps():
         ("lr", float("inf")),
         ("lr", float("nan")),
         ("batch_size", 0),
+        ("epochs", 1.5),
+        ("epochs", True),
+        ("epochs", "2"),
+        ("batch_size", 1.5),
+        ("batch_size", True),
+        ("batch_size", np.float64(2.0)),
     ],
 )
 def test_sgd_rejects_bad_hyperparameters(knob, value):
