@@ -419,9 +419,11 @@ def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
     )
 
 
-def _load_deployment(run_dir) -> VictimDeployment:
+def _load_deployment(run_dir, net: MultiExitNet | None = None) -> VictimDeployment:
+    """The deployed victim: deployment.json, on `net` or else on victim.ckpt."""
     spec = _read(run_dir, "deployment.json")
-    net = _read(run_dir, "victim.ckpt")
+    if net is None:
+        net = _read(run_dir, "victim.ckpt")
     timing = TimingModel(
         spec["block_costs"], spec["head_costs"], spec["noise_sigma"], spec["timing_seed"]
     )
@@ -540,9 +542,16 @@ def _calibration_targets(run_dir):
 
 
 def _nets(run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
-    """The net of each variant; with `strategy`, of each whose thresholds it picks."""
+    """The net of each variant; with `strategy`, of each whose thresholds it
+    picks. Each checkpoint is read once, in VARIANTS order, and variants on
+    the same checkpoint share its net."""
     names = [name for name, v in VARIANTS.items() if strategy in (None, v.strategy)]
-    return {name: _read(run_dir, VARIANTS[name].checkpoint) for name in names}
+    loaded = {}
+    for name in names:
+        checkpoint = VARIANTS[name].checkpoint
+        if checkpoint not in loaded:
+            loaded[checkpoint] = _read(run_dir, checkpoint)
+    return {name: loaded[VARIANTS[name].checkpoint] for name in names}
 
 
 def _stage_search_searched(cfg: ExperimentConfig, run_dir) -> None:
@@ -582,7 +591,10 @@ def _stage_search_traditional(cfg: ExperimentConfig, run_dir) -> None:
 def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
     nets = _nets(run_dir)
     strategies = {name: _strategy(_read(run_dir, _strategy_file(name))) for name in nets}
-    dep = _load_deployment(run_dir)
+    # the victim row is scored on the deployment's frozen copy, the one
+    # victim net this stage holds
+    dep = _load_deployment(run_dir, nets["victim"])
+    nets["victim"] = dep.net
     data = _read(run_dir, "dataset.npz")
     test_x, test_y = data["test_x"], data["test_y"]
     victim = cascade(dep.net, test_x, dep.strategy)

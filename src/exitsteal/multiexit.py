@@ -11,6 +11,14 @@ in the tests keeps its own loop on purpose). The forward pass takes
 batches only: (B, d) for dense backbones, (B, C, H, W) for conv ones.
 The K exits' logits and probabilities travel as one (K, B, classes)
 stack, which training's losses and every inference path read directly.
+A forward pass without a tape runs the batch in row spans, each through
+the backbone in row chunks and then through the heads; a span is never
+shorter than the rows at which every head's product passes OpenBLAS's
+small-matrix cut (SMALL_GEMM_CUT), above which a product's rows do not
+change bits with the row count. So every pass gives the bits of one pass
+over the batch with the installed OpenBLAS, and a BLAS whose small-matrix
+kernel reaches past that cut fails the canary test in
+tests/test_multiexit.py.
 `cascade` returns a batch's outcomes as arrays: exits, predicted classes,
 FLOPs and the taken exit's probabilities.
 
@@ -45,21 +53,34 @@ SENTINEL = 2.0
 
 _CHECKPOINT_MAGIC = b"MXCKPT01"
 
-# Rows per chunk of a forward pass without a tape, dense or conv. A chunk of
-# 1,024 rows is a full-speed BLAS product, and at width 256 it holds 2 MiB,
-# against 16.6 MiB for the 8,500 rows of a wide victim's queries. Block
-# products and conv einsums on 2 or more rows are bitwise the full batch's
-# rows; a 1-row product takes numpy's vector path and is not, so a 1-row
-# remainder joins the chunk before it.
+# Most rows per chunk of a forward pass without a tape, dense or conv. A
+# chunk of 1,024 rows is a full-speed BLAS product, and at width 256 it
+# holds 2 MiB, against 16.6 MiB for the 8,500 rows of a wide victim's
+# queries. Block products and conv einsums on 2 or more rows are bitwise
+# the full batch's rows; a 1-row product takes numpy's vector path and is
+# not, so the backbone's chunks are the near-equal spans of
+# `_row_spans(rows, 2)`. A head's product with few output columns is
+# bitwise the full batch's rows only above SMALL_GEMM_CUT, so the heads run
+# per row span of at least the rows that cut needs, at most one span per
+# CHUNK_ROWS rows.
 CHUNK_ROWS = 1024
 
+# OpenBLAS's small-matrix cut: a product of M*N*K multiply-adds at or under
+# it takes the small-matrix kernel, whose bits change with the row count M;
+# above it, each output row has the same bits at any M and any thread count.
+# Measured with the OpenBLAS 0.3.31 that numpy 2.4.6 ships: a 256 -> 4 head
+# product on 977 rows is bitwise those rows of a 2,000-row product, on 976
+# rows it is not. tests/test_multiexit.py checks this on the installed BLAS.
+SMALL_GEMM_CUT = 10**6
 
-def _row_chunks(rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each row chunk of a batch, in order."""
-    stops = list(range(CHUNK_ROWS, rows, CHUNK_ROWS)) + [rows]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
-    return list(zip([0] + stops[:-1], stops))
+
+def _row_spans(rows: int, need: int) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal row spans of a batch, in order: one per
+    CHUNK_ROWS rows, but as few as keep every span at `need` rows or more,
+    and one span when the batch has fewer than `need` rows."""
+    count = max(1, min(-(-rows // CHUNK_ROWS), rows // need))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 # backbone kinds, and the activations numerics.dense and numerics.conv2d apply
@@ -270,6 +291,11 @@ class MultiExitNet:
         dims = feature_dims(backbone, self.input_hw)
         # one row's shape out of each block, for the forward walker
         self._block_shapes = tuple(d if isinstance(d, tuple) else (d,) for d in dims)
+        # the fewest rows at which every exit head's product is above
+        # SMALL_GEMM_CUT: the shortest row span a pass without a tape uses
+        self._span_rows = max(
+            SMALL_GEMM_CUT // (_head_width(dims[bi - 1]) * class_count) + 1 for bi in exit_indices
+        )
         if backbone.kind == "dense":
             self.block_flops = tuple(_dense_flops(m, n) for m, n in zip(backbone.widths, dims))
         else:
@@ -333,21 +359,41 @@ class MultiExitNet:
         nodes, in `parameters()` order (see `numerics.sgd`); without it the
         forward pass is plain numpy.
 
-        One walker runs the blocks in order and each exit's head right after
-        its block. A taped pass runs every block once on the whole batch,
-        so the tape holds one record per block and head. A pass without a
-        tape runs each block over the row chunks of `_row_chunks` into one
-        full-height activation, dense or conv alike; a block whose output
-        has its input's shape overwrites that activation in place, a
-        chunk's rows being read before they are written. Block products on
-        2 or more rows are bitwise the full batch's rows, but a 4-class
-        head's product is not, so each head reads the activation whole
-        (after `global_avg_pool`, for conv): the same call on the same
-        input as in one pass over the batch."""
+        A taped pass runs `_exit_logits` once on the whole batch, so the
+        tape holds one record per block and head. A pass without a tape
+        splits the batch into the near-equal row spans of `_row_spans` and
+        runs `_exit_logits` on each span, writing its logits into one
+        preallocated stack. Every span has at least `_span_rows` rows, so
+        each head's product is above SMALL_GEMM_CUT and gives each row the
+        bits of one pass over the batch; a batch too short for two such
+        spans is one span, the whole batch. At most one span per CHUNK_ROWS
+        rows: a wide net's pass never holds a full-height activation or
+        hands BLAS a tall head product."""
         if not isinstance(x, nm.Node):
             x = self._check_input(nm.as_array(x))
         p = self._params if params is None else list(params)
         taped = isinstance(x, nm.Node) or any(isinstance(a, nm.Node) for a in p)
+        rows = x.shape[0]
+        spans = [(0, rows)] if taped else _row_spans(rows, self._span_rows)
+        if len(spans) == 1:
+            return nm.stack(self._exit_logits(x, p, taped))
+        out = np.empty((self.exit_count, rows, self.class_count))
+        for start, stop in spans:
+            for k, logits in enumerate(self._exit_logits(x[start:stop], p, False)):
+                out[k, start:stop] = logits
+        return out
+
+    def _exit_logits(self, x, p, taped):
+        """The walker: the blocks in order and each exit's head right after
+        its block, returning the K exits' logits as a list. A taped pass
+        runs every block once on `x`. A pass without a tape runs each block
+        over the row chunks of `_row_spans(rows, 2)`, each 2 to CHUNK_ROWS
+        rows, into one activation of `x`'s height, dense or conv alike; a
+        block whose output has its input's shape overwrites that activation
+        in place, a chunk's rows being read before they are written. Each head reads the activation whole, after
+        `global_avg_pool` for conv. Returning drops the last activation
+        before the caller stacks the logits: on a narrow net the stack
+        outweighs a chunk, so holding both would set the peak."""
         logits = []
         h = x
         for i, row_shape in enumerate(self._block_shapes):
@@ -357,17 +403,14 @@ class MultiExitNet:
             else:
                 shape = (x.shape[0], *row_shape)
                 out = h if h is not x and h.shape == shape else np.empty(shape)
-                for start, stop in _row_chunks(x.shape[0]):
+                for start, stop in _row_spans(x.shape[0], 2):
                     out[start:stop] = self._block(h[start:stop], w, b)
                 h = out
             if i + 1 in self.exit_indices:
                 j = 2 * self.backbone.block_count + 2 * len(logits)
                 pooled = h if self.backbone.kind == "dense" else nm.global_avg_pool(h)
                 logits.append(nm.dense(pooled, p[j], p[j + 1]))
-        # drop the last activation before the stack is allocated: on a narrow
-        # net the stack outweighs a chunk, so holding both would set the peak
-        h = out = pooled = None
-        return nm.stack(logits)
+        return logits
 
     def _block(self, h, w, b):
         if self.backbone.kind == "dense":
@@ -385,9 +428,10 @@ def forward_all_exits(net: MultiExitNet, x, params=None):
     """Probability vectors from every exit head, shallowest first: one
     softmax over the logits stack gives a (K, batch, classes) stack whose
     rows sum to 1. A tape node when `params` are bound nodes; otherwise the
-    backbone runs in row chunks and the heads and the softmax on the whole
-    batch (see `MultiExitNet.forward_exit_logits`), bit for bit the values
-    of one pass over the batch."""
+    backbone runs in row chunks and the heads in row spans above OpenBLAS's
+    small-matrix cut (see `MultiExitNet.forward_exit_logits`), and the
+    softmax on the whole stack: bit for bit the values of one pass over the
+    batch, with the installed OpenBLAS."""
     return nm.softmax(net.forward_exit_logits(x, params=params))
 
 
@@ -411,10 +455,13 @@ def cascade(net: MultiExitNet, x, strategy: OutputStrategy):
 
     Returns (exit_idx, predicted, flops, probs): 1-based exits, argmax
     classes, per-sample FLOPs and the taken exit's probability rows, (B, C).
-    The backbone, dense or conv, runs in row chunks, so besides the (K, B, C)
-    stack it holds one full-height activation; each exit head runs on the
-    whole batch, because its product's bits depend on the row count and the
-    outcomes must not.
+    The backbone, dense or conv, runs in row chunks and the exit heads in
+    row spans whose head products are all above SMALL_GEMM_CUT, so a
+    head's bits do not depend on the span and the outcomes do not depend
+    on the batch. Besides the (K, B, C) stack, a pass holds one span's
+    activation: at most CHUNK_ROWS rows when the heads are wide (256 -> 4
+    needs 977 rows), the whole batch when they are narrow (48 -> 4 needs
+    5,209).
     """
     if strategy.exit_count != net.exit_count:
         raise ContractError(

@@ -50,8 +50,12 @@ forward walker (`multiexit.MultiExitNet.forward_exit_logits`) runs a taped
 pass on the whole batch and a pass without a tape on row chunks, dense and
 conv layers alike: their products on 2 or more rows are bitwise the full
 batch's rows with the installed OpenBLAS. A product with few output
-columns, such as a 4-class exit head's, changes bits with the row count,
-so the heads always see the whole batch.
+columns, such as a 4-class exit head's, keeps its bits at any row count
+only above OpenBLAS's small-matrix cut (`multiexit.SMALL_GEMM_CUT`, M*N*K
+= 10^6), so the heads run per row span of at least that many
+multiply-adds: a 256 -> 4 head on spans of 977 rows or more, a 48 -> 4
+head on 5,209. A pass over a batch shorter than two such spans is one
+span, whose heads read the whole batch.
 
 A training step leaves no reference cycle once `grad` has run. Records
 and nodes point at each other, and every node at its tape, so `grad`
@@ -347,9 +351,11 @@ def _activate(z: Array, activation) -> None:
 
 def _activation_grad(g: Array, out: Array, activation) -> Array:
     """g times the activation's derivative, read from the activated output:
-    relu's mask out > 0 equals z > 0 for every z, signed zeros included."""
+    relu's mask out > 0 equals z > 0 for every z, signed zeros included. The
+    mask is cast to float64 first: a float product is cheaper than numpy's
+    mixed bool-float loop, with the same bits."""
     if activation == "relu":
-        return g * (out > 0.0)
+        return g * (out > 0.0).astype(np.float64)
     if activation == "tanh":
         return g * (1.0 - out * out)
     return g

@@ -440,6 +440,22 @@ def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifa
     assert status["stages"][stage]["state"] == "failed"
 
 
+def test_evaluate_reads_each_checkpoint_once(tmp_path, monkeypatch):
+    # five variants on three checkpoints: each file is loaded once, and the
+    # victim row is scored on the deployment's own net
+    cfg = load_config(TOY_CFG, TINY)
+    run_stages_before("evaluate", cfg, tmp_path)
+    loads = []
+
+    def counting(path):
+        loads.append(os.path.basename(path))
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(experiment, "load_checkpoint", counting)
+    run_stage("evaluate", cfg, tmp_path)
+    assert sorted(loads) == ["sub_baseline.ckpt", "sub_ours.ckpt", "victim.ckpt"]
+
+
 def queries_npz(**changes) -> bytes:
     """A small queries.npz in the declared layout, with each member of
     `changes` replaced, added or, when None, left out."""

@@ -12,6 +12,7 @@ from exitsteal.errors import ContractError, FormatError
 from exitsteal.multiexit import (
     CHUNK_ROWS,
     SENTINEL,
+    SMALL_GEMM_CUT,
     BackboneSpec,
     MultiExitNet,
     OutputStrategy,
@@ -20,6 +21,7 @@ from exitsteal.multiexit import (
     forward_all_exits,
     load_checkpoint,
     save_checkpoint,
+    _row_spans,
     taken_exits,
 )
 
@@ -169,15 +171,18 @@ def test_cascade_fuzz_first_exit_rule():
 
 
 def test_cascade_holds_one_backbone_activation():
-    # the backbone runs in row chunks into one full-height activation, which
-    # the exit heads read whole; a pass over the whole batch holds a block's
-    # input and output at once (2.08 activations at 4,000 x 128, 34.05 MiB
-    # at 8,500 x 256), the chunked pass 1.34 and 19.45 MiB. At width 48 the
-    # logits stack outweighs a chunk: 1.44 activations, 1.67 if the last
-    # activation is still held when the stack is allocated
+    # the backbone runs in row chunks into one activation of a span's
+    # height; a pass over the whole batch holds a block's input and output
+    # at once (2.08 activations at 4,000 x 128, 34.05 MiB at 8,500 x 256).
+    # Per span, a pass holds two span-high activations and the stack: 0.91
+    # activations at 4,000 x 128 (two spans) and 4.47 MiB at 8,500 x 256
+    # (eight), against 1.34 and 19.45 MiB with full-height heads. At width
+    # 48 a span is the whole batch and the logits stack outweighs a chunk:
+    # 1.44 activations, 1.67 if the last activation is still held when the
+    # stack is allocated
     cases = (  # rows, backbone widths, exits, bound in activations of (rows, width)
         (4000, (128,) * 7, 3, 1.5),
-        (8500, (16,) + (256,) * 8, 4, 24 * 2**20 / (8500 * 256 * 8)),
+        (8500, (16,) + (256,) * 8, 4, 6.5 * 2**20 / (8500 * 256 * 8)),
         (8500, (16,) + (48,) * 8, 4, 1.55),
     )
     for rows, widths, exits, bound in cases:
@@ -186,6 +191,40 @@ def test_cascade_holds_one_backbone_activation():
         activation = rows * widths[-1] * 8
         peak = traced_peak(lambda: cascade(net, x, OutputStrategy.uniform(0.9, exits)))
         assert peak <= bound * activation, (rows, f"peak is {peak / activation:.2f} activations")
+
+
+def test_untaped_wide_pass_holds_no_full_height_activation():
+    # 8,000 rows of an 8 x 256 net: 15.6 MiB for one full-height activation,
+    # 18.42 MiB traced when the heads read one (19.45 at 8,500 rows); per
+    # span, two 1,000-row activations and the stack, 5.07 MiB
+    net = build_evenly_partitioned(BackboneSpec.dense((16,) + (256,) * 8), 4, 4, seed=2)
+    x = np.random.default_rng(3).normal(size=(8000, 16))
+    assert traced_peak(lambda: net.forward_exit_logits(x)) <= 6.5 * 2**20
+
+
+def test_blas_head_product_is_row_stable_above_the_small_gemm_cut():
+    # the canary for the span rule: with the installed OpenBLAS, a product
+    # of more than SMALL_GEMM_CUT multiply-adds gives each row the bits of
+    # a taller product. A BLAS whose small-matrix kernel reaches past the
+    # cut fails here. At or under the cut the bits may differ (on x86-64
+    # SKYLAKEX kernels, 976 rows do), but the spans never go there
+    rng = np.random.default_rng(7)
+    a, w = rng.normal(size=(2000, 256)), rng.normal(size=(256, 4))
+    need = SMALL_GEMM_CUT // (256 * 4) + 1
+    assert need == 977
+    full = a @ w
+    assert_bitwise(a[:need] @ w, full[:need])
+
+
+@pytest.mark.parametrize("rows, spans", [(1953, 1), (1954, 2), (2000, 2), (8000, 8), (8500, 8)])
+def test_head_spans_are_bitwise_the_one_batch_pass(rows, spans):
+    # 256-wide heads need spans of 977 rows: 1,953 rows are one span, 1,954
+    # two of 977, and 8,500 rows eight (nine would be under 977 rows)
+    net = build_evenly_partitioned(BackboneSpec.dense((16,) + (256,) * 4), 2, 4, seed=5)
+    assert net._span_rows == 977
+    assert len(_row_spans(rows, net._span_rows)) == spans
+    x = np.random.default_rng(rows).normal(size=(rows, 16))
+    assert_bitwise(net.forward_exit_logits(x), one_batch_exit_logits(net, x))
 
 
 def test_cascade_runs_on_a_frozen_copy():
@@ -204,10 +243,11 @@ def test_cascade_runs_on_a_frozen_copy():
 )
 @pytest.mark.parametrize("kind", ["dense_relu", "dense_tanh_widths", "conv_stride2"])
 def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
-    # the tape-free pass runs the backbone, dense or conv, in row chunks, a
-    # 1-row remainder joined to the chunk before it, and the heads on the
-    # whole batch. On frozen parameters and a read-only input it equals one
-    # pass over the whole batch byte for byte, and writes into neither
+    # the tape-free pass runs the backbone, dense or conv, in near-equal row
+    # chunks of 2 rows or more (1,025 rows as 512 and 513), and the heads per row
+    # span (two spans for dense_tanh_widths at 8,500 rows). On frozen
+    # parameters and a read-only input it equals one pass over the whole
+    # batch byte for byte, and writes into neither
     if kind == "dense_relu":
         net = dense_net(widths=(48,) * 9, exits=4, classes=4, seed=1)  # keeps the input width
     elif kind == "dense_tanh_widths":  # width changes inside and at the end of a segment
@@ -235,7 +275,8 @@ def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
 def test_forward_walker_calls_each_layer_once_per_chunk(kind, monkeypatch):
     # a taped pass runs each block and head once on the whole batch; a pass
     # without a tape runs each block once per row chunk and each head once
-    # on the whole batch. Counted by (layer, rows)
+    # per row span, here one span: an 8 -> 3 head needs 41,667 rows for
+    # two. Counted by (layer, rows)
     calls = Counter()
 
     def counting(name, real):
@@ -260,7 +301,7 @@ def test_forward_walker_calls_each_layer_once_per_chunk(kind, monkeypatch):
 
     calls.clear()
     net.forward_exit_logits(x)
-    blocks = Counter({(block, CHUNK_ROWS): 3, (block, CHUNK_ROWS + 1): 3})
+    blocks = Counter({(block, 683): 9})  # three near-equal chunks of 2,049 rows
     assert calls == blocks + Counter({("dense", 2 * CHUNK_ROWS + 1): 2})
 
 
