@@ -7,7 +7,8 @@ is opened by `_read`, so a missing input is found when the stage reads it
 and names the command that makes it, and a damaged one is a FormatError
 naming its path and, when the file parses, the field at fault. A .npz
 archive is read whole and each of its arrays checked before a stage sees
-any of them, so a damaged member fails in `_read` too. Re-running skips
+any of them, so a damaged member fails in `_read` too; the stage then
+keeps only the members it uses (`_members`). Re-running skips
 stages whose outputs already exist, so an interrupted run resumes where it
 stopped. The status file pins the config hash; running a different
 config against the same directory is refused rather than silently mixing
@@ -212,7 +213,8 @@ def _read(run_dir, name: str):
     arrays, a .json parsed. A missing file raises ContractError naming the
     command that makes it; one that cannot be parsed, including a damaged
     archive member, or whose fields are not those ARTIFACTS declares, raises
-    FormatError naming its path."""
+    FormatError naming its path. A stage that uses some of an archive's
+    members takes them through `_members`, which drops the rest."""
     path = _path(run_dir, name)
     artifact = ARTIFACTS[name]
     if not os.path.exists(path):
@@ -244,6 +246,14 @@ def _read(run_dir, name: str):
         json_field(content, key, kind, path)
     _check_names(path, content, artifact.fields)
     return content
+
+
+def _members(run_dir, name: str, *keys: str) -> tuple:
+    """The arrays `keys` of the archive `name`, in that order. `_read`
+    reads and checks the whole archive; a stage keeps only the members it
+    uses, so it does not hold the others while it works."""
+    content = _read(run_dir, name)
+    return tuple(content[key] for key in keys)
 
 
 def _load_status(run_dir, cfg: ExperimentConfig) -> dict:
@@ -375,15 +385,15 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_train_victim(cfg: ExperimentConfig, run_dir) -> None:
-    data = _read(run_dir, "dataset.npz")
+    train_x, train_y = _members(run_dir, "dataset.npz", "train_x", "train_y")
     v = cfg.victim
     net = _build_net(
-        v.backbone, v.net, v.exits, cfg.dataset.classes, cfg.seed.victim, data["train_x"][:1]
+        v.backbone, v.net, v.exits, cfg.dataset.classes, cfg.seed.victim, train_x[:1]
     )
     train_victim(
         net,
-        data["train_x"],
-        data["train_y"],
+        train_x,
+        train_y,
         epochs=v.epochs,
         lr=v.lr,
         seed=cfg.seed.shuffle,
@@ -398,10 +408,8 @@ def _stage_deploy(cfg: ExperimentConfig, run_dir) -> None:
     if v.tau is not None:
         strategy = OutputStrategy.uniform(v.tau, net.exit_count)
     else:
-        data = _read(run_dir, "dataset.npz")
-        strategy = select_traditional_strategy(
-            net, data["train_x"], data["train_y"], accuracy_slack=v.tau_slack
-        )
+        train_x, train_y = _members(run_dir, "dataset.npz", "train_x", "train_y")
+        strategy = select_traditional_strategy(net, train_x, train_y, accuracy_slack=v.tau_slack)
     quiet = TimingModel.proportional(net, t.per_flop, 0.0, cfg.seed.noise)
     sigma = float(t.noise_over_gap * np.diff(exit_base_times(net, quiet)).min())
     timing = TimingModel(quiet.block_costs, quiet.head_costs, sigma, cfg.seed.noise)
@@ -432,17 +440,19 @@ def _load_deployment(run_dir, net: MultiExitNet | None = None) -> VictimDeployme
 
 def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
     dep = _load_deployment(run_dir)
-    data = _read(run_dir, "dataset.npz")
+    calib_x, iid_x, unrelated_x = _members(
+        run_dir, "dataset.npz", "calib_x", "iid_x", "unrelated_x"
+    )
     qs = build_query_set(
-        data["iid_x"],
-        data["unrelated_x"],
+        iid_x,
+        unrelated_x,
         cfg.attack.n_iid,
         cfg.attack.n_unrelated,
         seed=cfg.seed.shuffle + 2,
     )
     # calibration probes first, then the query set: one continuous noise
     # stream, in that order
-    calib_probs, calib_runtimes = query_timed_many(dep, data["calib_x"])
+    calib_probs, calib_runtimes = query_timed_many(dep, calib_x)
     query_probs, query_runtimes = query_timed_many(dep, qs.inputs)
     np.savez(
         _path(run_dir, "queries.npz"),
@@ -456,8 +466,10 @@ def _stage_query(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
-    q = _read(run_dir, "queries.npz")
-    result = detect_changepoints(q["calib_runtimes"])
+    calib_runtimes, query_runtimes = _members(
+        run_dir, "queries.npz", "calib_runtimes", "query_runtimes"
+    )
+    result = detect_changepoints(calib_runtimes)
     _write_json(
         _path(run_dir, "changepoints.json"),
         {
@@ -468,8 +480,8 @@ def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
     )
     np.savez(
         _path(run_dir, "labels.npz"),
-        query_exits=assign_exits(q["query_runtimes"], result),
-        calib_exits=assign_exits(q["calib_runtimes"], result),
+        query_exits=assign_exits(query_runtimes, result),
+        calib_exits=assign_exits(calib_runtimes, result),
     )
 
 
@@ -493,8 +505,8 @@ def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
             f"attack.warm_start {a.warm_start} has {net.exit_count} exits "
             f"but the timing channel estimated {exit_count}"
         )
-    q = _read(run_dir, "queries.npz")
-    batch = RecordBatch(q["query_x"], q["query_probs"], _read(run_dir, "labels.npz")["query_exits"])
+    query_x, query_probs = _members(run_dir, "queries.npz", "query_x", "query_probs")
+    batch = RecordBatch(query_x, query_probs, _read(run_dir, "labels.npz")["query_exits"])
     # the attacker sees the victim's class count only in its answers
     classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
     if a.warm_start and (net.class_count, net.input_shape) != (classes, shape):
@@ -536,9 +548,8 @@ def _stage_train_baseline(cfg: ExperimentConfig, run_dir) -> None:
 
 
 def _calibration_targets(run_dir):
-    data = _read(run_dir, "dataset.npz")
-    exits = _read(run_dir, "labels.npz")["calib_exits"]
-    return data["calib_x"], exits
+    (calib_x,) = _members(run_dir, "dataset.npz", "calib_x")
+    return calib_x, _read(run_dir, "labels.npz")["calib_exits"]
 
 
 def _nets(run_dir, strategy: str | None = None) -> dict[str, MultiExitNet]:
@@ -595,8 +606,7 @@ def _stage_evaluate(cfg: ExperimentConfig, run_dir) -> None:
     # victim net this stage holds
     dep = _load_deployment(run_dir, nets["victim"])
     nets["victim"] = dep.net
-    data = _read(run_dir, "dataset.npz")
-    test_x, test_y = data["test_x"], data["test_y"]
+    test_x, test_y = _members(run_dir, "dataset.npz", "test_x", "test_y")
     victim = cascade(dep.net, test_x, dep.strategy)
     rows = [
         ((name,), make_report(net, strategies[name], test_x, test_y, victim))

@@ -390,10 +390,11 @@ class MultiExitNet:
         over the row chunks of `_row_spans(rows, 2)`, each 2 to CHUNK_ROWS
         rows, into one activation of `x`'s height, dense or conv alike; a
         block whose output has its input's shape overwrites that activation
-        in place, a chunk's rows being read before they are written. Each head reads the activation whole, after
-        `global_avg_pool` for conv. Returning drops the last activation
-        before the caller stacks the logits: on a narrow net the stack
-        outweighs a chunk, so holding both would set the peak."""
+        in place, a chunk's rows being read before they are written. Each
+        head reads the activation whole, after `global_avg_pool` for conv.
+        Returning drops the last activation before the caller stacks the
+        logits: on a narrow net the stack outweighs a chunk, so holding
+        both would set the peak."""
         logits = []
         h = x
         for i, row_shape in enumerate(self._block_shapes):

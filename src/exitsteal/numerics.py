@@ -63,7 +63,15 @@ drops each record as it replays it and then the tape's parameter
 registry. Reference counting, not the cyclic garbage collector, then
 frees each record's arrays and backward closure during the replay, the
 tape and its parameter nodes when `sgd` rebinds them, and a trained net's
-parameter arrays with the net.
+parameter arrays with the net. A step holds one gradient set: `sgd` drops
+the previous step's gradients once the next step's forward pass has
+returned and before its `grad` runs, so no backward pass runs beside a
+second set (on an 8x256 dense net at batch 512 a set is 3.6 MiB, next to
+8.2 MiB of taped activations). Dropping them right after the update would
+hold less still, but glibc then returns the freed top of the heap to the
+system at the end of every step and the next step faults those pages back
+in: a step of that net then took about 2,900 minor faults, against 450 to
+800 with the gradients dropped after the forward pass or after `grad`.
 """
 
 from __future__ import annotations
@@ -207,6 +215,12 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, end_epoch=None):
     p -= lr * g. `epochs` must be an integer >= 0, `lr` positive and
     finite and `batch_size` an integer >= 1 (a bool is no integer here).
     `end_epoch(epoch)` runs after each epoch's last update.
+
+    A step holds one gradient set. The previous step's gradients are
+    released after the next step's forward pass returns and before its
+    `grad` runs; released right after their update, the freed memory would
+    go back to the system and fault in again on every step (see the
+    module's "Memory" paragraph).
     """
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -225,7 +239,11 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, end_epoch=None):
             take = order[start : start + batch_size]
             tape = GradTape()
             bound = [tape.param(p) for p in params]
-            grads = grad(batch_loss(bound, take), tape)
+            loss = batch_loss(bound, take)
+            # the previous step's gradients go only now, so that no backward
+            # pass runs beside them (see the docstring for why not sooner)
+            grads = None
+            grads = grad(loss, tape)
             for arr, node in zip(params, bound):
                 arr -= lr * grads[node]
         if end_epoch is not None:

@@ -1,9 +1,11 @@
 """Shared test helpers: finite-difference gradient checks, tiny nets, the
 references fused and chunked code must equal bit for bit, traced memory
-peaks and cyclic garbage."""
+peaks and cyclic garbage, and the scripts under tools/ as modules."""
 
 import contextlib
 import gc
+import importlib.util
+import os
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +17,15 @@ from exitsteal.multiexit import (
     MultiExitNet,
     build_evenly_partitioned,
 )
+
+
+def load_tool(name: str):
+    """The script tools/<name>.py as a module: tools/ is no package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def numeric_grad(fn, arrays, h=1e-5):

@@ -2,26 +2,16 @@
 writes. No value is checked: the numbers depend on the machine."""
 
 import glob
-import importlib.util
 import json
 import os
 
 import pytest
 
+from _utils import load_tool
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
-
-
-def _write_bench():
-    spec = importlib.util.spec_from_file_location(
-        "write_bench", os.path.join(ROOT, "tools", "write_bench.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-write_bench = _write_bench()
+write_bench = load_tool("write_bench")
 
 
 def a_bench() -> dict:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 import types
 import zipfile
 
@@ -454,6 +455,45 @@ def test_evaluate_reads_each_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "load_checkpoint", counting)
     run_stage("evaluate", cfg, tmp_path)
     assert sorted(loads) == ["sub_baseline.ckpt", "sub_ours.ckpt", "victim.ckpt"]
+
+
+def test_stages_hold_only_the_dataset_arrays_they_use(tmp_path, monkeypatch):
+    # train_victim and evaluate check the whole of dataset.npz, then keep
+    # only their split. The memory traced since the stage began, read when
+    # train_victim is entered and when evaluate scores its first variant,
+    # must not grow with the unrelated pool, which neither stage uses
+    readings = {}
+
+    def reading(stage, fn):
+        def wrapped(*args, **kwargs):
+            readings.setdefault(stage, tracemalloc.get_traced_memory()[0])
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(experiment, "train_victim", reading("train_victim", experiment.train_victim))
+    monkeypatch.setattr(experiment, "make_report", reading("evaluate", experiment.make_report))
+
+    def held(pool: int) -> dict:
+        readings.clear()
+        cfg = load_config(TOY_CFG, dict(TINY, **{"unrelated.n": str(pool)}))
+        run_dir = tmp_path / str(pool)
+        for stage in experiment.STAGE_ORDER:
+            traced = stage in ("train_victim", "evaluate")
+            if traced:
+                tracemalloc.start()
+            try:
+                run_stage(stage, cfg, run_dir)
+            finally:
+                if traced:
+                    tracemalloc.stop()
+        return dict(readings)
+
+    small, large = held(600), held(6000)
+    pool_bytes = 6000 * 16 * 8  # TINY's rows are 16 wide
+    for stage in ("train_victim", "evaluate"):
+        moved = large[stage] - small[stage]
+        assert abs(moved) < pool_bytes / 4, f"{stage} holds {moved} more bytes"
 
 
 def queries_npz(**changes) -> bytes:

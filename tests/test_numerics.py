@@ -12,6 +12,7 @@ import pytest
 from exitsteal import numerics as nm
 from exitsteal.attack import AttackConfig, RecordBatch, train_substitute
 from exitsteal.errors import ContractError
+from exitsteal.multiexit import BackboneSpec, build_evenly_partitioned
 from exitsteal.victimlab import train_victim
 
 from _utils import (
@@ -108,6 +109,30 @@ def test_sgd_matches_hand_rolled_steps():
             want -= 0.1 * float(np.sum(2.0 * (want - t[order[start : start + 2]])))
     assert float(p) == want
     assert seen == [0, 1]
+
+
+def test_sgd_step_holds_one_gradient_set():
+    # an 8 x 256 dense net at batch 512: one gradient set is 3.6 MiB. A step
+    # whose backward pass ran beside the previous step's gradients would
+    # peak a whole set above the first step; the previous set is released
+    # after the forward pass, before `grad`
+    net = build_evenly_partitioned(BackboneSpec.dense((16,) + (256,) * 8), 4, 4, seed=2)
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(3 * 512, 16)), rng.integers(0, 4, size=3 * 512)
+    grad_set = sum(p.nbytes for p in net.parameters())
+    assert 3.5 * 2**20 < grad_set < 3.7 * 2**20
+
+    def batch_loss(bound, take):
+        return nm.cross_entropy_sum(net.forward_exit_logits(x[take], params=bound), y[take])
+
+    def peak(steps):
+        params = [p.copy() for p in net.parameters()]
+        return traced_peak(
+            lambda: nm.sgd(params, steps * 512, batch_loss, epochs=1, lr=0.01, seed=0, batch_size=512)
+        )
+
+    one, three = peak(1), peak(3)
+    assert three - one < grad_set / 2, f"three steps peak {(three - one) / 2**20:.2f} MiB higher"
 
 
 @pytest.mark.parametrize(
