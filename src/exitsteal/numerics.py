@@ -70,8 +70,11 @@ second set (on an 8x256 dense net at batch 512 a set is 3.6 MiB, next to
 8.2 MiB of taped activations). Dropping them right after the update would
 hold less still, but glibc then returns the freed top of the heap to the
 system at the end of every step and the next step faults those pages back
-in: a step of that net then took about 2,900 minor faults, against 450 to
-800 with the gradients dropped after the forward pass or after `grad`.
+in: a step of that net then took about 2,900 minor faults. Dropped after
+the forward pass, a step takes 650 to 780, which is not fault-neutral:
+holding them until the next `grad` returns takes 450 to 690, and over ten
+heap layouts the release after the forward pass read 2 to 7 % more faults
+per step at nine and about 330 more at one, at overlapping system time.
 """
 
 from __future__ import annotations
@@ -219,8 +222,10 @@ def sgd(params, n, batch_loss, *, epochs, lr, seed, batch_size, end_epoch=None):
     A step holds one gradient set. The previous step's gradients are
     released after the next step's forward pass returns and before its
     `grad` runs; released right after their update, the freed memory would
-    go back to the system and fault in again on every step (see the
-    module's "Memory" paragraph).
+    go back to the system and fault in again on every step. The release
+    point chosen still takes a few percent more minor faults per step than
+    holding them through the next `grad` (see the module's "Memory"
+    paragraph).
     """
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

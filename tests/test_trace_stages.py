@@ -1,31 +1,20 @@
-"""tools/trace_stages.py: one JSON line per stage and pass."""
+"""tools/trace_stages.py: one record per stage and pass."""
 
-import json
-
-from exitsteal.harness import experiment
+from exitsteal.harness import experiment, load_config
 
 from _utils import load_tool
-from test_experiment import TINY
+from test_experiment import TINY, TOY_CFG
 
 trace_stages = load_tool("trace_stages")
 
 
-def test_one_pass_prints_one_line_per_stage(capsys):
-    sets = [f"--set={key}={value}" for key, value in TINY.items()]
-    assert trace_stages.main(["--passes", "1", "--tracemalloc", *sets]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [line["stage"] for line in lines] == list(experiment.STAGE_ORDER)
-    for line in lines:
-        assert line["pass"] == 1
-        assert set(line) == {
+def test_one_pass_gives_one_record_per_stage():
+    records = list(trace_stages.trace(load_config(TOY_CFG, TINY), 1, True))
+    assert [r["stage"] for r in records] == list(experiment.STAGE_ORDER)
+    for r in records:
+        assert r["pass"] == 1
+        assert set(r) == {
             "pass", "stage", "wall_s", "rss_mib", "maxrss_mib", "minflt", "traced_peak_mib"
         }
-        assert line["wall_s"] >= 0 and line["minflt"] >= 0
-        assert line["traced_peak_mib"] > 0
-
-
-def test_overrides_take_the_workload_then_the_seed_streams_then_each_set():
-    got = trace_stages.overrides("wide_batch", ["victim.epochs=1", "seed.victim=7"])
-    assert got["victim.widths"] == ",".join(["256"] * 8)
-    assert got["seed.dataset"] == "101"
-    assert got["victim.epochs"] == "1" and got["seed.victim"] == "7"
+        assert r["wall_s"] >= 0 and r["minflt"] >= 0
+        assert r["traced_peak_mib"] > 0

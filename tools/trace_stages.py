@@ -5,13 +5,13 @@ per stage, over several passes.
     OPENBLAS_NUM_THREADS=1 python3 tools/trace_stages.py --workload wide_batch --tracemalloc
 
 Run it from anywhere; it uses the repository it sits in. The config is
-configs/toy.cfg with, in this order, a perfbench workload's overrides
-(`perfbench/workloads.py` `WORKLOADS[name].overrides`), perfbench's seed
-streams at its default seed 101 (`seed_streams(101)`, the streams of
-configs/toy.cfg) and each `--set key=value`. Each pass
-runs every stage of `experiment.STAGE_ORDER` through `run_stage` in a fresh
-run directory, as perfbench's pipeline workloads do, and prints one JSON
-line per stage and pass:
+configs/toy.cfg with a perfbench workload's overrides
+(`perfbench/workloads.py` `WORKLOADS[name].overrides`), then perfbench's
+seed streams at its default seed (`seed_streams(DEFAULT_SEED)`), as
+perfbench's own runs build it. Each pass runs every stage of
+`experiment.STAGE_ORDER` through `run_stage` in a fresh run directory, as
+perfbench's pipeline workloads do, and prints one JSON line per stage and
+pass:
 
 - `wall_s`: the stage's wall seconds;
 - `rss_mib`: the process's current resident set (VmRSS) after the stage;
@@ -38,12 +38,13 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "configs", "toy.cfg")
-SEED = 101  # perfbench's default seed
 MIB = 1024.0 * 1024.0
 
 for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
+
+import workloads  # noqa: E402  (perfbench/, on the path above)
 
 
 def _rss_mib() -> float | None:
@@ -56,21 +57,6 @@ def _rss_mib() -> float | None:
     except OSError:
         pass
     return None
-
-
-def overrides(workload: str | None, sets: list[str]) -> dict[str, str]:
-    """The config overrides of `workload` (none when None), then the seed
-    streams of SEED, then each `key=value` of `sets`."""
-    import workloads
-
-    out = dict(workloads.WORKLOADS[workload].overrides) if workload else {}
-    out.update(workloads.seed_streams(SEED))
-    for item in sets:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"trace_stages: --set takes key=value, got {item!r}")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def trace(cfg, passes: int, traced: bool = False):
@@ -107,25 +93,21 @@ def trace(cfg, passes: int, traced: bool = False):
 
 
 def main(argv=None) -> int:
-    import workloads
-    from exitsteal.errors import ContractError
     from exitsteal.harness import load_config
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS),
                         help="take this perfbench workload's overrides")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="one more config override, applied last")
     parser.add_argument("--passes", type=int, default=1)
     parser.add_argument("--tracemalloc", action="store_true",
                         help="also record each stage's tracemalloc peak")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
-    try:
-        cfg = load_config(CONFIG, overrides(args.workload, args.set))
-    except ContractError as exc:
-        raise SystemExit(f"trace_stages: {exc}") from exc
+    cfg = load_config(CONFIG, {
+        **workloads.WORKLOADS[args.workload].overrides,
+        **workloads.seed_streams(workloads.DEFAULT_SEED),
+    })
     for record in trace(cfg, args.passes, args.tracemalloc):
         print(json.dumps(record), flush=True)
     return 0
