@@ -201,7 +201,6 @@ def detect_changepoints(
     *,
     min_segment: int = MIN_SEGMENT,
     k_max: int = K_MAX,
-    geometric_p: float = GEOMETRIC_P,
 ) -> ChangepointResult:
     """Exact MAP segmentation of a batch of runtimes.
 
@@ -212,7 +211,7 @@ def detect_changepoints(
     it. Each segment scores its NIG marginal plus lgamma(n_j + 1); the
     total is offset by -lgamma(n + 1), each changepoint pays a uniform
     position prior -log(n - 1), and the count prior is
-    Geometric(geometric_p): P(K = k) proportional to
+    Geometric(GEOMETRIC_P): P(K = k) proportional to
     (1-p)^k * p (see the module docstring for why the factorial correction
     is needed on sorted data). Ties between counts resolve toward fewer
     changepoints. The result is invariant to permuting the input and
@@ -240,8 +239,6 @@ def detect_changepoints(
         )
     if not np.all(np.isfinite(x)):
         raise ContractError("runtimes must be finite")
-    if not 0.0 < geometric_p < 1.0:
-        raise ContractError("geometric_p must lie in (0, 1)")
     n = x.size
     scale = float(x.std(ddof=1))
     z = (x - x.mean()) / scale if scale > 0.0 else x - x.mean()
@@ -294,9 +291,9 @@ def detect_changepoints(
             best[m, j0:j1] = cand[lanes[:width], arg]
             back[m, j0:j1] = arg
 
-    log_p = np.log(geometric_p)
+    log_p = np.log(GEOMETRIC_P)
     # each extra segment pays the count prior and a uniform position prior
-    per_cut = np.log1p(-geometric_p) - np.log(n - 1.0)
+    per_cut = np.log1p(-GEOMETRIC_P) - np.log(n - 1.0)
     offset = -math.lgamma(n + 1.0)
     best_m, best_score = 1, best[1, n] + log_p + offset
     for m in range(2, max_segments + 1):

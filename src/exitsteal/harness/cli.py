@@ -1,8 +1,11 @@
 """Command-line front end for the experiment pipeline.
 
-Every run trains two substitutes, `train-substitute --mode ours` (with the
-strategy loss) and `--mode baseline` (soft labels only; `--mode
-no-strategy-loss` names the same net), and `evaluate` and `report` show all
+Each command runs one step: every stage that `experiment.STAGES` gives that
+command, in pipeline order, skipping one whose outputs exist. Every run
+trains two substitutes, so `train-substitute` trains ours (with the strategy
+loss) and then the baseline (soft labels only, the net no_strategy_loss
+scores), `search-strategy` runs the exact per-exit search and then the
+conventional uniform-threshold scan, and `evaluate` and `report` show all
 five variants scored from them and the victim.
 
 Exit codes: 0 on success, 1 on contract/format/usage errors (including a
@@ -20,9 +23,6 @@ from ..errors import BudgetError, ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport
 from . import experiment
 from .config import load_config, seed_overrides
-
-# the soft-label net that no_strategy_loss scores is the baseline stage's
-_MODE_ALIAS = {"no-strategy-loss": "baseline"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -49,28 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("deploy", "pick the victim's thresholds and timing model"),
         ("query", "send calibration and attack queries to the victim"),
         ("estimate-exits", "segment runtimes and label queries with exits"),
+        ("train-substitute", "train the substitute and the baseline network"),
+        ("search-strategy", "choose output thresholds: exact search, then uniform scan"),
         ("evaluate", "score every variant on the test set"),
         ("run-experiment", "run every stage in order, resuming where possible"),
     ):
         _add_common(sub.add_parser(name, help=help_text))
-
-    train_sub = sub.add_parser("train-substitute", help="train a substitute network")
-    _add_common(train_sub)
-    train_sub.add_argument(
-        "--mode",
-        choices=("ours", "baseline", "no-strategy-loss"),
-        default="ours",
-        help="which training objective to use",
-    )
-
-    search_sub = sub.add_parser("search-strategy", help="choose output thresholds")
-    _add_common(search_sub)
-    search_sub.add_argument(
-        "--mode",
-        choices=("search", "traditional"),
-        default="search",
-        help="exact per-exit search or the conventional uniform-threshold scan",
-    )
 
     sub.add_parser("report", help="print the evaluation table for a run")
     for command in sub.choices.values():
@@ -100,11 +84,8 @@ def _dispatch(args) -> int:
     if args.command == "run-experiment":
         _print_report(experiment.run_experiment(cfg, args.out))
         return 0
-    command = args.command
-    if hasattr(args, "mode"):
-        command += f" --mode {_MODE_ALIAS.get(args.mode, args.mode)}"
     for name, stage in experiment.STAGES.items():
-        if stage.command == command:
+        if stage.command == args.command:
             ran = experiment.run_stage(name, cfg, args.out)
             print(f"{name}: {'done' if ran else 'skipped (outputs exist)'}")
     if args.command == "evaluate":

@@ -42,7 +42,7 @@ def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
 
 
 def _net(**defaults: str):
-    """A NetCfg read from the enclosing section's five backbone keys
+    """A NetCfg read from the enclosing section's four backbone keys
     (`<section>.widths`, ...), with these raw defaults."""
     return field(metadata={"net": defaults})
 
@@ -90,8 +90,8 @@ class UnrelatedCfg:
 
 @dataclass(frozen=True)
 class NetCfg:
+    # block widths: a dense net's units, a conv net's channels
     widths: tuple[int, ...] = _key(within="[1, inf)")
-    channels: tuple[int, ...] = _key(within="[1, inf)")
     kernel: int = _key(within="[1, inf)")
     stride: int = _key(within="[1, inf)")
     activation: str = _key(within=ACTIVATIONS)
@@ -103,7 +103,6 @@ class VictimCfg:
     backbone: str = _key("dense", within=KINDS)
     net: NetCfg = _net(
         widths="48,48,48,48,48,48,48,48",
-        channels="8,16,16,32",
         kernel="3",
         stride="1",
         activation="relu",
@@ -136,7 +135,6 @@ class AttackStageCfg:
     batch_size: int = _key("128", within="[1, inf)")
     net: NetCfg = _net(
         widths="64,64,64,64,64,64",
-        channels="8,16,16,32",
         kernel="3",
         stride="1",
         activation="relu",
@@ -289,7 +287,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             if not os.path.exists(path):
                 raise ContractError(f"dataset.{key}: no such file: {path}")
     for name, net, exits in (("victim", v.net, v.exits), ("attack", a.net, None)):
-        blocks = len(net.widths) if v.backbone == "dense" else len(net.channels)
+        blocks = len(net.widths)
         if blocks < 2:
             raise ContractError(f"{name} backbone needs at least 2 blocks")
         if exits is not None and exits > blocks:

@@ -281,7 +281,7 @@ def _backbone(kind: str, net_cfg: NetCfg, sample: np.ndarray) -> tuple[BackboneS
         return BackboneSpec.dense(widths, activation=net_cfg.activation), None
     channels, height, width = (int(n) for n in sample.shape[-3:])
     spec = BackboneSpec.conv(
-        (channels,) + net_cfg.channels,
+        (channels,) + net_cfg.widths,
         kernel=net_cfg.kernel,
         stride=net_cfg.stride,
         activation=net_cfg.activation,
@@ -341,7 +341,7 @@ def _stage_dataset(cfg: ExperimentConfig, run_dir) -> None:
             try:
                 feature_dims(spec, hw)
             except ContractError as exc:
-                keys = f"{section}.kernel, {section}.stride and {section}.channels"
+                keys = f"{section}.kernel, {section}.stride and {section}.widths"
                 raise ContractError(f"{keys} shrink {hw[0]}x{hw[1]} images below 1x1") from exc
         # [train | calibration | test | iid pool], as sliced below
         fit = d.n_train + d.n_calibration
@@ -516,15 +516,15 @@ def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
             f"have shape {shape} and {classes} classes"
         )
     if not a.warm_start:
-        kind = cfg.victim.backbone
-        blocks_key = "widths" if kind == "dense" else "channels"
-        blocks = len(getattr(a.net, blocks_key))
+        blocks = len(a.net.widths)
         if exit_count > blocks:
             raise ContractError(
                 f"estimated {exit_count} exits but the substitute backbone has "
-                f"only {blocks} blocks; lengthen attack.{blocks_key}"
+                f"only {blocks} blocks; lengthen attack.widths"
             )
-        net = _build_net(kind, a.net, exit_count, classes, cfg.seed.attacker, batch.inputs[:1])
+        net = _build_net(
+            cfg.victim.backbone, a.net, exit_count, classes, cfg.seed.attacker, batch.inputs[:1]
+        )
     config = AttackConfig(
         phi1=a.phi1,
         phi2=a.phi2,
@@ -633,10 +633,10 @@ STAGES = {
     "deploy": Stage(_stage_deploy, "deploy"),
     "query": Stage(_stage_query, "query"),
     "estimate_exits": Stage(_stage_estimate_exits, "estimate-exits"),
-    "train_substitute": Stage(_stage_train_substitute, "train-substitute --mode ours"),
-    "train_baseline": Stage(_stage_train_baseline, "train-substitute --mode baseline"),
-    "search_searched": Stage(_stage_search_searched, "search-strategy --mode search"),
-    "search_traditional": Stage(_stage_search_traditional, "search-strategy --mode traditional"),
+    "train_substitute": Stage(_stage_train_substitute, "train-substitute"),
+    "train_baseline": Stage(_stage_train_baseline, "train-substitute"),
+    "search_searched": Stage(_stage_search_searched, "search-strategy"),
+    "search_traditional": Stage(_stage_search_traditional, "search-strategy"),
     "evaluate": Stage(_stage_evaluate, "evaluate"),
 }
 

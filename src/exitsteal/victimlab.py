@@ -141,9 +141,8 @@ def select_traditional_strategy(
     inputs,
     labels,
     accuracy_slack: float,
-    grid: tuple[float, ...] = TAU_GRID,
 ) -> OutputStrategy:
-    """Pick a uniform threshold the conventional way: scan the grid, keep
+    """Pick a uniform threshold the conventional way: scan TAU_GRID, keep
     thresholds whose cascade accuracy on the calibration set stays within
     `accuracy_slack` of the final exit's accuracy, and among those return
     the one with the smallest total computation (ties break toward the
@@ -166,7 +165,7 @@ def select_traditional_strategy(
 
     best_tau = None
     best_cost = None
-    for tau in grid:
+    for tau in TAU_GRID:
         exits = taken_exits(conf, OutputStrategy.uniform(tau, net.exit_count)) - 1
         acc = float((classes[exits, np.arange(len(y))] == y).mean())
         if acc < final_acc - accuracy_slack:

@@ -3,14 +3,16 @@ reports all five variants, 1 on an invalid config, a missing or damaged
 artifact or a usage error, 2 when the strategy search overruns its branch
 budget."""
 
+import argparse
 import json
 import shutil
 
 import pytest
 
 from exitsteal import search
+from exitsteal.harness import experiment
 from exitsteal.harness.experiment import ARTIFACTS
-from exitsteal.harness.cli import main
+from exitsteal.harness.cli import build_parser, main
 from exitsteal.harness.config import load_config, parse_config_text
 
 from test_experiment import (
@@ -69,17 +71,42 @@ def test_search_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "exceeds the cap of 0" in capsys.readouterr().err
 
 
-def test_no_strategy_loss_mode_trains_the_baseline_net(tmp_path, capsys):
-    # no_strategy_loss scores the soft-label net that the baseline stage trains
+def test_train_substitute_trains_both_nets(tmp_path, capsys):
+    # one command per step: it runs both substitute stages, in order, and
+    # skips one whose outputs exist
     cfg = write_config(tmp_path / "tiny.cfg", TINY)
     run = str(tmp_path / "run")
     for command in ("train-victim", "deploy", "query", "estimate-exits"):
         assert main([command, "--config", cfg, "--out", run]) == 0
     capsys.readouterr()
-    argv = ["train-substitute", "--mode", "no-strategy-loss", "--config", cfg, "--out", run]
+    argv = ["train-substitute", "--config", cfg, "--out", run]
     assert main(argv) == 0
-    assert capsys.readouterr().out == "train_baseline: done\n"
+    assert capsys.readouterr().out == "train_substitute: done\ntrain_baseline: done\n"
+    (tmp_path / "run" / "sub_baseline.ckpt").unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "train_substitute: skipped (outputs exist)\ntrain_baseline: done\n"
+    )
     assert (tmp_path / "run" / "sub_baseline.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["train-substitute", "--mode", "ours"], ["search-strategy", "--mode", "search"]]
+)
+def test_mode_option_is_gone(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "tiny.cfg", TINY)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_stage_commands_are_the_cli_commands():
+    # so a missing artifact's "run 'exitsteal <command>' first" always
+    # names a command that exists, and every step runs some stage
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    stage_commands = {stage.command for stage in experiment.STAGES.values()}
+    assert stage_commands <= set(commands)
+    assert set(commands) - stage_commands == {"run-experiment", "report"}
 
 
 def assert_one_error_line(err: str, *names: str) -> None:

@@ -61,8 +61,6 @@ BROKEN = {
     "n_unrelated": ({"attack.n_unrelated": "-1"}, "attack.n_unrelated must be >= 0"),
     "victim_widths": ({"victim.widths": "48,0,48,48"}, "victim.widths must be >= 1"),
     "attack_widths": ({"attack.widths": "64,64,-64"}, "attack.widths must be >= 1"),
-    "victim_channels": ({"victim.channels": "8,0,16"}, "victim.channels must be >= 1"),
-    "attack_channels": ({"attack.channels": "0,16"}, "attack.channels must be >= 1"),
     "victim_kernel": ({"victim.kernel": "0"}, "victim.kernel must be >= 1"),
     "attack_kernel": ({"attack.kernel": "-3"}, "attack.kernel must be >= 1"),
     "victim_stride": ({"victim.stride": "0"}, "victim.stride must be >= 1"),
@@ -86,10 +84,10 @@ def test_config_hashes_are_pinned():
     # values may not change; they move only when a key is deliberately
     # removed, and CHANGES.md says so
     assert load_config(TOY_CFG).sha256 == (
-        "580a5e2924d3135b04b6fb033951079769f29ee2b4d91f843164f048c2b78646"
+        "4aee15ccd64b0c6ba07788d29ee5eefaf5f854e9e8a6cdad52931bc01ac72ad2"
     )
     assert build_config({}).sha256 == (
-        "8d5f4abe6dc349ac28ba6984c1400411d6d364adb7016af83c84e70c78fefac5"
+        "27386a467d8a2de4609674bab7104347904f8aff27db20fb81fda67379d1e686"
     )
 
 

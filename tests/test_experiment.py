@@ -186,6 +186,9 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, shape):
         "attack.n_unrelated": "7",
         "attack.n_search": "0",
         "victim.backbone": backbone,
+        # a conv net's widths are its blocks' channel counts
+        "victim.widths": "8,16,16,32",
+        "attack.widths": "8,16,16,32",
         # 1x1 kernels keep the 3x2 images' size through every conv block
         "victim.kernel": "1",
         "attack.kernel": "1",
@@ -195,6 +198,9 @@ def test_idx_dataset_stage_splits_the_source_files(tmp_path, backbone, shape):
         overrides[f"dataset.idx_{split}_labels"] = write_labels(tmp_path / f"{split}-y.idx", labels)
     cfg = load_config(TOY_CFG, overrides)
     assert run_stage("dataset", cfg, tmp_path / "run") is True
+    if backbone == "conv":
+        spec, hw = experiment._backbone("conv", cfg.victim.net, np.zeros((1,) + shape))
+        assert spec.widths == (1, *cfg.victim.net.widths) and hw == (3, 2)
 
     def as_inputs(images):
         x = images / 255.0
@@ -239,6 +245,8 @@ def test_conv_net_too_deep_for_the_images_fails_at_the_dataset_stage(tmp_path, s
         "unrelated.kind": "uniform",
         "attack.n_iid": "2",
         "victim.backbone": "conv",
+        "victim.widths": "8,16,16,32",
+        "attack.widths": "8,16,16,32",
         "victim.kernel": "1",
         "attack.kernel": "1",
         f"{section}.kernel": "9",
@@ -249,7 +257,7 @@ def test_conv_net_too_deep_for_the_images_fails_at_the_dataset_stage(tmp_path, s
         overrides[f"dataset.idx_{split}_images"] = write_images(tmp_path / f"{split}-x.idx", images)
         overrides[f"dataset.idx_{split}_labels"] = write_labels(tmp_path / f"{split}-y.idx", labels)
     cfg = load_config(TOY_CFG, overrides)
-    keys = f"{section}.kernel, {section}.stride and {section}.channels"
+    keys = f"{section}.kernel, {section}.stride and {section}.widths"
     with pytest.raises(ContractError, match=f"^{re.escape(keys)} shrink 4x4 images below 1x1$"):
         run_stage("dataset", cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "dataset.npz").exists()
@@ -389,8 +397,8 @@ MISSING = {
     "estimate_exits": ("queries.npz", "query"),
     "train_substitute": ("changepoints.json", "estimate-exits"),
     "train_baseline": ("changepoints.json", "estimate-exits"),
-    "search_searched": ("sub_ours.ckpt", "train-substitute --mode ours"),
-    "search_traditional": ("sub_baseline.ckpt", "train-substitute --mode baseline"),
+    "search_searched": ("sub_ours.ckpt", "train-substitute"),
+    "search_traditional": ("sub_baseline.ckpt", "train-substitute"),
     "evaluate": ("victim.ckpt", "train-victim"),
 }
 
@@ -421,11 +429,11 @@ def run_stages_before(stage, cfg, run_dir) -> None:
 @pytest.mark.parametrize(
     "stage, artifact, command",
     [
-        ("search_traditional", "sub_ours.ckpt", "train-substitute --mode ours"),
-        ("search_searched", "sub_baseline.ckpt", "train-substitute --mode baseline"),
-        ("evaluate", "sub_baseline.ckpt", "train-substitute --mode baseline"),
-        ("evaluate", "strategy_no_search.json", "search-strategy --mode traditional"),
-        ("evaluate", "strategy_no_strategy_loss.json", "search-strategy --mode search"),
+        ("search_traditional", "sub_ours.ckpt", "train-substitute"),
+        ("search_searched", "sub_baseline.ckpt", "train-substitute"),
+        ("evaluate", "sub_baseline.ckpt", "train-substitute"),
+        ("evaluate", "strategy_no_search.json", "search-strategy"),
+        ("evaluate", "strategy_no_strategy_loss.json", "search-strategy"),
     ],
 )
 def test_missing_ablation_input_names_the_command_to_run(tmp_path, stage, artifact, command):
@@ -756,13 +764,15 @@ def test_failing_grid_point_is_named(tmp_path):
         ({"attack.warm_start": ["../victim.ckpt"]}, "a value with '/' would leave"),
         ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
         ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
-        # with five retired keys, which a config may no longer set
+        # with seven retired keys, which a config may no longer set
         (
             {"attack.lambda": [0.5], "no.such_key": [1], "experiment.ablations": ["true"],
              "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"],
-             "victim.momentum": ["0.5"], "dataset.idx_duplicate_channels": ["true"]},
-            "unknown config keys: attack.baseline_arch, dataset.idx_duplicate_channels, "
-            "experiment.ablations, no.such_key, timing.noise_sigma, victim.momentum$",
+             "victim.momentum": ["0.5"], "dataset.idx_duplicate_channels": ["true"],
+             "victim.channels": ["8,16"], "attack.channels": ["8,16"]},
+            "unknown config keys: attack.baseline_arch, attack.channels, "
+            "dataset.idx_duplicate_channels, experiment.ablations, no.such_key, "
+            "timing.noise_sigma, victim.channels, victim.momentum$",
         ),
     ],
     ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",

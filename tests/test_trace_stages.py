@@ -17,4 +17,5 @@ def test_one_pass_gives_one_record_per_stage():
             "pass", "stage", "wall_s", "rss_mib", "maxrss_mib", "minflt", "traced_peak_mib"
         }
         assert r["wall_s"] >= 0 and r["minflt"] >= 0
+        assert r["maxrss_mib"] >= r["rss_mib"]
         assert r["traced_peak_mib"] > 0

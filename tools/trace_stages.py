@@ -15,7 +15,9 @@ pass:
 
 - `wall_s`: the stage's wall seconds;
 - `rss_mib`: the process's current resident set (VmRSS) after the stage;
-- `maxrss_mib`: its high-water mark (`ru_maxrss`) after the stage;
+- `maxrss_mib`: its high-water mark (VmHWM) after the stage, from the same
+  read of /proc/self/status, so it never reads below `rss_mib` (the kernel
+  reports VmHWM as the larger of its recorded mark and that VmRSS);
 - `minflt`: the minor page faults the stage took (`ru_minflt` delta);
 - with `--tracemalloc`, `traced_peak_mib`: the peak of the memory
   tracemalloc traced during the stage (numpy's buffers included). Tracing
@@ -47,16 +49,18 @@ for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
 import workloads  # noqa: E402  (perfbench/, on the path above)
 
 
-def _rss_mib() -> float | None:
-    """VmRSS of this process in MiB; None where /proc is not there."""
+def _memory_mib() -> tuple[float | None, float | None]:
+    """(VmRSS, VmHWM) of this process in MiB, from one read of
+    /proc/self/status; Nones where /proc is not there."""
+    found = {}
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) / 1024.0
+                if line.startswith(("VmRSS:", "VmHWM:")):
+                    found[line[:5]] = int(line.split()[1]) / 1024.0  # kB
     except OSError:
         pass
-    return None
+    return found.get("VmRSS"), found.get("VmHWM")
 
 
 def trace(cfg, passes: int, traced: bool = False):
@@ -78,14 +82,14 @@ def trace(cfg, passes: int, traced: bool = False):
                 finally:
                     if traced:
                         tracemalloc.stop()
-                usage = resource.getrusage(resource.RUSAGE_SELF)
+                rss, maxrss = _memory_mib()
                 record = {
                     "pass": n,
                     "stage": stage,
                     "wall_s": round(wall, 4),
-                    "rss_mib": _rss_mib(),
-                    "maxrss_mib": usage.ru_maxrss / 1024.0,  # KiB on Linux
-                    "minflt": usage.ru_minflt - flt,
+                    "rss_mib": rss,
+                    "maxrss_mib": maxrss,
+                    "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt,
                 }
                 if traced:
                     record["traced_peak_mib"] = round(peak / MIB, 3)
