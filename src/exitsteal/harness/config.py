@@ -142,7 +142,6 @@ class AttackStageCfg:
     delta: float = _key("0.02", within="[0, inf)")
     # calibration points fed to the threshold search; 0 = all
     n_search: int = _key("0", within="[0, inf)")
-    warm_start: str = _key("")
 
 
 @dataclass(frozen=True)
@@ -272,6 +271,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if a.phi1 < a.phi2:
         raise ContractError("attack.phi1 must be >= attack.phi2")
     if d.kind == "tiered":
+        if not d.noise:
+            raise ContractError("dataset.noise needs at least one tier")
         if any(b <= x for x, b in zip(d.noise, d.noise[1:])):
             raise ContractError("dataset.noise must be strictly increasing")
     else:
@@ -306,8 +307,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ContractError(
             f"attack.n_search = {a.n_search} must lie in [0, dataset.n_calibration]"
         )
-    if a.warm_start and not os.path.exists(a.warm_start):
-        raise ContractError(f"attack.warm_start: no such file: {a.warm_start}")
     if u.kind == "uniform" and u.high <= u.low:
         raise ContractError("unrelated.low must be < unrelated.high")
 

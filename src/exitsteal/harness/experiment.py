@@ -45,7 +45,7 @@ from ..attack import (
     train_substitute,
     write_loss_trace,
 )
-from ..changepoint import assign_exits, detect_changepoints
+from ..changepoint import K_MAX, assign_exits, detect_changepoints
 from ..errors import BudgetError, ContractError, FormatError
 from ..metrics import CSV_COLUMNS, EvalReport, make_report
 from ..multiexit import (
@@ -488,8 +488,7 @@ def _stage_estimate_exits(cfg: ExperimentConfig, run_dir) -> None:
 def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
     """Train a substitute with `trainer` on the answered queries and their
     estimated exit labels, and write sub_<name>.ckpt and trace_<name>.csv.
-    The net is the attack.warm_start checkpoint when one is set, else one
-    built from attack.*; either way it has the K-hat exits that
+    The net is built from attack.* with the K-hat exits that
     changepoints.json records."""
     exit_count = _read(run_dir, "changepoints.json")["exit_count"]
     if exit_count < 2:
@@ -498,33 +497,25 @@ def _train(cfg: ExperimentConfig, run_dir, trainer, name: str) -> None:
             "channel did not separate any exits, so there are no exit labels "
             "to train a multi-exit substitute on"
         )
-    a = cfg.attack
-    net = load_checkpoint(a.warm_start) if a.warm_start else None
-    if a.warm_start and net.exit_count != exit_count:
+    if exit_count > K_MAX:
         raise ContractError(
-            f"attack.warm_start {a.warm_start} has {net.exit_count} exits "
-            f"but the timing channel estimated {exit_count}"
+            f"changepoint detection estimated {exit_count} exits, reaching its "
+            f"cap of {K_MAX + 1}: the timing channel over-segments"
+        )
+    a = cfg.attack
+    blocks = len(a.net.widths)
+    if exit_count > blocks:
+        raise ContractError(
+            f"estimated {exit_count} exits but the substitute backbone has "
+            f"only {blocks} blocks; lengthen attack.widths"
         )
     query_x, query_probs = _members(run_dir, "queries.npz", "query_x", "query_probs")
     batch = RecordBatch(query_x, query_probs, _read(run_dir, "labels.npz")["query_exits"])
     # the attacker sees the victim's class count only in its answers
-    classes, shape = batch.victim_probs.shape[1], batch.inputs.shape[1:]
-    if a.warm_start and (net.class_count, net.input_shape) != (classes, shape):
-        raise ContractError(
-            f"attack.warm_start {a.warm_start} takes inputs of shape "
-            f"{net.input_shape} to {net.class_count} classes, but the queries "
-            f"have shape {shape} and {classes} classes"
-        )
-    if not a.warm_start:
-        blocks = len(a.net.widths)
-        if exit_count > blocks:
-            raise ContractError(
-                f"estimated {exit_count} exits but the substitute backbone has "
-                f"only {blocks} blocks; lengthen attack.widths"
-            )
-        net = _build_net(
-            cfg.victim.backbone, a.net, exit_count, classes, cfg.seed.attacker, batch.inputs[:1]
-        )
+    classes = batch.victim_probs.shape[1]
+    net = _build_net(
+        cfg.victim.backbone, a.net, exit_count, classes, cfg.seed.attacker, batch.inputs[:1]
+    )
     config = AttackConfig(
         phi1=a.phi1,
         phi2=a.phi2,
@@ -658,7 +649,9 @@ def run_stage(name: str, cfg: ExperimentConfig, run_dir) -> bool:
         raise ContractError(f"unknown stage {name!r}")
     os.makedirs(run_dir, exist_ok=True)
     status = _load_status(run_dir, cfg)
-    if not os.path.exists(_path(run_dir, CONFIG_FILE)):
+    # until status.json pins the config's hash, a config file left by an
+    # interrupted run may hold another config's text
+    if not all(os.path.exists(_path(run_dir, f)) for f in (STATUS_FILE, CONFIG_FILE)):
         _write_text(_path(run_dir, CONFIG_FILE), cfg.canonical_text)
     if _stage_done(name, run_dir, status):
         return False

@@ -25,6 +25,7 @@ BROKEN = {
     "negative_lambda": ({"attack.lambda": "-0.1"}, "attack.lambda must be >= 0"),
     "noise_positive": ({"dataset.noise": "0,0.35,0.7,1.1"}, "dataset.noise must be > 0"),
     "noise_increasing": ({"dataset.noise": "0.1,0.7,0.35,1.1"}, "must be strictly increasing"),
+    "noise_tiers": ({"dataset.noise": ""}, "^dataset.noise needs at least one tier$"),
     "idx_files": ({"dataset.kind": "idx"}, "dataset.idx_train_images is required"),
     "backbone_kind": ({"victim.backbone": "rnn"}, "victim.backbone must be dense or conv"),
     "two_blocks": ({"attack.widths": "64"}, "attack backbone needs at least 2 blocks"),
@@ -84,10 +85,10 @@ def test_config_hashes_are_pinned():
     # values may not change; they move only when a key is deliberately
     # removed, and CHANGES.md says so
     assert load_config(TOY_CFG).sha256 == (
-        "4aee15ccd64b0c6ba07788d29ee5eefaf5f854e9e8a6cdad52931bc01ac72ad2"
+        "5aa6b7b412436e96461a89338f14e97828c34b11c1b3e38bfec750546698dcfa"
     )
     assert build_config({}).sha256 == (
-        "27386a467d8a2de4609674bab7104347904f8aff27db20fb81fda67379d1e686"
+        "97aa82bb0e44b392b2abd549b404668a772b9a17ad8fdf734b725973936ba29c"
     )
 
 

@@ -3,6 +3,7 @@ resume and config pinning, the run directory against its declaration,
 loud failures, and the experiment grid."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from exitsteal.changepoint import K_MAX
 from exitsteal.errors import ContractError, FormatError
 from exitsteal.harness import (
     experiment,
@@ -26,10 +28,10 @@ from exitsteal.harness import (
 )
 from exitsteal.harness.config import parse_config_text
 from exitsteal.metrics import EvalReport
-from exitsteal.multiexit import SENTINEL, OutputStrategy, load_checkpoint, save_checkpoint
+from exitsteal.multiexit import SENTINEL, OutputStrategy, load_checkpoint
 from exitsteal.victimlab import select_traditional_strategy
 
-from _utils import cyclic_garbage, dense_net
+from _utils import cyclic_garbage
 from test_datasets import write_images, write_labels
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
@@ -82,6 +84,28 @@ def test_tiny_pipeline_is_pinned_and_resumable(tmp_path, monkeypatch):
     changed = load_config(TOY_CFG, dict(TINY, **{"attack.epochs": "3"}))
     with pytest.raises(ContractError, match="different config"):
         run_experiment(changed, tmp_path)
+
+
+def test_an_interrupted_first_stage_leaves_no_other_configs_text(tmp_path, monkeypatch):
+    # KeyboardInterrupt is no Exception, so run_stage records nothing and
+    # status.json is never written; a rerun under another config must write
+    # its own text next to the hash status.json pins
+    def interrupt(cfg, run_dir):
+        raise KeyboardInterrupt
+
+    dataset = experiment.STAGES["dataset"]
+    monkeypatch.setitem(experiment.STAGES, "dataset", dataset._replace(run=interrupt))
+    with pytest.raises(KeyboardInterrupt):
+        run_stage("dataset", load_config(TOY_CFG, {"attack.lambda": "0.25"}), tmp_path)
+    assert not (tmp_path / "status.json").exists()
+
+    monkeypatch.setitem(experiment.STAGES, "dataset", dataset._replace(run=lambda *args: None))
+    cfg = load_config(TOY_CFG)
+    assert run_stage("dataset", cfg, tmp_path)
+    text = (tmp_path / "config.resolved.cfg").read_text()
+    assert text == cfg.canonical_text
+    status = json.loads((tmp_path / "status.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == status["config_sha256"]
 
 
 def test_tiny_pipeline_leaves_no_cyclic_garbage(tmp_path):
@@ -289,19 +313,31 @@ def test_idx_labels_past_dataset_classes_fail_at_the_dataset_stage(tmp_path, cla
     assert not (tmp_path / "run" / "dataset.npz").exists()
 
 
-@pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
-def test_single_estimated_exit_fails_loudly(tmp_path, stage):
+@pytest.mark.parametrize(
+    "stage, exit_count, message",
+    [
+        pytest.param(stage, *case, id=prefix + stage)
+        for prefix, *case in [
+            ("", 1, "estimated 1 exit: the timing channel did not separate any exits"),
+            # the detector's cap, K_MAX changepoints: toy.cfg's 6 attack
+            # blocks could not hold 9 exits either, but that is not the cause
+            ("at_cap-", K_MAX + 1, "estimated 9 exits, reaching its cap of 9: "
+             "the timing channel over-segments$"),
+        ]
+        for stage in ("train_substitute", "train_baseline")
+    ],
+)
+def test_single_estimated_exit_fails_loudly(tmp_path, stage, exit_count, message):
     cfg = load_config(TOY_CFG)
     # the stage reads the estimated exit count before any other input, so
     # the empty files standing in for those are never opened
     for name in ("queries.npz", "labels.npz"):
         (tmp_path / name).write_bytes(b"")
     (tmp_path / "changepoints.json").write_text(
-        json.dumps({"boundaries": [], "log_posterior": 0.0, "exit_count": 1})
+        json.dumps({"boundaries": [], "log_posterior": 0.0, "exit_count": exit_count})
     )
-    with pytest.raises(ContractError, match="did not separate any exits") as err:
+    with pytest.raises(ContractError, match=message):
         run_stage(stage, cfg, tmp_path)
-    assert "estimated 1 exit" in str(err.value)
     status = json.loads((tmp_path / "status.json").read_text())
     assert status["stages"][stage]["state"] == "failed"
 
@@ -319,72 +355,6 @@ DEPLOYMENT = {
     "timing_seed": 3,
     "per_flop": 1e-9,
 }
-
-
-@pytest.mark.parametrize("stage", ["train_substitute", "train_baseline"])
-def test_warm_start_with_another_exit_count_fails_loudly(tmp_path, stage):
-    warm = tmp_path / "warm.ckpt"
-    save_checkpoint(dense_net(widths=(16, 8, 8, 8), exits=3, classes=4), warm)
-    cfg = load_config(TOY_CFG, dict(TINY, **{"attack.warm_start": str(warm)}))
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    (run_dir / "changepoints.json").write_text(json.dumps(CHANGEPOINTS))
-    with pytest.raises(ContractError, match="has 3 exits but the timing channel estimated 2"):
-        run_stage(stage, cfg, run_dir)
-
-
-def test_warm_start_seeds_only_the_attackers_architecture(tmp_path):
-    # the warm checkpoint seeds both substitutes, sub_ours and sub_baseline:
-    # they keep its 12-wide blocks, not attack.widths (TINY's 16-wide ones),
-    # and the victim is built as without a warm start
-    warm = tmp_path / "warm.ckpt"
-    save_checkpoint(dense_net(widths=(16, 12, 12, 12), exits=2, classes=4), warm)
-    overrides = {"attack.warm_start": str(warm)}
-    run_dir = tmp_path / "run"
-    run_stages_through("train_baseline", load_config(TOY_CFG, dict(TINY, **overrides)), run_dir)
-    assert backbone_widths(run_dir / "victim.ckpt") == (16, 16, 16, 16)
-    for name in ("sub_ours.ckpt", "sub_baseline.ckpt"):
-        assert backbone_widths(run_dir / name) == (12, 12, 12), name
-
-
-def test_warm_start_is_not_bound_by_attack_widths(tmp_path):
-    # the timing channel estimates the victim's 3 exits; the warm net's 3
-    # blocks hold them, and attack.widths (2 blocks) describes no net here
-    warm = tmp_path / "warm.ckpt"
-    save_checkpoint(dense_net(widths=(16, 12, 12, 12), exits=3, classes=4), warm)
-    overrides = {
-        "victim.exits": "3",
-        "victim.tau": "auto",
-        "attack.widths": "16,16",
-        "attack.warm_start": str(warm),
-    }
-    run_dir = tmp_path / "run"
-    run_stages_through("train_substitute", load_config(TOY_CFG, dict(TINY, **overrides)), run_dir)
-    assert json.loads((run_dir / "changepoints.json").read_text())["exit_count"] == 3
-    net = load_checkpoint(run_dir / "sub_ours.ckpt")
-    assert net.exit_count == 3 and net.backbone.widths == (16, 12, 12, 12)
-
-
-def test_warm_start_with_other_classes_or_inputs_fails_by_name(tmp_path):
-    # TINY's queries are 16-wide rows of 4 classes
-    mismatched = [
-        (dense_net(widths=(16, 8, 8), classes=3), r"shape \(16,\) to 3 classes"),
-        (dense_net(widths=(10, 8, 8), classes=4), r"shape \(10,\) to 4 classes"),
-    ]
-    warm = tmp_path / "warm.ckpt"
-    save_checkpoint(mismatched[0][0], warm)
-    cfg = load_config(TOY_CFG, dict(TINY, **{"attack.warm_start": str(warm)}))
-    run_dir = tmp_path / "run"
-    run_stages_through("estimate_exits", cfg, run_dir)
-    for net, takes in mismatched:
-        save_checkpoint(net, warm)
-        message = (
-            f"^attack.warm_start {re.escape(str(warm))} takes inputs of {takes}, "
-            r"but the queries have shape \(16,\) and 4 classes$"
-        )
-        for stage in ("train_substitute", "train_baseline"):
-            with pytest.raises(ContractError, match=message):
-                run_stage(stage, cfg, run_dir)
 
 
 # the first missing input of each stage run on an empty directory, and the
@@ -761,18 +731,19 @@ def test_failing_grid_point_is_named(tmp_path):
         ({}, "at least one axis"),
         ({"attack.lambda": []}, "'attack.lambda' needs distinct values"),
         ({"attack.lambda": [0.5, "0.5"]}, "'attack.lambda' needs distinct values"),
-        ({"attack.warm_start": ["../victim.ckpt"]}, "a value with '/' would leave"),
+        ({"dataset.idx_train_images": ["../x.idx"]}, "a value with '/' would leave"),
         ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
         ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
-        # with seven retired keys, which a config may no longer set
+        # with eight retired keys, which a config may no longer set
         (
             {"attack.lambda": [0.5], "no.such_key": [1], "experiment.ablations": ["true"],
              "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"],
              "victim.momentum": ["0.5"], "dataset.idx_duplicate_channels": ["true"],
-             "victim.channels": ["8,16"], "attack.channels": ["8,16"]},
+             "victim.channels": ["8,16"], "attack.channels": ["8,16"],
+             "attack.warm_start": ["warm.ckpt"]},
             "unknown config keys: attack.baseline_arch, attack.channels, "
-            "dataset.idx_duplicate_channels, experiment.ablations, no.such_key, "
-            "timing.noise_sigma, victim.channels, victim.momentum$",
+            "attack.warm_start, dataset.idx_duplicate_channels, experiment.ablations, "
+            "no.such_key, timing.noise_sigma, victim.channels, victim.momentum$",
         ),
     ],
     ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",
