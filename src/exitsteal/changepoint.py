@@ -280,13 +280,14 @@ def detect_changepoints(
         best[1, j0:j1] = block[:, 0]
         if tied.size:
             block[:, tied[tied < rows]] = -np.inf
+        # once for every layer: best + -inf is -inf for each value best holds
+        np.copyto(block[:, rows - width :], -np.inf, where=future[:width, :width])
         # Layer m reads layer m - 1 at split points up to j1 - min_segment,
         # some inside this block, so each layer finishes for the whole
         # block before the next starts.
         cand = buffers[2][: width * rows].reshape(width, rows)
         for m in range(2, max_segments + 1):
             np.add(best[m - 1, :rows], block, out=cand)
-            np.copyto(cand[:, rows - width :], -np.inf, where=future[:width, :width])
             arg = np.argmax(cand, axis=1)  # first maximizer, as in the full table
             best[m, j0:j1] = cand[lanes[:width], arg]
             back[m, j0:j1] = arg

@@ -27,7 +27,7 @@ from typing import get_type_hints
 
 from ..changepoint import MIN_SEGMENT
 from ..errors import ContractError, FormatError
-from ..multiexit import ACTIVATIONS, KINDS
+from ..multiexit import KINDS
 
 
 def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
@@ -42,7 +42,7 @@ def _key(default: str | None = None, *, key: str = "", parse=None, within=None):
 
 
 def _net(**defaults: str):
-    """A NetCfg read from the enclosing section's four backbone keys
+    """A NetCfg read from the enclosing section's three backbone keys
     (`<section>.widths`, ...), with these raw defaults."""
     return field(metadata={"net": defaults})
 
@@ -94,7 +94,6 @@ class NetCfg:
     widths: tuple[int, ...] = _key(within="[1, inf)")
     kernel: int = _key(within="[1, inf)")
     stride: int = _key(within="[1, inf)")
-    activation: str = _key(within=ACTIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class VictimCfg:
         widths="48,48,48,48,48,48,48,48",
         kernel="3",
         stride="1",
-        activation="relu",
     )
     exits: int = _key("4", within="[2, inf)")
     # None means "auto": pick with select_traditional_strategy
@@ -137,7 +135,6 @@ class AttackStageCfg:
         widths="64,64,64,64,64,64",
         kernel="3",
         stride="1",
-        activation="relu",
     )
     delta: float = _key("0.02", within="[0, inf)")
     # calibration points fed to the threshold search; 0 = all

@@ -278,14 +278,9 @@ def _backbone(kind: str, net_cfg: NetCfg, sample: np.ndarray) -> tuple[BackboneS
     and their (h, w) for a conv one."""
     if kind == "dense":
         widths = (int(sample.shape[-1]),) + net_cfg.widths
-        return BackboneSpec.dense(widths, activation=net_cfg.activation), None
+        return BackboneSpec.dense(widths), None
     channels, height, width = (int(n) for n in sample.shape[-3:])
-    spec = BackboneSpec.conv(
-        (channels,) + net_cfg.widths,
-        kernel=net_cfg.kernel,
-        stride=net_cfg.stride,
-        activation=net_cfg.activation,
-    )
+    spec = BackboneSpec.conv((channels,) + net_cfg.widths, net_cfg.kernel, net_cfg.stride)
     return spec, (height, width)
 
 

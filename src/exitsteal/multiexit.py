@@ -83,9 +83,8 @@ def _row_spans(rows: int, need: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-# backbone kinds, and the activations numerics.dense and numerics.conv2d apply
+# backbone kinds: blocks of numerics.dense or numerics.conv2d, each with a relu
 KINDS = ("dense", "conv")
-ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,12 @@ class BackboneSpec:
     """A chain of blocks of one kind: `widths` = (input, w1, ..., wB) are
     the widths (channels, for conv) into the first block and out of each
     block. Every conv block has the same square `kernel` and `stride`; a
-    dense spec has kernel = stride = 1. One activation follows every block."""
+    dense spec has kernel = stride = 1. A relu follows every block."""
 
     kind: str
     widths: tuple[int, ...]
     kernel: int = 1
     stride: int = 1
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -111,28 +109,20 @@ class BackboneSpec:
             raise ContractError("backbone widths, kernel and stride must be >= 1")
         if self.kind == "dense" and (self.kernel, self.stride) != (1, 1):
             raise ContractError("a dense backbone has kernel = stride = 1")
-        if self.activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}")
 
     @property
     def block_count(self) -> int:
         return len(self.widths) - 1
 
     @classmethod
-    def dense(cls, widths: Sequence[int], activation: str = "relu") -> "BackboneSpec":
+    def dense(cls, widths: Sequence[int]) -> "BackboneSpec":
         """Chain of dense blocks: widths = (input, w1, w2, ..., wB)."""
-        return cls("dense", tuple(widths), activation=activation)
+        return cls("dense", tuple(widths))
 
     @classmethod
-    def conv(
-        cls,
-        channels: Sequence[int],
-        kernel: int,
-        stride: int = 1,
-        activation: str = "relu",
-    ) -> "BackboneSpec":
+    def conv(cls, channels: Sequence[int], kernel: int, stride: int = 1) -> "BackboneSpec":
         """Chain of conv blocks: channels = (input, c1, ..., cB)."""
-        return cls("conv", tuple(channels), int(kernel), int(stride), activation)
+        return cls("conv", tuple(channels), int(kernel), int(stride))
 
 
 @dataclass(frozen=True)
@@ -415,8 +405,8 @@ class MultiExitNet:
 
     def _block(self, h, w, b):
         if self.backbone.kind == "dense":
-            return nm.dense(h, w, b, self.backbone.activation)
-        return nm.conv2d(h, w, b, stride=self.backbone.stride, activation=self.backbone.activation)
+            return nm.dense(h, w, b, "relu")
+        return nm.conv2d(h, w, b, stride=self.backbone.stride, activation="relu")
 
     def __repr__(self):
         return (
@@ -517,14 +507,14 @@ def build_evenly_partitioned(
 
 
 def _backbone_to_json(spec: BackboneSpec):
-    """The v1 descriptor: one entry per block, so every checkpoint written
-    since v1 reads back."""
+    """The v1 descriptor: one entry per block and the blocks' activation,
+    always relu, so every checkpoint written since v1 reads back."""
     conv = {"kernel": spec.kernel, "stride": spec.stride} if spec.kind == "conv" else {}
     blocks = [
         {"kind": spec.kind, "in": m, "out": n, **conv}
         for m, n in zip(spec.widths, spec.widths[1:])
     ]
-    return {"activation": spec.activation, "blocks": blocks}
+    return {"activation": "relu", "blocks": blocks}
 
 
 def _is_json(value, kind) -> bool:
@@ -552,7 +542,8 @@ def json_field(obj, key: str, kind, label: str = "checkpoint descriptor"):
 
 def _backbone_from_json(obj) -> BackboneSpec:
     """The spec of a v1 descriptor, whose blocks must share one kind, kernel
-    and stride and chain their widths (else ContractError)."""
+    and stride and chain their widths (else ContractError), and whose
+    activation must be relu (else FormatError)."""
     blocks = []  # (kind, kernel, stride, in, out)
     for b in json_field(obj, "blocks", list):
         kind = json_field(b, "kind", str)
@@ -569,8 +560,11 @@ def _backbone_from_json(obj) -> BackboneSpec:
         if prev[4] != cur[3]:
             raise ContractError(f"block widths do not chain: {prev[4]} -> {cur[3]}")
     kind, kernel, stride, first, _ = blocks[0]
+    activation = json_field(obj, "activation", str)
+    if activation != "relu":
+        raise FormatError(f"checkpoint descriptor 'activation' must be relu, got {activation!r}")
     widths = (first, *(b[4] for b in blocks))
-    return BackboneSpec(kind, widths, kernel, stride, json_field(obj, "activation", str))
+    return BackboneSpec(kind, widths, kernel, stride)
 
 
 def _descriptor_fields(desc):

@@ -15,10 +15,9 @@ chains each have one fused record, and the K exits of a multi-exit net
 travel as one C-contiguous (K, batch, classes) stack from the heads on
 (`stack` makes it, and one `softmax` runs over it):
 
-- `dense(x, w, b, activation)` for matmul -> add -> relu/tanh (or none),
-  and `conv2d(x, w, b, stride, activation)` for its conv -> relu/tanh
-  (the `tanh` record, which no src code calls, is kept with the tests'
-  references in tests/_utils.py, as is `sum_all`);
+- `dense(x, w, b, activation)` for matmul -> add -> relu (or none), and
+  `conv2d(x, w, b, stride, activation)` for its conv -> add -> relu (or
+  none);
 - `mean_kl(target, probs)` for the sum over the exits of a probability
   stack of mean_all(kl_div(target, probs[k])), added left to right like a
   chain of `add`s;
@@ -362,36 +361,33 @@ def relu(x):
 
 
 def _activate(z: Array, activation) -> None:
-    """Apply `activation` ("relu", "tanh" or None) to `z` in place; `z` is
-    the caller's own fresh array."""
+    """Apply `activation` ("relu" or None, the identity) to `z` in place;
+    `z` is the caller's own fresh array. Any other name is a ContractError."""
     if activation == "relu":
         np.maximum(z, 0.0, out=z)
-    elif activation == "tanh":
-        np.tanh(z, out=z)
     elif activation is not None:
         raise ContractError(f"unknown activation {activation!r}")
 
 
 def _activation_grad(g: Array, out: Array, activation) -> Array:
-    """g times the activation's derivative, read from the activated output:
-    relu's mask out > 0 equals z > 0 for every z, signed zeros included. The
-    mask is cast to float64 first: a float product is cheaper than numpy's
-    mixed bool-float loop, with the same bits."""
+    """g times the derivative of `activation` ("relu" or None), read from
+    the activated output: relu's mask out > 0 equals z > 0 for every z,
+    signed zeros included. The mask is cast to float64 first: a float
+    product is cheaper than numpy's mixed bool-float loop, with the same
+    bits."""
     if activation == "relu":
         return g * (out > 0.0).astype(np.float64)
-    if activation == "tanh":
-        return g * (1.0 - out * out)
     return g
 
 
 def dense(x, w, b, activation=None):
-    """act(x @ w + b) as one record; `activation` is "relu", "tanh" or None.
+    """act(x @ w + b) as one record; `activation` is "relu" or None.
 
-    Same arithmetic as `relu`/`tanh` of `add(matmul(x, w), b)`. Allocates one
-    array: the bias add and the activation run in place on the fresh matmul
-    output, `x`, `w` and `b` are never written (they may be read-only), and
-    the backward pass reads its relu mask from that output, so a tape keeps
-    one array per call.
+    Same arithmetic as `relu` of `add(matmul(x, w), b)`, or that sum alone.
+    Allocates one array: the bias add and the activation run in place on the
+    fresh matmul output, `x`, `w` and `b` are never written (they may be
+    read-only), and the backward pass reads its relu mask from that output,
+    so a tape keeps one array per call.
     """
     xn, xv = _split(x)
     wn, wv = _split(w)
@@ -751,9 +747,9 @@ def _conv_windows(xv: Array, kh: int, kw: int, stride: int) -> Array:
 
 def conv2d(x, weight, bias, stride: int = 1, activation=None):
     """act(conv(x) + bias) as one record, valid padding: x (B,Cin,H,W),
-    weight (Cout,Cin,kh,kw); `activation` is "relu", "tanh" or None.
+    weight (Cout,Cin,kh,kw); `activation` is "relu" or None.
 
-    Same arithmetic as `relu`/`tanh` of the plain convolution, and the same
+    Same arithmetic as `relu` of the plain convolution, and the same
     memory contract as `dense`: the bias add and the activation run in place
     on the fresh einsum output, the inputs are never written, and the
     backward pass reads the activation's derivative from the output.

@@ -66,8 +66,6 @@ BROKEN = {
     "attack_kernel": ({"attack.kernel": "-3"}, "attack.kernel must be >= 1"),
     "victim_stride": ({"victim.stride": "0"}, "victim.stride must be >= 1"),
     "attack_stride": ({"attack.stride": "0"}, "attack.stride must be >= 1"),
-    "victim_activation": ({"victim.activation": "gelu"}, "victim.activation must be relu or tanh"),
-    "attack_activation": ({"attack.activation": "gelu"}, "attack.activation must be relu or tanh"),
 }
 
 
@@ -85,10 +83,10 @@ def test_config_hashes_are_pinned():
     # values may not change; they move only when a key is deliberately
     # removed, and CHANGES.md says so
     assert load_config(TOY_CFG).sha256 == (
-        "5aa6b7b412436e96461a89338f14e97828c34b11c1b3e38bfec750546698dcfa"
+        "df01f2499e508e99e642fc56a8802f79863633d34f9165573270ddfa3e4bc9db"
     )
     assert build_config({}).sha256 == (
-        "97aa82bb0e44b392b2abd549b404668a772b9a17ad8fdf734b725973936ba29c"
+        "f0f82a72ebe2d353f58cedd33fac1a0d182ca3013af4d3a7275038fbec52ce2e"
     )
 
 

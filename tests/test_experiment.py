@@ -734,16 +734,18 @@ def test_failing_grid_point_is_named(tmp_path):
         ({"dataset.idx_train_images": ["../x.idx"]}, "a value with '/' would leave"),
         ({"attack.lambda": [0.5, -1]}, "attack.lambda must be >= 0"),
         ({"seed": [1, "x"]}, "'seed' takes master seeds >= 0"),
-        # with eight retired keys, which a config may no longer set
+        # with ten retired keys, which a config may no longer set
         (
             {"attack.lambda": [0.5], "no.such_key": [1], "experiment.ablations": ["true"],
              "attack.baseline_arch": ["victim"], "timing.noise_sigma": ["0.1"],
              "victim.momentum": ["0.5"], "dataset.idx_duplicate_channels": ["true"],
              "victim.channels": ["8,16"], "attack.channels": ["8,16"],
-             "attack.warm_start": ["warm.ckpt"]},
-            "unknown config keys: attack.baseline_arch, attack.channels, "
+             "attack.warm_start": ["warm.ckpt"], "victim.activation": ["relu"],
+             "attack.activation": ["relu"]},
+            "unknown config keys: attack.activation, attack.baseline_arch, attack.channels, "
             "attack.warm_start, dataset.idx_duplicate_channels, experiment.ablations, "
-            "no.such_key, timing.noise_sigma, victim.channels, victim.momentum$",
+            "no.such_key, timing.noise_sigma, victim.activation, victim.channels, "
+            "victim.momentum$",
         ),
     ],
     ids=["no_axes", "empty_axis", "repeated_value", "slash", "bad_later_value",

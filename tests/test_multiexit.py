@@ -44,8 +44,6 @@ def test_backbone_spec_validation():
     with pytest.raises(ContractError):
         BackboneSpec.dense((8,))  # needs at least input + one block
     with pytest.raises(ContractError):
-        BackboneSpec.dense((8, 4), activation="sigmoid")
-    with pytest.raises(ContractError):
         BackboneSpec.conv((2, 4), kernel=0)
     with pytest.raises(ContractError, match="unknown backbone kind 'rnn'"):
         BackboneSpec("rnn", (2, 4))
@@ -241,17 +239,17 @@ def test_cascade_runs_on_a_frozen_copy():
 @pytest.mark.parametrize(
     "rows", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 8500]
 )
-@pytest.mark.parametrize("kind", ["dense_relu", "dense_tanh_widths", "conv_stride2"])
+@pytest.mark.parametrize("kind", ["dense_relu", "dense_widths", "conv_stride2"])
 def test_chunked_pass_is_bitwise_the_one_batch_pass(kind, rows, monkeypatch):
     # the tape-free pass runs the backbone, dense or conv, in near-equal row
     # chunks of 2 rows or more (1,025 rows as 512 and 513), and the heads per row
-    # span (two spans for dense_tanh_widths at 8,500 rows). On frozen
+    # span (two spans for dense_widths at 8,500 rows). On frozen
     # parameters and a read-only input it equals one pass over the whole
     # batch byte for byte, and writes into neither
     if kind == "dense_relu":
         net = dense_net(widths=(48,) * 9, exits=4, classes=4, seed=1)  # keeps the input width
-    elif kind == "dense_tanh_widths":  # width changes inside and at the end of a segment
-        spec = BackboneSpec.dense((16, 48, 64, 64, 32, 32, 256), activation="tanh")
+    elif kind == "dense_widths":  # width changes inside and at the end of a segment
+        spec = BackboneSpec.dense((16, 48, 64, 64, 32, 32, 256))
         net = build_evenly_partitioned(spec, 3, 4, seed=2)
     else:
         spec = BackboneSpec.conv((2, 4, 6, 6), kernel=3, stride=2)
@@ -514,10 +512,11 @@ _CONV = {"kind": "conv", "kernel": 1, "stride": 1}
         (_set_blocks(_CONV, _CONV, dict(_CONV, kernel=3)), "share one kind, kernel and stride"),
         (_set_blocks(_CONV, dict(_CONV, stride=2), _CONV), "share one kind, kernel and stride"),
         (_set_blocks({}, {"in": 7}), "block widths do not chain: 8 -> 7"),
+        (lambda desc: desc["backbone"].update(activation="tanh"), "'activation' must be relu"),
     ],
     ids=["index_past_last_block", "index_zero", "decreasing", "non_integer", "bool_index",
          "no_backbone", "block_without_in", "mixed_kinds", "mixed_kernels", "mixed_strides",
-         "widths_do_not_chain"],
+         "widths_do_not_chain", "tanh_activation"],
 )
 def test_checkpoint_malformed_descriptor_is_a_format_error(tmp_path, edit, message):
     path = tmp_path / "net.ckpt"

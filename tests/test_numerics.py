@@ -441,7 +441,7 @@ def freeze(*arrays):
 
 
 @pytest.mark.parametrize("input_is_node", [False, True])
-@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+@pytest.mark.parametrize("activation", [None, "relu"])
 def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_node):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(6, 4))
@@ -476,12 +476,13 @@ def test_dense_is_bitwise_the_matmul_add_activation_chain(activation, input_is_n
         assert_bitwise(a, copy)
     with pytest.raises(ContractError):
         nm.dense(x[0], w, b)
-    with pytest.raises(ContractError):
-        nm.dense(x, w, b, "sigmoid")
+    for other in ("sigmoid", "tanh"):
+        with pytest.raises(ContractError, match=f"unknown activation '{other}'"):
+            nm.dense(x, w, b, other)
 
 
 @pytest.mark.parametrize("input_is_node", [False, True])
-@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+@pytest.mark.parametrize("activation", [None, "relu"])
 def test_conv2d_is_bitwise_the_conv_activation_chain(activation, input_is_node):
     rng = np.random.default_rng(15)
     x = rng.normal(size=(3, 2, 6, 6))
@@ -509,11 +510,12 @@ def test_conv2d_is_bitwise_the_conv_activation_chain(activation, input_is_node):
     assert_bitwise(nm.conv2d(x, w, b), plain)
     for a, copy in zip((x, w, b), before):
         assert_bitwise(a, copy)
-    with pytest.raises(ContractError):
-        nm.conv2d(x, w, b, activation="sigmoid")
+    for other in ("sigmoid", "tanh"):
+        with pytest.raises(ContractError, match=f"unknown activation '{other}'"):
+            nm.conv2d(x, w, b, activation=other)
 
 
-@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+@pytest.mark.parametrize("activation", [None, "relu"])
 def test_dense_allocates_one_output_array(activation):
     # past the output there is only the ufunc iterator's fixed 64 KiB
     # buffer for the broadcast bias add; a second (B, W) array would add 4 MB
